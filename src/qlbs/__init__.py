@@ -24,6 +24,7 @@ from .dp import (
     optimal_hedge_values,
     rollback_portfolio,
     run_model_based,
+    run_model_based_batch,
     terminal_conditions,
 )
 from .fqi import (

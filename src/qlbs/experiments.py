@@ -2,9 +2,10 @@
 
 Each scenario sweeps one axis (volatility, sample size and action noise,
 hedging frequency, strike, transaction costs, or basis shape), runs the
-solvers per state kind and seed, and collects one row per cell. Path
-simulation and feature construction are cached across cells that share
-them, so sweeps stay fast at desk scale.
+solvers per state kind and seed, and collects one row per cell. Paths
+are simulated once per market; cells on the same paths and basis share
+one feature cube and solve their contracts in batched backward passes,
+so sweeps stay fast at desk scale.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .basis import DEFAULT_N_BASIS, DEFAULT_ORDER, feature_cube, spec_for_states
 from .bsm import bsm_put_delta, bsm_put_price
-from .dp import DPSolution, RiskParams, run_model_based
+from .dp import DPSolution, RiskParams, run_model_based_batch
 from .fqi import build_offline_dataset, perturb_actions, run_fqi
 from .market import (
     BENCHMARK_STATE_KINDS,
@@ -231,37 +232,40 @@ _COLUMNS = [
 
 
 class _RunCache:
-    """Shares simulated paths and feature cubes across sweep cells.
-
-    Feature cubes are the big objects (paths x steps x basis), so only a
-    few stay resident; paths are cheap and kept for the whole run.
-    """
-
-    _FEATURE_SLOTS = 6
+    """Simulated paths shared across sweep cells, kept for the whole run."""
 
     def __init__(self):
         self.paths: dict = {}
-        self.features: dict = {}
 
     def get_paths(self, market: MarketParams) -> PathSet:
-        key = (market.s0, market.mu, market.sigma, market.r, market.maturity,
-               market.n_steps, market.n_paths, market.seed)
-        if key not in self.paths:
-            self.paths[key] = simulate_gbm(market)
-        return self.paths[key]
+        if market not in self.paths:
+            self.paths[market] = simulate_gbm(market)
+        return self.paths[market]
 
-    def get_features(self, market: MarketParams, kind: StateKind,
-                     n_basis: int, order: int):
-        key = (market.s0, market.mu, market.sigma, market.r, market.maturity,
-               market.n_steps, market.n_paths, market.seed, kind, n_basis, order)
-        if key not in self.features:
-            paths = self.get_paths(market)
-            states = compute_states(paths, kind)
-            spec = spec_for_states(states.values, n_basis=n_basis, order=order)
-            while len(self.features) >= self._FEATURE_SLOTS:
-                self.features.pop(next(iter(self.features)))
-            self.features[key] = (spec, feature_cube(spec, states.values), states)
-        return self.features[key]
+
+def _pass_size(n_basis: int) -> int:
+    """Most contracts one batched backward pass solves.
+
+    A pass keeps five (T+1, K) arrays per contract; 6 * n_basis / 5
+    contracts hold them within six (T+1, K, n_basis) feature cubes.
+    """
+    return 6 * n_basis // 5
+
+
+@dataclass
+class _Job:
+    """One (cell, state kind) of a sweep and the report rows it produced.
+
+    ``base`` holds the row fields the cell sets (strike, risk aversion,
+    noise, basis, state, benchmark).
+    """
+
+    market: MarketParams
+    kind: StateKind
+    methods: tuple
+    cost_rate: float | None
+    base: dict
+    rows: list = field(default_factory=list)
 
 
 def _row_base(config: ScenarioConfig, market: MarketParams, **overrides) -> dict:
@@ -280,39 +284,111 @@ def _row_base(config: ScenarioConfig, market: MarketParams, **overrides) -> dict
     return row
 
 
-def _solve_cell(cache: _RunCache, config: ScenarioConfig, market: MarketParams,
-                kind: StateKind, strike: float, risk_aversion: float,
-                methods: tuple[str, ...], noise: float,
-                n_basis: int | None = None, order: int | None = None):
-    """Run the requested solvers on one (market, state, seed) cell."""
-    n_basis = config.n_basis if n_basis is None else n_basis
-    order = config.order if order is None else order
-    spec, cube, states = cache.get_features(market, kind, n_basis, order)
-    paths = cache.get_paths(market)
-    risk = RiskParams.from_rate(risk_aversion, market.r, market.dt,
-                                pure_risk=config.pure_risk)
-    out: dict[str, object] = {}
-    dp: DPSolution | None = None
-    if "dp" in methods or "fqi" in methods:
-        started = time.perf_counter()
-        dp = run_model_based(paths, kind, strike=strike, risk=risk,
-                             basis_spec=spec, features=cube,
-                             regularizer=config.regularizer)
-        out["dp"] = (dp, time.perf_counter() - started)
-    if "fqi" in methods:
-        started = time.perf_counter()
-        noisy = perturb_actions(dp.hedges, noise, seed=market.seed + 104_729)
-        noisy[:, -1] = 0.0
-        dataset = build_offline_dataset(paths, states, noisy, strike=strike, risk=risk)
-        fqi = run_fqi(dataset, spec, features=cube, regularizer=config.regularizer)
-        out["fqi"] = (fqi, time.perf_counter() - started)
-    return out, paths
+def _fail(config: ScenarioConfig, job: _Job, err: Exception) -> None:
+    """Record one error row per method and continue with the sweep."""
+    log.warning("cell failed: %s", err)
+    job.rows = [_row_base(config, job.market, method=method, error=str(err),
+                          **job.base)
+                for method in job.methods]
+
+
+def _finish_job(config: ScenarioConfig, job: _Job, dp: DPSolution,
+                dp_seconds: float, paths: PathSet, states, spec, cube,
+                risk: RiskParams) -> None:
+    """Run the job's fitted-Q pass if asked, then build its report rows."""
+    solved = {"dp": (dp, dp_seconds)}
+    if "fqi" in job.methods:
+        try:
+            started = time.perf_counter()
+            noisy = perturb_actions(dp.hedges, job.base["noise"],
+                                    seed=job.market.seed + 104_729)
+            noisy[:, -1] = 0.0
+            dataset = build_offline_dataset(paths, states, noisy,
+                                            strike=job.base["strike"], risk=risk)
+            fqi = run_fqi(dataset, spec, features=cube,
+                          regularizer=config.regularizer)
+            solved["fqi"] = (fqi, time.perf_counter() - started)
+        except Exception as err:  # record and continue with the sweep
+            _fail(config, job, err)
+            return
+    for method in job.methods:
+        solution, elapsed = solved[method]
+        row = _row_base(config, job.market, method=method,
+                        runtime_s=round(elapsed, 6), **job.base)
+        row["price"] = solution.price_t0
+        if method == "dp":
+            row["hedge"] = solution.hedge_t0
+        if job.cost_rate is not None and method == "dp":
+            tw = terminal_wealth(paths, solution.hedges, job.base["strike"],
+                                 job.cost_rate, solution.price_t0)
+            report = TerminalWealthReport.from_sample(tw, job.kind, job.cost_rate)
+            row["cost_rate"] = job.cost_rate
+            row["tw_mean"] = report.mean
+            row["tw_median"] = report.median
+        job.rows.append(row)
+
+
+def _solve_group(cache: _RunCache, config: ScenarioConfig, market: MarketParams,
+                 kind: StateKind, n_basis: int, order: int, jobs: list) -> None:
+    """Solve every job on one set of paths, state kind and basis.
+
+    The feature cube is built once. Jobs with the same (strike, risk)
+    share one contract, and the contracts are solved in batched passes
+    of at most ``_pass_size(n_basis)``; each DP row's runtime is its
+    pass's wall time divided by the pass's contracts. A failure inside a
+    pass marks every job of that pass.
+    """
+    try:
+        paths = cache.get_paths(market)
+        states = compute_states(paths, kind)
+        spec = spec_for_states(states.values, n_basis=n_basis, order=order)
+        cube = feature_cube(spec, states.values)
+    except Exception as err:  # record and continue with the sweep
+        for job in jobs:
+            _fail(config, job, err)
+        return
+    contracts: dict[tuple[float, RiskParams], list[_Job]] = {}
+    for job in jobs:
+        try:
+            risk = RiskParams.from_rate(job.base["risk_aversion"], market.r,
+                                        market.dt, pure_risk=config.pure_risk)
+        except Exception as err:  # record and continue with the sweep
+            _fail(config, job, err)
+            continue
+        contracts.setdefault((job.base["strike"], risk), []).append(job)
+    keys = list(contracts)
+    size = _pass_size(n_basis)
+    for start in range(0, len(keys), size):
+        batch = keys[start:start + size]
+        try:
+            started = time.perf_counter()
+            solutions = run_model_based_batch(paths, kind, batch, basis_spec=spec,
+                                              regularizer=config.regularizer,
+                                              features=cube)
+            per_contract = (time.perf_counter() - started) / len(batch)
+        except Exception as err:  # record and continue with the sweep
+            for key in batch:
+                for job in contracts[key]:
+                    _fail(config, job, err)
+            continue
+        for (strike, risk), solution in zip(batch, solutions):
+            for job in contracts[strike, risk]:
+                _finish_job(config, job, solution, per_contract, paths, states,
+                            spec, cube, risk)
+        # Free this pass's arrays before the next pass allocates its own.
+        del solutions, solution
 
 
 def _run_cells(config: ScenarioConfig, cells, methods=("dp", "fqi")) -> ResultTable:
-    """Shared sweep loop: cells yield per-cell overrides."""
+    """Shared sweep loop: cells yield per-cell overrides.
+
+    Each (cell, state kind) is a job. Jobs that share paths, state kind
+    and basis are solved together (see :func:`_solve_group`); rows come
+    out in cell order whatever order the groups ran in.
+    """
     cache = _RunCache()
-    rows = []
+    jobs: list[_Job] = []
+    groups: dict[tuple, list[_Job]] = {}
     for cell in cells:
         market = cell["market"]
         strike = cell.get("strike", config.strike)
@@ -320,7 +396,6 @@ def _run_cells(config: ScenarioConfig, cells, methods=("dp", "fqi")) -> ResultTa
         noise = cell.get("noise", config.noise)
         n_basis = cell.get("n_basis", config.n_basis)
         order = cell.get("order", config.order)
-        cell_methods = cell.get("methods", methods)
         try:
             bsm_price = bsm_put_price(market.s0, strike, market.r,
                                       market.sigma, market.maturity)
@@ -331,44 +406,27 @@ def _run_cells(config: ScenarioConfig, cells, methods=("dp", "fqi")) -> ResultTa
             bsm_price = bsm_delta = None
             benchmark_error = err
         for kind in config.state_kinds:
-            base = dict(
-                strike=strike, risk_aversion=risk_aversion, noise=noise,
-                n_basis=n_basis, order=order, state=kind.value,
-                bsm_price=bsm_price, bsm_delta=bsm_delta,
+            job = _Job(
+                market=market, kind=kind,
+                methods=tuple(cell.get("methods", methods)),
+                cost_rate=cell.get("cost_rate"),
+                base=dict(strike=strike, risk_aversion=risk_aversion,
+                          noise=noise, n_basis=n_basis, order=order,
+                          state=kind.value, bsm_price=bsm_price,
+                          bsm_delta=bsm_delta),
             )
-            try:
-                if benchmark_error is not None:
-                    raise benchmark_error
-                solved, paths = _solve_cell(
-                    cache, config, market, kind, strike, risk_aversion,
-                    tuple(cell_methods), noise, n_basis, order,
-                )
-            except Exception as err:  # record and continue with the sweep
-                log.warning("cell failed: %s", err)
-                for method in cell_methods:
-                    rows.append(_row_base(config, market, method=method,
-                                          error=str(err), **base))
-                continue
-            for method in cell_methods:
-                solution, elapsed = solved[method]
-                row = _row_base(config, market, method=method,
-                                runtime_s=round(elapsed, 6), **base)
-                row["price"] = solution.price_t0
-                if method == "dp":
-                    row["hedge"] = solution.hedge_t0
-                if cell.get("cost_rate") is not None and method == "dp":
-                    tw = terminal_wealth(paths, solution.hedges, strike,
-                                         cell["cost_rate"], solution.price_t0)
-                    report = TerminalWealthReport.from_sample(tw, kind,
-                                                              cell["cost_rate"])
-                    row["cost_rate"] = cell["cost_rate"]
-                    row["tw_mean"] = report.mean
-                    row["tw_median"] = report.median
-                rows.append(row)
+            jobs.append(job)
+            if benchmark_error is not None:
+                _fail(config, job, benchmark_error)
+            else:
+                groups.setdefault((market, kind, n_basis, order), []).append(job)
+    for (market, kind, n_basis, order), members in groups.items():
+        _solve_group(cache, config, market, kind, n_basis, order, members)
     meta = {"config": config.to_json_dict(),
             "knots": _base_knots(cache, config)}
     return ResultTable(columns=list(_COLUMNS),
-                       rows=[[r[c] for c in _COLUMNS] for r in rows],
+                       rows=[[r[c] for c in _COLUMNS]
+                             for job in jobs for r in job.rows],
                        meta=meta)
 
 

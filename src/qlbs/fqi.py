@@ -105,7 +105,12 @@ class WMatrix:
 
 @dataclass(frozen=True)
 class FQISolution:
-    """Fitted coefficients per step, action values per path, and the price."""
+    """Fitted coefficients per step, action values per path, and the price.
+
+    ``greedy_fallbacks`` totals the maximizer candidates the guarded
+    greedy rejected over all steps; it is 0 unless the fit ran with
+    ``greedy_update``.
+    """
 
     w: tuple
     q_values: np.ndarray
@@ -238,8 +243,8 @@ def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
     guarded maximizer for experimentation.
 
     Returns (WMatrix, q_t, n_fallbacks); the counter reports how many
-    maximizer candidates the guarded greedy rejected (diagnostic only
-    when ``greedy_update`` is off).
+    maximizer candidates the guarded greedy rejected. The maximizer runs
+    only when ``greedy_update`` is set, so the counter is 0 otherwise.
     """
     features = phi_t.values
     design = _psi_matrix(actions_t, features)
@@ -255,11 +260,10 @@ def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
         regularizer = scaled_regularizer(gram, DEFAULT_RIDGE_REL)
     w_vec = solve_normal_equations(gram, rhs, regularizer)
     w = w_vec.reshape(3, features.shape[1])
-    _, q_greedy, fallbacks = _greedy_batch(w, features, actions_t)
     if greedy_update:
-        q_t = q_greedy
+        _, q_t, fallbacks = _greedy_batch(w, features, actions_t)
     else:
-        q_t = _quadratic(features @ w.T, actions_t)
+        q_t, fallbacks = _quadratic(features @ w.T, actions_t), 0
     return WMatrix(values=w), q_t, fallbacks
 
 
@@ -342,8 +346,17 @@ def save_dataset(dataset: OfflineDataset, dest) -> None:
                 ])
 
 
+_META_KEYS = ("state_kind", "strike", "risk_aversion", "gamma", "dt", "mu",
+              "sigma", "n_paths", "n_steps")
+
+
 def load_dataset(source) -> OfflineDataset:
-    """Load a dataset written by :func:`save_dataset`."""
+    """Load a dataset written by :func:`save_dataset`.
+
+    Every (t, k) must appear exactly once; a missing or duplicate row, an
+    index outside the stated shape, or a missing metadata key raises
+    ValueError naming the file and the row or key.
+    """
     meta: dict[str, str] = {}
     rows = []
     with open(source, newline="") as handle:
@@ -356,41 +369,64 @@ def load_dataset(source) -> OfflineDataset:
                 meta[key.strip()] = value.strip()
             else:
                 rows.append(line)
-    reader = csv.reader(rows)
-    header = next(reader)
-    if tuple(header) != _CSV_COLUMNS:
+    header = next(csv.reader(rows[:1]), None)
+    if header is None or tuple(header) != _CSV_COLUMNS:
         raise ValueError(f"{source}: unexpected columns {header}")
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"{source}: missing metadata key {missing[0]!r}")
 
     n_paths = int(meta["n_paths"])
     n_steps = int(meta["n_steps"])
-    states = np.zeros((n_paths, n_steps + 1))
-    actions = np.zeros_like(states)
-    rewards = np.zeros_like(states)
-    terminal_portfolio = np.zeros(n_paths)
-    for row in reader:
-        t, k = int(row[0]), int(row[1])
-        states[k, t] = float(row[2])
-        actions[k, t] = float(row[3])
-        rewards[k, t] = float(row[4])
-        if t == n_steps:
-            terminal_portfolio[k] = float(row[5])
+    try:
+        table = np.loadtxt(rows[1:], delimiter=",", ndmin=2)
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from err
+    table = table.reshape(-1, len(_CSV_COLUMNS))
+    t, k = table[:, 0], table[:, 1]
+    outside = ((t != np.floor(t)) | (t < 0) | (t > n_steps)
+               | (k != np.floor(k)) | (k < 0) | (k >= n_paths))
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise ValueError(f"{source}: data row {row + 1} has (t={t[row]:g}, "
+                         f"k={k[row]:g}) outside {n_steps + 1} steps x "
+                         f"{n_paths} paths")
+    t, k = t.astype(np.intp), k.astype(np.intp)
+    cell = t * n_paths + k
+    counts = np.bincount(cell, minlength=(n_steps + 1) * n_paths)
+    if np.any(counts > 1):
+        repeats = np.flatnonzero(cell == np.argmax(counts > 1))
+        raise ValueError(f"{source}: duplicate row for (t={t[repeats[0]]}, "
+                         f"k={k[repeats[0]]}) at data rows {repeats[0] + 1} "
+                         f"and {repeats[1] + 1}")
+    if np.any(counts == 0):
+        gap = int(np.argmax(counts == 0))
+        raise ValueError(f"{source}: missing row for (t={gap // n_paths}, "
+                         f"k={gap % n_paths})")
 
-    kind = StateKind.parse(meta["state_kind"])
-    dt = float(meta["dt"])
-    strike = float(meta["strike"])
+    states = np.empty((n_paths, n_steps + 1))
+    actions = np.empty_like(states)
+    rewards = np.empty_like(states)
+    states[k, t] = table[:, 2]
+    actions[k, t] = table[:, 3]
+    rewards[k, t] = table[:, 4]
+    terminal = t == n_steps
+    terminal_portfolio = np.empty(n_paths)
+    terminal_portfolio[k[terminal]] = table[terminal, 5]
+
     return OfflineDataset(
         states=states,
         actions=actions,
         rewards=rewards,
         terminal_portfolio=terminal_portfolio,
-        state_kind=kind,
-        strike=strike,
+        state_kind=StateKind.parse(meta["state_kind"]),
+        strike=float(meta["strike"]),
         risk=RiskParams(
             risk_aversion=float(meta["risk_aversion"]),
             gamma=float(meta["gamma"]),
             pure_risk=meta.get("pure_risk", "True") == "True",
         ),
-        dt=dt,
+        dt=float(meta["dt"]),
         mu=float(meta["mu"]),
         sigma=float(meta["sigma"]),
     )

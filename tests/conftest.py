@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qlbs.basis import feature_cube, make_spec, spec_for_states
-from qlbs.dp import RiskParams, run_model_based
+from qlbs.dp import RiskParams, run_model_based, run_model_based_batch
+from qlbs.experiments import _pass_size
 from qlbs.fqi import build_offline_dataset, perturb_actions, run_fqi
 from qlbs.market import (
     MarketParams,
@@ -153,6 +154,32 @@ class BenchmarkCache:
                                    **kwargs)
             self._dp_summaries[key] = (solution.price_t0, solution.hedge_t0)
         return self._dp_summaries[key]
+
+    def strike_summaries(self, kind, strikes, risk_aversions, **kwargs):
+        """(price, initial hedge) per (strike, risk aversion) on one path set.
+
+        Every contract not yet cached is solved through batched backward
+        passes on the shared feature cube, in passes of the size the
+        scenario runner uses; the results land in ``dp_summary``'s cache.
+        """
+        market = self.market(**kwargs)
+        grid = [(float(strike), lam) for lam in risk_aversions for strike in strikes]
+        todo = [(strike, RiskParams.from_rate(lam, market.r, market.dt))
+                for strike, lam in grid
+                if (market, kind, strike, lam, 12, 4) not in self._dp_summaries]
+        if todo:
+            paths = self.paths(**kwargs)
+            spec, cube, _ = self.features(kind, **kwargs)
+            size = _pass_size(spec.n_basis)
+            for start in range(0, len(todo), size):
+                batch = todo[start:start + size]
+                solutions = run_model_based_batch(paths, kind, batch,
+                                                  basis_spec=spec, features=cube)
+                for (strike, risk), solution in zip(batch, solutions):
+                    key = (market, kind, strike, risk.risk_aversion, 12, 4)
+                    self._dp_summaries[key] = (solution.price_t0, solution.hedge_t0)
+        return {(strike, lam): self._dp_summaries[market, kind, strike, lam, 12, 4]
+                for strike, lam in grid}
 
     def pair_prices(self, kind, noise, strike=100.0, risk_aversion=1e-4,
                     **kwargs):

@@ -170,6 +170,7 @@ class TestCriterion5NoiseRobustness:
         assert ok
 
 
+@pytest.mark.slow
 class TestCriterion6HedgingFrequency:
     def test_all_frequencies_in_band(self, bench):
         lo, hi = 4.40, 4.65
@@ -193,21 +194,22 @@ class TestCriterion6HedgingFrequency:
         assert ok
 
 
+@pytest.mark.slow
 class TestCriterion7Moneyness:
     def test_strike_sweep(self, bench):
         started = time.perf_counter()
         strikes = [float(z) for z in range(60, 141, 5)]
+        summaries = {(kind, s): bench.strike_summaries(kind, strikes, (1e-4, 1e-3),
+                                                       seed=s)
+                     for kind in BENCHMARK_STATE_KINDS for s in SEEDS}
         rel_devs = []
         itm_violations = []
         for lam in (1e-4, 1e-3):
             for strike in strikes:
                 bsm = bsm_put_price(100, strike, 0.03, 0.15, 1.0)
                 for kind in BENCHMARK_STATE_KINDS:
-                    mean = seed_mean([
-                        bench.dp_summary(kind, strike=strike,
-                                         risk_aversion=lam, seed=s)[0]
-                        for s in SEEDS
-                    ])
+                    mean = seed_mean([summaries[kind, s][strike, lam][0]
+                                      for s in SEEDS])
                     if lam == 1e-4 and bsm > 0.5:
                         rel_devs.append(abs(mean - bsm) / bsm)
                     if lam == 1e-3 and strike >= 120 and mean < bsm:
@@ -362,6 +364,7 @@ class TestCriterion9PropertySuite:
         assert not failures
 
 
+@pytest.mark.slow
 class TestCriterion10BasisSensitivity:
     def test_sweep_completes_and_return_state_is_stable(self, bench):
         bsm = bsm_put_price(100, 100, 0.03, 0.15, 1.0)

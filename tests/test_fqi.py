@@ -6,6 +6,7 @@ import pytest
 
 from qlbs.basis import FeatureMatrix, basis_values, make_spec, spec_for_states, feature_cube
 from qlbs.dp import RiskParams, run_model_based
+from qlbs import fqi as fqi_module
 from qlbs.fqi import (
     OfflineDataset,
     WMatrix,
@@ -19,6 +20,7 @@ from qlbs.fqi import (
     save_dataset,
 )
 from qlbs.market import MarketParams, StateKind, compute_states, simulate_gbm
+from qlbs.numerics import scaled_regularizer, solve_normal_equations
 
 from conftest import GOLDEN_REWARDS_2, GOLDEN_STRIKE, STAGE_TOL
 
@@ -241,6 +243,32 @@ class TestRunFqi:
             after = run_fqi(loaded, spec).price_t0
             assert after == pytest.approx(before, abs=1e-10)
 
+    def test_default_fit_skips_maximizer(self, monkeypatch):
+        # Reference: the fitted-Q recursion evaluated at the recorded
+        # actions, written out step by step.
+        paths, states, spec, cube, risk, dp = small_run(n_paths=500)
+        noisy = perturb_actions(dp.hedges, 0.2, seed=3)
+        noisy[:, -1] = 0.0
+        dataset = build_offline_dataset(paths, states, noisy,
+                                        strike=100.0, risk=risk)
+        q = dataset.terminal_q()
+        for t in range(dataset.n_steps - 1, -1, -1):
+            features, a = cube[t], dataset.actions[:, t][:, np.newaxis]
+            design = np.hstack([features, a * features, 0.5 * a**2 * features])
+            gram = design.T @ design
+            rhs = design.T @ (dataset.rewards[:, t] + risk.gamma * q)
+            w = solve_normal_equations(gram, rhs, scaled_regularizer(gram))
+            u = features @ w.reshape(3, -1).T
+            q = u[:, 0] + a[:, 0] * u[:, 1] + 0.5 * a[:, 0]**2 * u[:, 2]
+
+        def never(*args):
+            raise AssertionError("the maximizer ran without greedy_update")
+
+        monkeypatch.setattr(fqi_module, "_greedy_batch", never)
+        fit = run_fqi(dataset, spec, features=cube)
+        assert fit.price_t0 == float(-q.mean())
+        assert fit.greedy_fallbacks == 0
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             OfflineDataset(states=np.zeros((3, 4)), actions=np.zeros((3, 3)),
@@ -248,3 +276,41 @@ class TestRunFqi:
                            terminal_portfolio=np.zeros(3),
                            state_kind=StateKind.PRICE, strike=100.0,
                            risk=RiskParams(1e-4, 0.99), dt=0.1)
+
+
+class TestLoadDatasetRejectsMalformedFiles:
+    @pytest.fixture
+    def lines(self, tmp_path):
+        paths, states, spec, cube, risk, dp = small_run(n_paths=5)
+        dataset = build_offline_dataset(paths, states, dp.hedges,
+                                        strike=100.0, risk=risk)
+        dest = tmp_path / "good.csv"
+        save_dataset(dataset, dest)
+        return dest.read_text().splitlines(keepends=True)
+
+    def write(self, tmp_path, lines):
+        dest = tmp_path / "bad.csv"
+        dest.write_text("".join(lines))
+        return dest
+
+    def data_index(self, lines, t, k):
+        return lines.index(next(line for line in lines
+                                if line.startswith(f"{t},{k},")))
+
+    def test_missing_row(self, tmp_path, lines):
+        del lines[self.data_index(lines, 3, 2)]
+        dest = self.write(tmp_path, lines)
+        with pytest.raises(ValueError, match=r"bad\.csv: missing row for \(t=3, k=2\)"):
+            load_dataset(dest)
+
+    def test_duplicate_row(self, tmp_path, lines):
+        lines.append(lines[self.data_index(lines, 5, 4)])
+        dest = self.write(tmp_path, lines)
+        with pytest.raises(ValueError, match=r"bad\.csv: duplicate row for \(t=5, k=4\)"):
+            load_dataset(dest)
+
+    def test_missing_metadata_key(self, tmp_path, lines):
+        lines = [line for line in lines if not line.startswith("# gamma=")]
+        dest = self.write(tmp_path, lines)
+        with pytest.raises(ValueError, match=r"bad\.csv: missing metadata key 'gamma'"):
+            load_dataset(dest)
