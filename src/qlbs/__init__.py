@@ -33,6 +33,7 @@ from .fqi import (
     WMatrix,
     build_offline_dataset,
     fqi_backward_step,
+    fqi_from_hedges,
     greedy_action,
     load_dataset,
     perturb_actions,

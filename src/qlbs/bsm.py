@@ -9,9 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import erfc
+import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def norm_cdf(x):
@@ -21,7 +22,7 @@ def norm_cdf(x):
     absolute error is far below the 1e-10 contract. Accepts scalars or
     numpy arrays.
     """
-    return 0.5 * erfc(-x / _SQRT2)
+    return 0.5 * _erfc(-np.asarray(x, dtype=float) / _SQRT2)
 
 
 @dataclass(frozen=True)

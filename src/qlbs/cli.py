@@ -19,7 +19,7 @@ from .experiments import (
     emit_report,
     run_scenario,
 )
-from .fqi import build_offline_dataset, load_dataset, perturb_actions, run_fqi, save_dataset
+from .fqi import fqi_from_hedges, load_dataset, run_fqi, save_dataset
 from .market import MarketParams, StateKind, compute_states, save_paths, simulate_gbm
 
 
@@ -105,8 +105,7 @@ def _cmd_price_dp(args) -> int:
 def _cmd_price_fqi(args) -> int:
     if args.dataset_in:
         dataset = load_dataset(args.dataset_in)
-        states_matrix = dataset.states
-        spec = spec_for_states(states_matrix, n_basis=args.n_splines,
+        spec = spec_for_states(dataset.states, n_basis=args.n_splines,
                                order=args.spline_order)
         solution = run_fqi(dataset, spec, regularizer=args.ridge)
     else:
@@ -114,11 +113,9 @@ def _cmd_price_fqi(args) -> int:
         dp = run_model_based(paths, kind, strike=args.strike, risk=risk,
                              basis_spec=spec, features=cube,
                              regularizer=args.ridge)
-        noisy = perturb_actions(dp.hedges, args.noise, seed=args.seed + 104_729)
-        noisy[:, -1] = 0.0
-        dataset = build_offline_dataset(paths, states, noisy,
-                                        strike=args.strike, risk=risk)
-        solution = run_fqi(dataset, spec, features=cube, regularizer=args.ridge)
+        dataset, solution = fqi_from_hedges(paths, states, dp.hedges, args.noise,
+                                            args.strike, risk, spec, features=cube,
+                                            regularizer=args.ridge)
         if args.dataset_out:
             save_dataset(dataset, args.dataset_out)
     print(json.dumps({"price": solution.price_t0,

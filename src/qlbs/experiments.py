@@ -9,6 +9,7 @@ so sweeps stay fast at desk scale.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -21,7 +22,7 @@ import numpy as np
 from .basis import DEFAULT_N_BASIS, DEFAULT_ORDER, feature_cube, spec_for_states
 from .bsm import bsm_put_delta, bsm_put_price
 from .dp import DPSolution, RiskParams, run_model_based_batch
-from .fqi import build_offline_dataset, perturb_actions, run_fqi
+from .fqi import fqi_from_hedges
 from .market import (
     BENCHMARK_STATE_KINDS,
     MarketParams,
@@ -231,18 +232,6 @@ _COLUMNS = [
 ]
 
 
-class _RunCache:
-    """Simulated paths shared across sweep cells, kept for the whole run."""
-
-    def __init__(self):
-        self.paths: dict = {}
-
-    def get_paths(self, market: MarketParams) -> PathSet:
-        if market not in self.paths:
-            self.paths[market] = simulate_gbm(market)
-        return self.paths[market]
-
-
 def _pass_size(n_basis: int) -> int:
     """Most contracts one batched backward pass solves.
 
@@ -300,13 +289,9 @@ def _finish_job(config: ScenarioConfig, job: _Job, dp: DPSolution,
     if "fqi" in job.methods:
         try:
             started = time.perf_counter()
-            noisy = perturb_actions(dp.hedges, job.base["noise"],
-                                    seed=job.market.seed + 104_729)
-            noisy[:, -1] = 0.0
-            dataset = build_offline_dataset(paths, states, noisy,
-                                            strike=job.base["strike"], risk=risk)
-            fqi = run_fqi(dataset, spec, features=cube,
-                          regularizer=config.regularizer)
+            _, fqi = fqi_from_hedges(paths, states, dp.hedges, job.base["noise"],
+                                     job.base["strike"], risk, spec, features=cube,
+                                     regularizer=config.regularizer)
             solved["fqi"] = (fqi, time.perf_counter() - started)
         except Exception as err:  # record and continue with the sweep
             _fail(config, job, err)
@@ -328,7 +313,7 @@ def _finish_job(config: ScenarioConfig, job: _Job, dp: DPSolution,
         job.rows.append(row)
 
 
-def _solve_group(cache: _RunCache, config: ScenarioConfig, market: MarketParams,
+def _solve_group(get_paths, config: ScenarioConfig, market: MarketParams,
                  kind: StateKind, n_basis: int, order: int, jobs: list) -> None:
     """Solve every job on one set of paths, state kind and basis.
 
@@ -339,7 +324,7 @@ def _solve_group(cache: _RunCache, config: ScenarioConfig, market: MarketParams,
     pass marks every job of that pass.
     """
     try:
-        paths = cache.get_paths(market)
+        paths = get_paths(market)
         states = compute_states(paths, kind)
         spec = spec_for_states(states.values, n_basis=n_basis, order=order)
         cube = feature_cube(spec, states.values)
@@ -386,7 +371,7 @@ def _run_cells(config: ScenarioConfig, cells, methods=("dp", "fqi")) -> ResultTa
     and basis are solved together (see :func:`_solve_group`); rows come
     out in cell order whatever order the groups ran in.
     """
-    cache = _RunCache()
+    get_paths = functools.cache(simulate_gbm)  # paths shared by the run's cells
     jobs: list[_Job] = []
     groups: dict[tuple, list[_Job]] = {}
     for cell in cells:
@@ -421,19 +406,18 @@ def _run_cells(config: ScenarioConfig, cells, methods=("dp", "fqi")) -> ResultTa
             else:
                 groups.setdefault((market, kind, n_basis, order), []).append(job)
     for (market, kind, n_basis, order), members in groups.items():
-        _solve_group(cache, config, market, kind, n_basis, order, members)
+        _solve_group(get_paths, config, market, kind, n_basis, order, members)
     meta = {"config": config.to_json_dict(),
-            "knots": _base_knots(cache, config)}
+            "knots": _base_knots(get_paths(config.market), config)}
     return ResultTable(columns=list(_COLUMNS),
                        rows=[[r[c] for c in _COLUMNS]
                              for job in jobs for r in job.rows],
                        meta=meta)
 
 
-def _base_knots(cache: _RunCache, config: ScenarioConfig) -> dict:
+def _base_knots(paths: PathSet, config: ScenarioConfig) -> dict:
     """Knot vectors of the base-configuration basis, one per state kind."""
     knots = {}
-    paths = cache.get_paths(config.market)
     for kind in config.state_kinds:
         values = compute_states(paths, kind).values
         spec = spec_for_states(values, n_basis=config.n_basis, order=config.order)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,6 +301,20 @@ def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
         price_t0=float(-q_values[:, 0].mean()),
         greedy_fallbacks=fallbacks,
     )
+
+
+def fqi_from_hedges(paths: PathSet, states: StateSeries, hedges: np.ndarray,
+                    noise: float, strike: float, risk: RiskParams,
+                    basis_spec: BasisSpec, features: np.ndarray | None = None,
+                    regularizer: float | None = None
+                    ) -> tuple[OfflineDataset, FQISolution]:
+    """Fitted Q on ``hedges`` perturbed by noise the path seed fixes and
+    closed at expiry; returns the recorded dataset and the solution."""
+    noisy = perturb_actions(hedges, noise, seed=paths.params.seed + 104_729)
+    noisy[:, -1] = 0.0
+    dataset = build_offline_dataset(paths, states, noisy, strike=strike, risk=risk)
+    return dataset, run_fqi(dataset, basis_spec, regularizer=regularizer,
+                            features=features)
 
 
 _CSV_COLUMNS = ("t", "k", "state", "action", "reward", "next_state")

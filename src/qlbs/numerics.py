@@ -3,14 +3,13 @@
 Everything here works on the normal equations: the solvers assemble
 either a design/target pair or a precomputed Gram matrix and right-hand
 side, and both are solved through the same symmetric positive-definite
-factorization.
+solver.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 # Default relative ridge weight; the absolute value used in a solve is
 # relative * trace(gram) / n_coefficients.
@@ -46,10 +45,11 @@ class RidgeProblem:
 
 def solve_normal_equations(gram: np.ndarray, rhs: np.ndarray,
                            regularizer: float = 0.0) -> np.ndarray:
-    """Solve (G + reg*I) x = rhs with a Cholesky factorization.
+    """Solve (G + reg*I) x = rhs, checked positive definite by Cholesky.
 
     G is expected symmetric positive semidefinite (a Gram matrix). A
-    singular system with reg = 0 raises RankDeficientError.
+    singular system with reg = 0 raises RankDeficientError. numpy has no
+    triangular solve, so the checked system is solved directly.
     """
     gram = np.asarray(gram, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -59,13 +59,14 @@ def solve_normal_equations(gram: np.ndarray, rhs: np.ndarray,
     # Symmetrize: callers may pass a numerically (or textually) asymmetric matrix.
     system = 0.5 * (system + system.T)
     try:
-        return cho_solve(cho_factor(system), rhs)
+        np.linalg.cholesky(system)
     except np.linalg.LinAlgError as err:
         if regularizer == 0:
             raise RankDeficientError(
                 "normal equations are singular; supply a positive regularizer"
             ) from err
         raise
+    return np.linalg.solve(system, rhs)
 
 
 def ridge_solve(problem: RidgeProblem) -> np.ndarray:

@@ -1,13 +1,11 @@
-"""Shared fixtures: the five-path golden example and cached benchmark runs."""
+"""Shared fixtures: the five-path golden example and cached benchmark paths."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from qlbs.basis import feature_cube, make_spec, spec_for_states
-from qlbs.dp import RiskParams, run_model_based, run_model_based_batch
-from qlbs.experiments import _pass_size
-from qlbs.fqi import build_offline_dataset, perturb_actions, run_fqi
+from qlbs.basis import feature_cube, make_spec
+from qlbs.dp import RiskParams, run_model_based
 from qlbs.market import (
     MarketParams,
     StateKind,
@@ -96,23 +94,19 @@ def golden_solution(golden_paths, golden_risk, golden_spec, golden_features):
 
 
 class BenchmarkCache:
-    """Memoizes desk-scale runs shared across test modules.
+    """Memoizes desk-scale paths and DP prices shared across test modules.
 
     Defaults follow the benchmark configuration: spot 100, drift 0.05,
     rate 0.03, strike 100, one year over 24 steps, 10000 paths, 12 cubic
-    splines, pure-risk hedge. Feature cubes are large, so only a handful
-    stay cached; solver outputs are kept as scalars.
+    splines, pure-risk hedge. Solver outputs are kept as scalars.
     """
 
     N_PATHS = 10_000
     SEEDS = (0, 1, 2, 3, 4)
-    _FEATURE_SLOTS = 8
 
     def __init__(self):
         self._paths = {}
-        self._features = {}
         self._dp_summaries = {}
-        self._pair_summaries = {}
 
     def market(self, sigma=0.15, n_steps=24, n_paths=N_PATHS, seed=0):
         return MarketParams(s0=100.0, mu=0.05, sigma=sigma, r=0.03,
@@ -125,80 +119,19 @@ class BenchmarkCache:
             self._paths[market] = simulate_gbm(market)
         return self._paths[market]
 
-    def features(self, kind, n_basis=12, order=4, **kwargs):
-        key = (self.market(**kwargs), kind, n_basis, order)
-        if key not in self._features:
-            paths = self.paths(**kwargs)
-            states = compute_states(paths, kind)
-            spec = spec_for_states(states.values, n_basis=n_basis, order=order)
-            while len(self._features) >= self._FEATURE_SLOTS:
-                self._features.pop(next(iter(self._features)))
-            self._features[key] = (spec, feature_cube(spec, states.values), states)
-        return self._features[key]
-
-    def dp_run(self, kind, strike=100.0, risk_aversion=1e-4, n_basis=12,
-               order=4, **kwargs):
+    def dp_run(self, kind, strike=100.0, risk_aversion=1e-4, **kwargs):
         """Uncached full solution (large); callers drop it when done."""
         paths = self.paths(**kwargs)
-        spec, cube, _ = self.features(kind, n_basis, order, **kwargs)
         risk = RiskParams.from_rate(risk_aversion, paths.params.r, paths.dt)
-        return run_model_based(paths, kind, strike=strike, risk=risk,
-                               basis_spec=spec, features=cube)
+        return run_model_based(paths, kind, strike=strike, risk=risk)
 
-    def dp_summary(self, kind, strike=100.0, risk_aversion=1e-4, n_basis=12,
-                   order=4, **kwargs):
-        """(price, initial hedge) for one cell, cached."""
-        key = (self.market(**kwargs), kind, strike, risk_aversion, n_basis, order)
+    def dp_summary(self, kind, **market):
+        """(price, initial hedge) of the default contract, cached."""
+        key = (kind, self.market(**market))
         if key not in self._dp_summaries:
-            solution = self.dp_run(kind, strike, risk_aversion, n_basis, order,
-                                   **kwargs)
+            solution = self.dp_run(kind, **market)
             self._dp_summaries[key] = (solution.price_t0, solution.hedge_t0)
         return self._dp_summaries[key]
-
-    def strike_summaries(self, kind, strikes, risk_aversions, **kwargs):
-        """(price, initial hedge) per (strike, risk aversion) on one path set.
-
-        Every contract not yet cached is solved through batched backward
-        passes on the shared feature cube, in passes of the size the
-        scenario runner uses; the results land in ``dp_summary``'s cache.
-        """
-        market = self.market(**kwargs)
-        grid = [(float(strike), lam) for lam in risk_aversions for strike in strikes]
-        todo = [(strike, RiskParams.from_rate(lam, market.r, market.dt))
-                for strike, lam in grid
-                if (market, kind, strike, lam, 12, 4) not in self._dp_summaries]
-        if todo:
-            paths = self.paths(**kwargs)
-            spec, cube, _ = self.features(kind, **kwargs)
-            size = _pass_size(spec.n_basis)
-            for start in range(0, len(todo), size):
-                batch = todo[start:start + size]
-                solutions = run_model_based_batch(paths, kind, batch,
-                                                  basis_spec=spec, features=cube)
-                for (strike, risk), solution in zip(batch, solutions):
-                    key = (market, kind, strike, risk.risk_aversion, 12, 4)
-                    self._dp_summaries[key] = (solution.price_t0, solution.hedge_t0)
-        return {(strike, lam): self._dp_summaries[market, kind, strike, lam, 12, 4]
-                for strike, lam in grid}
-
-    def pair_prices(self, kind, noise, strike=100.0, risk_aversion=1e-4,
-                    **kwargs):
-        """(model-based price, model-free price) on identical paths, cached."""
-        key = (self.market(**kwargs), kind, strike, risk_aversion, noise)
-        if key not in self._pair_summaries:
-            paths = self.paths(**kwargs)
-            spec, cube, states = self.features(kind, **kwargs)
-            risk = RiskParams.from_rate(risk_aversion, paths.params.r, paths.dt)
-            dp = run_model_based(paths, kind, strike=strike, risk=risk,
-                                 basis_spec=spec, features=cube)
-            noisy = perturb_actions(dp.hedges, noise,
-                                    seed=paths.params.seed + 104_729)
-            noisy[:, -1] = 0.0
-            dataset = build_offline_dataset(paths, states, noisy, strike=strike,
-                                            risk=risk)
-            fqi = run_fqi(dataset, spec, features=cube)
-            self._pair_summaries[key] = (dp.price_t0, fqi.price_t0)
-        return self._pair_summaries[key]
 
 
 @pytest.fixture(scope="session")

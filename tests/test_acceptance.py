@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from qlbs.basis import FeatureMatrix, basis_values, make_spec, spec_for_states, feature_cube
+from qlbs.basis import FeatureMatrix, basis_values, make_spec
 from qlbs.bsm import bsm_put_delta, bsm_put_price
 from qlbs.dp import (
     RiskParams,
@@ -18,7 +18,7 @@ from qlbs.dp import (
     rollback_portfolio,
     run_model_based,
 )
-from qlbs.experiments import terminal_wealth
+from qlbs.experiments import Scenario, ScenarioConfig, run_scenario, terminal_wealth
 from qlbs.fqi import WMatrix, greedy_action
 from qlbs.market import (
     BENCHMARK_STATE_KINDS,
@@ -56,6 +56,16 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 
 def seed_mean(values) -> float:
     return float(np.mean(values))
+
+
+def sweep(scenario, market, **fields):
+    """Report table of one scenario over SEEDS, through the scenario runner."""
+    return run_scenario(ScenarioConfig(scenario=scenario, market=market,
+                                       seeds=SEEDS, **fields))
+
+
+def prices(table, **filters) -> list:
+    return table.select(**filters).column("price")
 
 
 class TestCriterion1Analytic:
@@ -142,9 +152,10 @@ class TestCriterion4MethodAgreement:
     def test_model_free_matches_model_based(self, bench):
         gaps = {}
         for noise in (0.2, 0.0):
-            per_seed = [bench.pair_prices(StateKind.DRIFT_ADJUSTED, noise, seed=s)
-                        for s in SEEDS]
-            gaps[noise] = max(abs(f - d) for d, f in per_seed)
+            table = sweep(Scenario.SINGLE, bench.market(), noise=noise,
+                          state_kinds=(StateKind.DRIFT_ADJUSTED,))
+            gaps[noise] = max(abs(f - d) for d, f in zip(
+                prices(table, method="dp"), prices(table, method="fqi")))
         ok = gaps[0.2] <= 0.05 and gaps[0.0] <= 0.05
         report(4, ok, f"max |model-free - model-based|: eta=0.2 -> {gaps[0.2]:.4f}, "
                       f"eta=0 -> {gaps[0.0]:.4f} (limit 0.05)")
@@ -156,12 +167,13 @@ class TestCriterion5NoiseRobustness:
         bsm = bsm_put_price(100, 100, 0.03, 0.2, 1.0)
         errors = {}
         means = {}
+        table = sweep(Scenario.NOISE_GRID, bench.market(sigma=0.2),
+                      state_kinds=(StateKind.DRIFT_ADJUSTED,),
+                      sweep={"path_counts": (100, 5000), "noise_levels": (0.8,)})
         for n_paths in (100, 5000):
-            prices = [bench.pair_prices(StateKind.DRIFT_ADJUSTED, 0.8,
-                                        sigma=0.2, n_paths=n_paths, seed=s)[1]
-                      for s in SEEDS]
-            means[n_paths] = seed_mean(prices)
-            errors[n_paths] = float(np.mean([abs(p - bsm) for p in prices]))
+            per_seed = prices(table, n_paths=n_paths)
+            means[n_paths] = seed_mean(per_seed)
+            errors[n_paths] = float(np.mean([abs(p - bsm) for p in per_seed]))
         rel = abs(means[5000] - bsm) / bsm
         ok = rel <= 0.05 and errors[5000] <= errors[100]
         report(5, ok, f"K=5000 price {means[5000]:.3f} vs benchmark {bsm:.3f} "
@@ -176,12 +188,13 @@ class TestCriterion6HedgingFrequency:
         lo, hi = 4.40, 4.65
         out_of_band = []
         values = []
+        table = sweep(Scenario.HEDGE_FREQUENCY, bench.market(), noise=0.2,
+                      sweep={"step_counts": (52, 26, 12, 2)})
         for n_steps in (52, 26, 12, 2):
             for kind in BENCHMARK_STATE_KINDS:
-                pairs = [bench.pair_prices(kind, 0.2, n_steps=n_steps, seed=s)
-                         for s in SEEDS]
-                dp_mean = seed_mean([d for d, _ in pairs])
-                fqi_mean = seed_mean([f for _, f in pairs])
+                cell = table.select(n_steps=n_steps, state=kind.value)
+                dp_mean = seed_mean(prices(cell, method="dp"))
+                fqi_mean = seed_mean(prices(cell, method="fqi"))
                 values += [dp_mean, fqi_mean]
                 for label, value in (("dp", dp_mean), ("fqi", fqi_mean)):
                     if not lo <= value <= hi:
@@ -199,17 +212,16 @@ class TestCriterion7Moneyness:
     def test_strike_sweep(self, bench):
         started = time.perf_counter()
         strikes = [float(z) for z in range(60, 141, 5)]
-        summaries = {(kind, s): bench.strike_summaries(kind, strikes, (1e-4, 1e-3),
-                                                       seed=s)
-                     for kind in BENCHMARK_STATE_KINDS for s in SEEDS}
+        table = sweep(Scenario.MONEYNESS, bench.market(),
+                      sweep={"strikes": strikes, "risk_aversions": (1e-4, 1e-3)})
         rel_devs = []
         itm_violations = []
         for lam in (1e-4, 1e-3):
             for strike in strikes:
                 bsm = bsm_put_price(100, strike, 0.03, 0.15, 1.0)
                 for kind in BENCHMARK_STATE_KINDS:
-                    mean = seed_mean([summaries[kind, s][strike, lam][0]
-                                      for s in SEEDS])
+                    mean = seed_mean(prices(table, risk_aversion=lam,
+                                            strike=strike, state=kind.value))
                     if lam == 1e-4 and bsm > 0.5:
                         rel_devs.append(abs(mean - bsm) / bsm)
                     if lam == 1e-3 and strike >= 120 and mean < bsm:
@@ -369,27 +381,19 @@ class TestCriterion10BasisSensitivity:
     def test_sweep_completes_and_return_state_is_stable(self, bench):
         bsm = bsm_put_price(100, 100, 0.03, 0.15, 1.0)
         deviations = {StateKind.LOG_RETURN: [], StateKind.DRIFT_ADJUSTED: []}
-        failures = []
-        for n_basis in (15, 20, 50, 100):
-            for order in (1, 3, 10):
-                for kind in BENCHMARK_STATE_KINDS:
-                    try:
-                        prices = []
-                        for seed in SEEDS:
-                            paths = bench.paths(seed=seed)
-                            states = compute_states(paths, kind)
-                            spec = spec_for_states(states.values,
-                                                   n_basis=n_basis, order=order)
-                            cube = feature_cube(spec, states.values)
-                            risk = RiskParams.from_rate(1e-4, 0.03, paths.dt)
-                            prices.append(run_model_based(
-                                paths, kind, strike=100.0, risk=risk,
-                                basis_spec=spec, features=cube).price_t0)
-                    except Exception as err:
-                        failures.append(f"{kind.value}/N={n_basis}/p={order}: {err}")
-                        continue
-                    if n_basis == 100 and kind in deviations:
-                        deviations[kind].append(abs(seed_mean(prices) - bsm))
+        table = sweep(Scenario.BASIS_SENSITIVITY, bench.market(),
+                      sweep={"basis_sizes": (15, 20, 50, 100), "orders": (1, 3, 10)})
+        failures = [f"{state}/N={n_basis}/p={order}/seed={seed}: {error}"
+                    for state, n_basis, order, seed, error in zip(
+                        *(table.column(name) for name in
+                          ("state", "n_basis", "order", "seed", "error")))
+                    if error]
+        for order in (1, 3, 10):
+            for kind in deviations:
+                per_seed = prices(table, n_basis=100, order=order,
+                                  state=kind.value, error="")
+                if len(per_seed) == len(SEEDS):
+                    deviations[kind].append(abs(seed_mean(per_seed) - bsm))
         return_dev = float(np.mean(deviations[StateKind.LOG_RETURN]))
         drift_dev = float(np.mean(deviations[StateKind.DRIFT_ADJUSTED]))
         ok = not failures and return_dev <= drift_dev

@@ -1,10 +1,24 @@
 import json
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
+from qlbs.basis import spec_for_states
 from qlbs.bsm import bsm_put_price
 from qlbs.cli import main
-from qlbs.market import load_paths
+from qlbs.dp import RiskParams, run_model_based
+from qlbs.experiments import (
+    DEFAULT_MARKET,
+    DEFAULT_NOISE,
+    DEFAULT_RISK_AVERSION,
+    DEFAULT_STRIKE,
+    Scenario,
+    ScenarioConfig,
+    run_scenario,
+)
+from qlbs.fqi import OfflineDataset, fqi_from_hedges, load_dataset
+from qlbs.market import StateKind, compute_states, load_paths, simulate_gbm
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +79,36 @@ class TestSolverCommands:
         assert code == 0
         reloaded = json.loads(out)["price"]
         assert reloaded == pytest.approx(direct, abs=1e-9)
+
+
+class TestFqiPipelineAgreement:
+    @pytest.mark.parametrize("state", ["drift-adjusted", "log-return"])
+    def test_cli_scenario_and_library_agree(self, tmp_path, capsys, state):
+        market = replace(DEFAULT_MARKET, n_steps=6, n_paths=400, seed=7)
+        dest = tmp_path / "dataset.csv"
+        code, out = run_cli(capsys, "price-qlbs-fqi", "--steps", "6", "--paths",
+                            "400", "--seed", "7", "--state", state,
+                            "--dataset-out", str(dest))
+        assert code == 0
+        cli_price = json.loads(out)["price"]
+
+        kind = StateKind.parse(state)
+        table = run_scenario(ScenarioConfig(scenario=Scenario.SINGLE, market=market,
+                                            state_kinds=(kind,), seeds=(7,)))
+        assert table.select(method="fqi").column("price") == [cli_price]
+
+        paths = simulate_gbm(market)
+        states = compute_states(paths, kind)
+        spec = spec_for_states(states.values)
+        risk = RiskParams.from_rate(DEFAULT_RISK_AVERSION, market.r, market.dt)
+        dp = run_model_based(paths, kind, DEFAULT_STRIKE, risk, basis_spec=spec)
+        dataset, solution = fqi_from_hedges(paths, states, dp.hedges, DEFAULT_NOISE,
+                                            DEFAULT_STRIKE, risk, spec)
+        assert solution.price_t0 == cli_price
+        loaded = load_dataset(dest)
+        for field in fields(OfflineDataset):
+            assert np.array_equal(getattr(loaded, field.name),
+                                  getattr(dataset, field.name)), field.name
 
 
 class TestExperiment:

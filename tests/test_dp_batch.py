@@ -14,7 +14,15 @@ from qlbs.basis import feature_cube, spec_for_states
 from qlbs.dp import RiskParams, run_model_based, run_model_based_batch
 from qlbs.experiments import Scenario, ScenarioConfig, run_scenario
 from qlbs.fqi import build_offline_dataset, perturb_actions, run_fqi
-from qlbs.market import BENCHMARK_STATE_KINDS, MarketParams, compute_states, simulate_gbm
+from qlbs.market import (
+    BENCHMARK_STATE_KINDS,
+    MarketParams,
+    StateKind,
+    compute_states,
+    price_increments,
+    simulate_gbm,
+)
+from qlbs.numerics import DEFAULT_RIDGE_REL
 
 MARKET = MarketParams(s0=100.0, mu=0.05, sigma=0.2, r=0.03, maturity=0.5,
                       n_steps=6, n_paths=400, seed=11)
@@ -85,6 +93,76 @@ class TestBatchEqualsSingles:
         contracts = [(z, RiskParams.from_rate(1e-3, MARKET.r, MARKET.dt))
                      for z in strikes]
         assert_batch_matches_singles(kind_index, contracts, regularizer=ridge)
+
+
+def order1_reference(paths, bins, n_bins, contracts, regularizer=None):
+    """Hedges and values at t = 0..T-1, each (C, K), with bin-indicator features.
+
+    Order-1 splines give each path the indicator of its bin, so both normal
+    equations of a step are diagonal: the hedge is a per-bin ratio
+    sum(pi_hat * dShat [+ dS / (2 lambda gamma)]) / sum(dShat^2) and the
+    value a per-bin mean of reward + gamma * next value, each denominator
+    carrying the solver's ridge.
+    """
+    strikes = np.array([[strike] for strike, _ in contracts])
+    lam = np.array([[risk.risk_aversion] for _, risk in contracts])
+    gamma, pure_risk = contracts[0][1].gamma, contracts[0][1].pure_risk
+    inc = price_increments(paths, paths.params.r)
+
+    def per_bin(b, rows, counts, default_ridge):
+        ridge = default_ridge if regularizer is None else regularizer
+        sums = np.array([np.bincount(b, row, n_bins) for row in rows])
+        return (sums / (counts + ridge))[:, b]
+
+    pi = np.maximum(strikes - paths.prices[:, -1], 0.0)
+    q = -pi - lam * pi.var(axis=1, keepdims=True)
+    hedges, values = [], []
+    for t in range(paths.n_steps - 1, -1, -1):
+        b, ds, ds_hat = bins[t], inc.delta_s[:, t], inc.delta_s_hat[:, t]
+        target = (pi - pi.mean(axis=1, keepdims=True)) * ds_hat
+        if not pure_risk:
+            target = target + ds / (2.0 * lam * gamma)
+        hedge = per_bin(b, target, np.bincount(b, ds_hat**2, n_bins),
+                        DEFAULT_RIDGE_REL * np.sum(ds_hat**2) / n_bins)
+        pi_t = gamma * (pi - hedge * ds)
+        reward = gamma * pi - pi_t - lam * pi_t.var(axis=1, keepdims=True)
+        q = per_bin(b, reward + gamma * q, np.bincount(b, minlength=n_bins),
+                    DEFAULT_RIDGE_REL * b.size / n_bins)
+        pi = pi_t
+        hedges.insert(0, hedge)
+        values.insert(0, q)
+    return hedges, values
+
+
+class TestOrderOneReference:
+    # The full hedge's values scale like 1/lambda, so it is checked at
+    # lambda in {0.01, 0.05}, as in TestBatchEqualsSingles.
+    @pytest.mark.parametrize("kind", list(StateKind))
+    @pytest.mark.parametrize("pure_risk,lambdas,regularizer", [
+        (True, (0.0, 1e-4, 1e-3), None),
+        (True, (1e-3,), 1e-2),
+        (False, (1e-2, 5e-2), None),
+    ])
+    def test_batch_matches_bincount_solution(self, kind, pure_risk, lambdas,
+                                             regularizer):
+        paths = simulate_gbm(MARKET)
+        states = compute_states(paths, kind).values
+        spec = spec_for_states(states, n_basis=8, order=1)
+        cube = feature_cube(spec, states)
+        assert np.all((cube == 0.0) | (cube == 1.0)) and np.all(cube.sum(axis=2) == 1.0)
+        contracts = [(strike, RiskParams.from_rate(lam, MARKET.r, MARKET.dt,
+                                                   pure_risk=pure_risk))
+                     for lam in lambdas for strike in (60.0, 90.0, 100.0, 125.0)]
+        batch = run_model_based_batch(paths, kind, contracts, basis_spec=spec,
+                                      regularizer=regularizer, features=cube)
+        hedges, values = order1_reference(paths, cube.argmax(axis=2), 8,
+                                          contracts, regularizer)
+        for c, got in enumerate(batch):
+            assert abs(got.price_t0 + values[0][c].mean()) <= TOL
+            assert abs(got.hedge_t0 - hedges[0][c].mean()) <= TOL
+            for t in range(MARKET.n_steps):
+                assert np.max(np.abs(got.hedges[:, t] - hedges[t][c])) <= TOL
+                assert np.max(np.abs(got.q_values[:, t] - values[t][c])) <= TOL
 
 
 class TestBatchValidation:
