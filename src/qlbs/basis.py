@@ -43,8 +43,13 @@ class BasisSpec:
             raise ValueError("n_basis must be at least the spline order")
         if knots.size != self.n_basis + self.order:
             raise ValueError("knot vector must have n_basis + order entries")
+        if not np.all(np.isfinite(knots)):
+            raise ValueError("knots must be finite")
         if np.any(np.diff(knots) < 0):
             raise ValueError("knots must be nondecreasing")
+        if knots[self.n_basis - 1] == knots[self.n_basis]:
+            raise ValueError("the last knot span [knots[n_basis-1], "
+                             "knots[n_basis]] must be nonempty")
 
     @property
     def degree(self) -> int:
@@ -117,27 +122,29 @@ def basis_values(spec: BasisSpec, points) -> np.ndarray:
     span = np.searchsorted(t, x, side="right") - 1
     span = np.clip(span, p, n - 1)
 
-    # Triangular Cox-de Boor scheme over the order nonzero functions.
+    # Triangular Cox-de Boor scheme over the order nonzero functions. Every
+    # denominator right[i+1] + left[j-i] is at least t[span+1] - t[span],
+    # which is positive: the search puts x in a nonempty span and
+    # BasisSpec guarantees the last span, used at x == hi, is nonempty.
     m = x.size
-    values = np.zeros((m, p + 1))
-    values[:, 0] = 1.0
-    left = np.empty((m, p + 1))
-    right = np.empty((m, p + 1))
+    values = np.empty((p + 1, m))
+    values[0] = 1.0
+    left = np.empty((p + 1, m))
+    right = np.empty((p + 1, m))
     for j in range(1, p + 1):
-        left[:, j] = x - t[span + 1 - j]
-        right[:, j] = t[span + j] - x
-        saved = np.zeros(m)
+        left[j] = x - t[span + 1 - j]
+        right[j] = t[span + j] - x
+        saved = 0.0
         for i in range(j):
-            denom = right[:, i + 1] + left[:, j - i]
-            ratio = np.where(denom > 0, values[:, i] / np.where(denom > 0, denom, 1.0), 0.0)
-            values[:, i] = saved + right[:, i + 1] * ratio
-            saved = left[:, j - i] * ratio
-        values[:, j] = saved
+            ratio = values[i] / (right[i + 1] + left[j - i])
+            values[i] = saved + right[i + 1] * ratio
+            saved = left[j - i] * ratio
+        values[j] = saved
 
     out = np.zeros((m, n))
     rows = np.arange(m)[:, np.newaxis]
     cols = span[:, np.newaxis] - p + np.arange(p + 1)[np.newaxis, :]
-    out[rows, cols] = values
+    out[rows, cols] = values.T
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -73,6 +74,8 @@ class MarketParams:
             raise ValueError("n_steps must be at least 1")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     @property
     def dt(self) -> float:
@@ -156,20 +159,98 @@ class Increments:
         object.__setattr__(self, "delta_s_hat", _freeze(self.delta_s_hat))
 
 
+# numpy's SeedSequence hash (``numpy/random/bit_generator.pyx``) and the
+# PCG64 multiplier (``pcg64.h``).
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _spawned_pcg64_states(seed: int, n: int) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``PCG64(SeedSequence(seed).spawn(n)[k])`` for each k.
+
+    Child k's entropy is the seed's 32-bit words, zero-padded to the pool
+    size, followed by the spawn-key word k. The hash runs over all children
+    at once in uint32 arithmetic (wrapping, as in numpy's C code); the
+    128-bit PCG64 seeding runs on Python ints.
+    """
+    seed, words = int(seed), []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(n, dtype=np.uint32))
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    # generate_state(4, np.uint64): eight uint32 words, paired little-endian.
+    hash_const = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        out.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    seeds = [(out[2 * i] | out[2 * i + 1] << np.uint64(32)).tolist() for i in range(4)]
+
+    # pcg64_set_seed: initstate = seeds[0:2], initseq = seeds[2:4] (high, low).
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*seeds):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
 def simulate_gbm(params: MarketParams) -> PathSet:
     """Simulate GBM paths with the exact log-normal step.
 
     log S advances by (mu - sigma^2/2) dt + sigma sqrt(dt) eps per step.
-    Each path draws from its own substream (``SeedSequence(seed)`` spawned
-    once per path), so serial and path-parallel generation produce the
-    same matrix for a given seed.
+    Path k draws its shocks from its own substream, the PCG64 seeded by
+    child k of ``SeedSequence(seed).spawn(n_paths)``, so serial and
+    path-parallel generation produce the same matrix for a given seed and
+    the first k paths do not depend on ``n_paths``. The children's PCG64
+    states are derived directly, without building the SeedSequence and
+    bit-generator objects; one Generator is reseeded per path.
     """
     n_paths, n_steps = params.n_paths, params.n_steps
     dt = params.dt
-    children = np.random.SeedSequence(params.seed).spawn(n_paths)
+    bit_generator = np.random.PCG64()
+    generator = np.random.Generator(bit_generator)
     shocks = np.empty((n_paths, n_steps))
-    for k, child in enumerate(children):
-        shocks[k] = np.random.Generator(np.random.PCG64(child)).standard_normal(n_steps)
+    for k, (state, inc) in enumerate(_spawned_pcg64_states(params.seed, n_paths)):
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        shocks[k] = generator.standard_normal(n_steps)
 
     drift = (params.mu - 0.5 * params.sigma**2) * dt
     log_increments = drift + params.sigma * math.sqrt(dt) * shocks
@@ -222,6 +303,20 @@ def save_paths(paths: PathSet, dest) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
+def _csv_numbers(source, line: int, row: list[str]) -> list[float]:
+    """Parse one CSV row of finite numbers, naming the file and line of a bad cell."""
+    values = []
+    for cell in row:
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ValueError(f"{source}: line {line}: {cell!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{source}: line {line}: {cell!r} is not finite")
+        values.append(value)
+    return values
+
+
 def load_paths(source, params: MarketParams | None = None) -> PathSet:
     """Load a CSV path set written by :func:`save_paths`.
 
@@ -231,10 +326,11 @@ def load_paths(source, params: MarketParams | None = None) -> PathSet:
     parameters whenever drift-adjusted states will be needed.
     """
     with open(source, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+        reader = csv.reader(handle)
+        rows = [(reader.line_num, row) for row in reader if row]
     if len(rows) < 2:
         raise ValueError(f"{source}: expected a header row and at least one path")
-    times = np.array([float(v) for v in rows[0]])
+    times = np.array(_csv_numbers(source, *rows[0]))
     if times.size < 2:
         raise ValueError(f"{source}: need at least two observation times (one step)")
     steps = np.diff(times)
@@ -242,12 +338,12 @@ def load_paths(source, params: MarketParams | None = None) -> PathSet:
     if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
         raise ValueError(f"{source}: observation times must be uniformly spaced")
 
-    width = len(rows[0])
+    width = len(rows[0][1])
     data = []
-    for i, row in enumerate(rows[1:], start=2):
+    for line, row in rows[1:]:
         if len(row) != width:
-            raise ValueError(f"{source}: row {i} has {len(row)} values, expected {width}")
-        data.append([float(v) for v in row])
+            raise ValueError(f"{source}: line {line} has {len(row)} values, expected {width}")
+        data.append(_csv_numbers(source, line, row))
     prices = np.array(data)
     if np.any(prices <= 0):
         raise ValueError(f"{source}: prices must be strictly positive")

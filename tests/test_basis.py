@@ -42,6 +42,63 @@ def naive_basis_row(spec, x):
     ])
 
 
+def guarded_basis_values(spec, points):
+    """The original Cox-de Boor scheme, which zeroed every ratio whose
+    denominator was not positive."""
+    x = np.clip(np.asarray(points, dtype=float).ravel(), spec.lo, spec.hi)
+    t, p, n = spec.knots, spec.degree, spec.n_basis
+    span = np.clip(np.searchsorted(t, x, side="right") - 1, p, n - 1)
+    m = x.size
+    values = np.zeros((m, p + 1))
+    values[:, 0] = 1.0
+    left = np.empty((m, p + 1))
+    right = np.empty((m, p + 1))
+    for j in range(1, p + 1):
+        left[:, j] = x - t[span + 1 - j]
+        right[:, j] = t[span + j] - x
+        saved = np.zeros(m)
+        for i in range(j):
+            denom = right[:, i + 1] + left[:, j - i]
+            ratio = np.where(denom > 0, values[:, i] / np.where(denom > 0, denom, 1.0), 0.0)
+            values[:, i] = saved + right[:, i + 1] * ratio
+            saved = left[:, j - i] * ratio
+        values[:, j] = saved
+    out = np.zeros((m, n))
+    cols = span[:, np.newaxis] - p + np.arange(p + 1)[np.newaxis, :]
+    out[np.arange(m)[:, np.newaxis], cols] = values
+    return out
+
+
+class TestMatchesGuardedRecursion:
+    @staticmethod
+    def probe_points(spec, rng):
+        width = spec.hi - spec.lo
+        return np.concatenate([
+            spec.knots, [spec.lo, spec.hi],
+            [spec.lo - 1.0, spec.hi + 1.0, spec.lo - 10 * width, spec.hi + 10 * width],
+            rng.uniform(spec.lo, spec.hi, 200),
+        ])
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_uniform_knots(self, order):
+        rng = np.random.default_rng(order)
+        for n_basis in (order, order + 1, order + 9):
+            spec = make_spec(-1.5, 2.5, n_basis=n_basis, order=order)
+            x = self.probe_points(spec, rng)
+            assert np.array_equal(basis_values(spec, x), guarded_basis_values(spec, x))
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_nonuniform_knots_with_repeated_interior_knot(self, order):
+        # Interior breaks 0.1, 0.35, 0.35 (repeated) and 0.9 on [0, 1].
+        interior = [0.1, 0.35, 0.35, 0.9]
+        knots = np.concatenate([np.zeros(order), interior, np.ones(order)])
+        spec = BasisSpec(knots=knots, n_basis=len(interior) + order, order=order)
+        x = self.probe_points(spec, np.random.default_rng(100 + order))
+        values = basis_values(spec, x)
+        assert np.array_equal(values, guarded_basis_values(spec, x))
+        assert np.allclose(values.sum(axis=1), 1.0, atol=1e-12)
+
+
 class TestMakeSpec:
     def test_knot_structure(self):
         spec = make_spec(0.0, 1.0, n_basis=4, order=4)
@@ -200,3 +257,16 @@ class TestFeatureMatrix:
     def test_spec_requires_nondecreasing_knots(self):
         with pytest.raises(ValueError):
             BasisSpec(knots=np.array([0.0, 1.0, 0.5, 2.0, 3.0]), n_basis=3, order=2)
+
+    @pytest.mark.parametrize("knots, n_basis, order", [
+        ([0, 0, 1, 1, 1, 1], 4, 2),   # knots[3] == knots[4] == 1
+        ([0, 0, 0, 0], 2, 2),         # lo == hi
+        ([0, 0, 0, 0], 3, 1),
+    ])
+    def test_spec_requires_nonempty_last_span(self, knots, n_basis, order):
+        with pytest.raises(ValueError, match="last knot span"):
+            BasisSpec(knots=knots, n_basis=n_basis, order=order)
+
+    def test_spec_requires_finite_knots(self):
+        with pytest.raises(ValueError, match="finite"):
+            BasisSpec(knots=[0, 0, 0.5, np.inf, np.inf], n_basis=3, order=2)

@@ -17,7 +17,7 @@ from qlbs.experiments import (
     ScenarioConfig,
     run_scenario,
 )
-from qlbs.fqi import OfflineDataset, fqi_from_hedges, load_dataset
+from qlbs.fqi import OfflineDataset, fqi_from_hedges, load_dataset, run_fqi
 from qlbs.market import StateKind, compute_states, load_paths, simulate_gbm
 
 
@@ -109,6 +109,46 @@ class TestFqiPipelineAgreement:
         for field in fields(OfflineDataset):
             assert np.array_equal(getattr(loaded, field.name),
                                   getattr(dataset, field.name)), field.name
+
+    def test_explicit_ridge_reaches_the_fitted_q_pass(self, capsys):
+        ridge = 1e-3
+        market = replace(DEFAULT_MARKET, n_steps=6, n_paths=400, seed=7)
+        code, out = run_cli(capsys, "price-qlbs-fqi", "--steps", "6", "--paths",
+                            "400", "--seed", "7", "--ridge", str(ridge))
+        assert code == 0
+        cli_price = json.loads(out)["price"]
+
+        kind = StateKind.DRIFT_ADJUSTED
+        table = run_scenario(ScenarioConfig(scenario=Scenario.SINGLE, market=market,
+                                            state_kinds=(kind,), seeds=(7,),
+                                            regularizer=ridge))
+        assert table.select(method="fqi").column("price") == [cli_price]
+
+        paths = simulate_gbm(market)
+        states = compute_states(paths, kind)
+        spec = spec_for_states(states.values)
+        risk = RiskParams.from_rate(DEFAULT_RISK_AVERSION, market.r, market.dt)
+        dp = run_model_based(paths, kind, DEFAULT_STRIKE, risk, basis_spec=spec,
+                             regularizer=ridge)
+        dataset, solution = fqi_from_hedges(paths, states, dp.hedges, DEFAULT_NOISE,
+                                            DEFAULT_STRIKE, risk, spec,
+                                            regularizer=ridge)
+        assert solution.price_t0 == cli_price
+        # The same dataset priced directly: the ridge must reach run_fqi.
+        assert run_fqi(dataset, spec, regularizer=ridge).price_t0 == cli_price
+        assert run_fqi(dataset, spec).price_t0 != cli_price
+
+
+class TestBadSeed:
+    def test_negative_seed_is_rejected_by_market_params(self):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            main(["price-qlbs-dp", "--paths", "50", "--seed", "-1"])
+
+    def test_fractional_seed_is_rejected_by_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["price-qlbs-dp", "--paths", "50", "--seed", "1.5"])
+        assert exit_info.value.code == 2
+        assert "--seed: invalid int value" in capsys.readouterr().err
 
 
 class TestExperiment:

@@ -39,10 +39,54 @@ class TestMarketParams:
         with pytest.raises(ValueError):
             table4_market(sigma=float("inf"))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            table4_market(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = simulate_gbm(table4_market(n_paths=5, seed=np.int64(9)))
+        assert np.array_equal(a.prices, simulate_gbm(table4_market(n_paths=5, seed=9)).prices)
+
     def test_dt_and_discount(self):
         params = table4_market()
         assert params.dt == pytest.approx(1.0 / 24.0)
         assert params.discount == pytest.approx(math.exp(-0.03 / 24.0))
+
+
+def spawn_loop_prices(params):
+    """The original simulation: one Generator per ``SeedSequence.spawn`` child."""
+    children = np.random.SeedSequence(params.seed).spawn(params.n_paths)
+    shocks = np.empty((params.n_paths, params.n_steps))
+    for k, child in enumerate(children):
+        shocks[k] = np.random.Generator(np.random.PCG64(child)).standard_normal(
+            params.n_steps)
+    dt = params.dt
+    log_increments = ((params.mu - 0.5 * params.sigma**2) * dt
+                      + params.sigma * math.sqrt(dt) * shocks)
+    log_paths = np.concatenate(
+        [np.zeros((params.n_paths, 1)), np.cumsum(log_increments, axis=1)], axis=1)
+    return params.s0 * np.exp(log_paths)
+
+
+# 2**130 + 1 has five 32-bit words, one more than the SeedSequence pool.
+REFERENCE_SEEDS = (0, 1, 2**31 - 1, 2**32 + 5, 2**70 + 3, 2**130 + 1)
+
+
+class TestSimulateGbmMatchesSpawnLoop:
+    @pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+    @pytest.mark.parametrize("n_paths", [1, 7, 1000])
+    @pytest.mark.parametrize("n_steps", [1, 24])
+    def test_bit_identical(self, seed, n_paths, n_steps):
+        params = table4_market(seed=seed, n_paths=n_paths, n_steps=n_steps)
+        assert np.array_equal(simulate_gbm(params).prices, spawn_loop_prices(params))
+
+    @pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+    def test_first_paths_do_not_depend_on_path_count(self, seed):
+        full = simulate_gbm(table4_market(seed=seed, n_paths=1000)).prices
+        for k in (1, 7, 999):
+            head = simulate_gbm(table4_market(seed=seed, n_paths=k)).prices
+            assert np.array_equal(full[:k], head)
 
 
 class TestSimulateGbm:
@@ -178,6 +222,18 @@ class TestPathIo:
         dest = tmp_path / "neg.csv"
         dest.write_text("0.0,0.5,1.0\n100,-1,102\n")
         with pytest.raises(ValueError):
+            load_paths(dest)
+
+    def test_non_numeric_cell_names_file_and_line(self, tmp_path):
+        dest = tmp_path / "text.csv"
+        dest.write_text("0.0,0.5,1.0\n100,101,102\n\n100,abc,102\n")
+        with pytest.raises(ValueError, match=r"text\.csv: line 4: 'abc' is not a number"):
+            load_paths(dest)
+
+    def test_non_finite_cell_names_file_and_line(self, tmp_path):
+        dest = tmp_path / "nan.csv"
+        dest.write_text("0.0,0.5,1.0\n100,nan,102\n")
+        with pytest.raises(ValueError, match=r"nan\.csv: line 2: 'nan' is not finite"):
             load_paths(dest)
 
     def test_nonuniform_times_rejected(self, tmp_path):
