@@ -197,8 +197,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit status.
+
+    Argument values the library rejects (``ValueError``) and files that
+    cannot be opened (``OSError``) are reported like argparse's usage
+    errors, ``qlbs: error: <message>`` with status 2, but returned rather
+    than raised so in-process callers get a status, not ``SystemExit``.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as err:
+        print(f"qlbs: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

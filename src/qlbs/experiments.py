@@ -525,8 +525,24 @@ def emit_report(table: ResultTable, dest, fmt: str = "csv") -> None:
 
 
 def load_report(source) -> ResultTable:
-    """Reload a JSON report written by :func:`emit_report`."""
+    """Reload a JSON report written by :func:`emit_report`.
+
+    A top level that is not an object, a missing ``columns`` or ``rows``
+    key, or a row whose length differs from ``columns`` raises ValueError
+    naming the file and the row.
+    """
     with open(source) as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"{source}: expected a JSON object, got "
+                         f"{type(data).__name__}")
+    for key in ("columns", "rows"):
+        if key not in data:
+            raise ValueError(f"{source}: missing key {key!r}")
+    width = len(data["columns"])
+    for index, row in enumerate(data["rows"]):
+        if len(row) != width:
+            raise ValueError(f"{source}: row {index} has {len(row)} values, "
+                             f"expected {width}")
     return ResultTable(columns=data["columns"], rows=data["rows"],
                        meta=data.get("meta", {}))

@@ -327,6 +327,12 @@ def save_dataset(dataset: OfflineDataset, dest) -> None:
     have no next state, so that slot carries the path's terminal
     portfolio (the payoff) instead; states alone cannot recover it for
     the log-return state kind.
+
+    Metadata lines end in ``"\\n"``; the header and the rows end in
+    ``"\\r\\n"``, the terminator of :mod:`csv`'s default dialect, and floats
+    are written with ``repr``. The bytes equal those of a ``csv.writer``
+    loop over the cells, which ``tests/test_fqi.py`` keeps as a reference.
+    Rows are written one time step at a time.
     """
     meta = {
         "state_kind": dataset.state_kind.value,
@@ -343,20 +349,18 @@ def save_dataset(dataset: OfflineDataset, dest) -> None:
     with open(dest, "w", newline="") as handle:
         for key, value in meta.items():
             handle.write(f"# {key}={value}\n")
-        writer = csv.writer(handle)
-        writer.writerow(_CSV_COLUMNS)
+        handle.write(",".join(_CSV_COLUMNS) + "\r\n")
+        paths = range(dataset.n_paths)
+        state = list(map(repr, dataset.states[:, 0].tolist()))
         for t in range(dataset.n_steps + 1):
-            terminal = t == dataset.n_steps
-            for k in range(dataset.n_paths):
-                writer.writerow([
-                    t,
-                    k,
-                    repr(float(dataset.states[k, t])),
-                    repr(float(dataset.actions[k, t])),
-                    repr(float(dataset.rewards[k, t])),
-                    repr(float(dataset.terminal_portfolio[k])) if terminal
-                    else repr(float(dataset.states[k, t + 1])),
-                ])
+            following = (dataset.terminal_portfolio if t == dataset.n_steps
+                         else dataset.states[:, t + 1])
+            next_state = list(map(repr, following.tolist()))
+            handle.writelines(
+                f"{t},{k},{s},{a},{r},{n}\r\n" for k, s, a, r, n in zip(
+                    paths, state, map(repr, dataset.actions[:, t].tolist()),
+                    map(repr, dataset.rewards[:, t].tolist()), next_state))
+            state = next_state
 
 
 _META_KEYS = ("state_kind", "strike", "risk_aversion", "gamma", "dt", "mu",

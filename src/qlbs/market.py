@@ -298,9 +298,8 @@ def save_paths(paths: PathSet, dest) -> None:
     """Write a path set as CSV: header row of observation times, one path per row."""
     with open(dest, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([repr(float(t)) for t in paths.times])
-        for row in paths.prices:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerow(map(repr, paths.times.tolist()))
+        writer.writerows(map(repr, row) for row in paths.prices.tolist())
 
 
 def _csv_numbers(source, line: int, row: list[str]) -> list[float]:

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from qlbs.basis import spec_for_states
 from qlbs.bsm import bsm_put_price
+from qlbs import cli
 from qlbs.cli import main
 from qlbs.dp import RiskParams, run_model_based
 from qlbs.experiments import (
@@ -140,15 +142,50 @@ class TestFqiPipelineAgreement:
 
 
 class TestBadSeed:
-    def test_negative_seed_is_rejected_by_market_params(self):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-            main(["price-qlbs-dp", "--paths", "50", "--seed", "-1"])
+    def test_negative_seed_is_rejected_by_market_params(self, capsys):
+        assert main(["price-qlbs-dp", "--paths", "50", "--seed", "-1"]) == 2
+        assert ("qlbs: error: seed must be a nonnegative integer"
+                in capsys.readouterr().err)
 
     def test_fractional_seed_is_rejected_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["price-qlbs-dp", "--paths", "50", "--seed", "1.5"])
         assert exit_info.value.code == 2
         assert "--seed: invalid int value" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Values the library rejects end in a usage message and status 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["price-qlbs-dp", "--paths", "0"], "n_paths must be at least 1"),
+        (["price-qlbs-dp", "--steps", "0"], "n_steps must be at least 1"),
+        (["price-qlbs-dp", "--paths", "50", "--spline-order", "0"],
+         "need n_basis >= order >= 1"),
+        (["price-qlbs-fqi", "--paths", "50", "--steps", "4", "--noise", "2"],
+         r"eta must lie in \[0, 1\]"),
+    ], ids=["paths-0", "steps-0", "spline-order-0", "noise-2"])
+    def test_bad_value(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qlbs: error: ")
+        assert re.search(message, err)
+        assert "Traceback" not in err
+
+    def test_missing_dataset_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        assert main(["price-qlbs-fqi", "--dataset-in", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qlbs: error: ")
+        assert "absent.csv" in err
+
+    def test_other_errors_still_raise(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver bug")
+
+        monkeypatch.setattr(cli, "run_model_based", broken)
+        with pytest.raises(RuntimeError, match="solver bug"):
+            main(["price-qlbs-dp", "--paths", "50"])
 
 
 class TestExperiment:

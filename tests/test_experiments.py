@@ -204,6 +204,19 @@ class TestReports:
         assert loaded.rows == table.rows
         assert loaded.meta == table.meta
 
+    @pytest.mark.parametrize("payload, message", [
+        ([["a"], [[1]]], r"expected a JSON object, got list"),
+        ({"rows": [[1]]}, r"missing key 'columns'"),
+        ({"columns": ["a"]}, r"missing key 'rows'"),
+        ({"columns": ["a", "b"], "rows": [[1, 2], [3]]},
+         r"row 1 has 1 values, expected 2"),
+    ], ids=["not-an-object", "no-columns", "no-rows", "short-row"])
+    def test_load_report_rejects_malformed_file(self, tmp_path, payload, message):
+        dest = tmp_path / "bad.json"
+        dest.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"bad\.json: " + message):
+            load_report(dest)
+
     def test_report_header_echoes_knots(self, tmp_path):
         config = small_config(scenario=Scenario.SINGLE)
         table = run_scenario(config)

@@ -1,8 +1,11 @@
+import csv
 import logging
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qlbs.basis import FeatureMatrix, basis_values, make_spec, spec_for_states, feature_cube
 from qlbs.dp import RiskParams, run_model_based
@@ -314,3 +317,144 @@ class TestLoadDatasetRejectsMalformedFiles:
         dest = self.write(tmp_path, lines)
         with pytest.raises(ValueError, match=r"bad\.csv: missing metadata key 'gamma'"):
             load_dataset(dest)
+
+
+def csv_writer_dataset(dataset, dest):
+    """The original writer: one ``csv.writer`` row per (t, k), reading
+    numpy scalars cell by cell."""
+    meta = {
+        "state_kind": dataset.state_kind.value,
+        "strike": repr(dataset.strike),
+        "risk_aversion": repr(dataset.risk.risk_aversion),
+        "gamma": repr(dataset.risk.gamma),
+        "pure_risk": str(dataset.risk.pure_risk),
+        "dt": repr(dataset.dt),
+        "mu": repr(dataset.mu),
+        "sigma": repr(dataset.sigma),
+        "n_paths": str(dataset.n_paths),
+        "n_steps": str(dataset.n_steps),
+    }
+    with open(dest, "w", newline="") as handle:
+        for key, value in meta.items():
+            handle.write(f"# {key}={value}\n")
+        writer = csv.writer(handle)
+        writer.writerow(("t", "k", "state", "action", "reward", "next_state"))
+        for t in range(dataset.n_steps + 1):
+            terminal = t == dataset.n_steps
+            for k in range(dataset.n_paths):
+                writer.writerow([
+                    t,
+                    k,
+                    repr(float(dataset.states[k, t])),
+                    repr(float(dataset.actions[k, t])),
+                    repr(float(dataset.rewards[k, t])),
+                    repr(float(dataset.terminal_portfolio[k])) if terminal
+                    else repr(float(dataset.states[k, t + 1])),
+                ])
+
+
+def noisy_dataset(n_paths, n_steps, kind=StateKind.DRIFT_ADJUSTED, seed=0):
+    """Desk-market tuples under a perturbed constant hedge (no DP needed)."""
+    params = MarketParams(s0=100, mu=0.05, sigma=0.15, r=0.03, maturity=1.0,
+                          n_steps=n_steps, n_paths=n_paths, seed=seed)
+    paths = simulate_gbm(params)
+    noisy = perturb_actions(np.full(paths.prices.shape, -0.5), 0.2, seed=seed + 1)
+    noisy[:, -1] = 0.0
+    return build_offline_dataset(paths, compute_states(paths, kind), noisy,
+                                 strike=100.0,
+                                 risk=RiskParams.from_rate(1e-4, params.r, params.dt))
+
+
+def assert_matches_csv_writer(dataset, tmp_path):
+    """Write with both writers; return the bytes, which must agree."""
+    save_dataset(dataset, tmp_path / "fast.csv")
+    csv_writer_dataset(dataset, tmp_path / "reference.csv")
+    written = (tmp_path / "fast.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    return written
+
+
+def assert_same_dataset(loaded, dataset):
+    """Every field equal, nan equal to nan and the sign of zero kept.
+
+    The text form carries no sign for nan (``repr`` writes ``nan``), so
+    the sign is compared on the other values only.
+    """
+    for field in fields(OfflineDataset):
+        a, b = getattr(loaded, field.name), getattr(dataset, field.name)
+        if isinstance(b, (np.ndarray, float)):
+            assert np.array_equal(a, b, equal_nan=True), field.name
+            assert np.array_equal(np.signbit(a) & ~np.isnan(a),
+                                  np.signbit(b) & ~np.isnan(b)), field.name
+        else:
+            assert a == b, field.name
+
+
+class TestSaveDatasetMatchesCsvWriter:
+    @pytest.mark.parametrize("n_paths", [1, 7, 400])
+    @pytest.mark.parametrize("n_steps", [1, 6])
+    def test_byte_identical(self, tmp_path, n_paths, n_steps):
+        for kind in (StateKind.DRIFT_ADJUSTED, StateKind.LOG_RETURN):
+            assert_matches_csv_writer(
+                noisy_dataset(n_paths, n_steps, kind, seed=n_paths), tmp_path)
+
+    def test_desk_dataset_byte_identical(self, tmp_path):
+        assert_matches_csv_writer(noisy_dataset(10_000, 24, StateKind.PRICE, seed=31),
+                                  tmp_path)
+
+    def test_special_values_and_terminators(self, tmp_path):
+        nan = float("nan")
+        dataset = OfflineDataset(
+            states=[[-0.0, 5e-324, 1e300], [3.0, nan, -1e300]],
+            actions=[[5e-324, -0.0, 0.0], [1e300, 2.0, 0.0]],
+            rewards=[[1e300, nan, -0.0], [-5e-324, 7.0, 4.0]],
+            terminal_portfolio=[nan, -0.0],
+            state_kind=StateKind.LOG_RETURN, strike=100.0,
+            risk=RiskParams(0.0, 1.0), dt=0.5, mu=-0.0, sigma=0.0,
+        )
+        text = assert_matches_csv_writer(dataset, tmp_path)
+        assert b"# mu=-0.0\n# sigma=0.0\n" in text
+        assert text.endswith(
+            b"t,k,state,action,reward,next_state\r\n"
+            b"0,0,-0.0,5e-324,1e+300,5e-324\r\n"
+            b"0,1,3.0,1e+300,-5e-324,nan\r\n"
+            b"1,0,5e-324,-0.0,nan,1e+300\r\n"
+            b"1,1,nan,2.0,7.0,-1e+300\r\n"
+            b"2,0,1e+300,0.0,-0.0,nan\r\n"
+            b"2,1,-1e+300,0.0,4.0,-0.0\r\n"
+        )
+        assert_same_dataset(load_dataset(tmp_path / "fast.csv"), dataset)
+
+
+@st.composite
+def offline_datasets(draw):
+    n_paths = draw(st.integers(1, 4))
+    n_steps = draw(st.integers(1, 3))
+    cells = st.floats(width=64)
+
+    def table():
+        return np.array(draw(st.lists(st.lists(cells, min_size=n_steps + 1,
+                                               max_size=n_steps + 1),
+                                      min_size=n_paths, max_size=n_paths)))
+
+    risk_aversion = draw(st.floats(0.0, 1e3))
+    return OfflineDataset(
+        states=table(), actions=table(), rewards=table(),
+        terminal_portfolio=draw(st.lists(cells, min_size=n_paths, max_size=n_paths)),
+        state_kind=draw(st.sampled_from(StateKind)),
+        strike=draw(st.floats(allow_nan=False)),
+        risk=RiskParams(risk_aversion, draw(st.floats(1e-6, 1.0)),
+                        pure_risk=risk_aversion == 0 or draw(st.booleans())),
+        dt=draw(st.floats(allow_nan=False)),
+        mu=draw(st.floats(allow_nan=False)),
+        sigma=draw(st.floats(allow_nan=False)),
+    )
+
+
+class TestDatasetRoundTripProperty:
+    @given(dataset=offline_datasets())
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_load_returns_every_field(self, tmp_path, dataset):
+        assert_matches_csv_writer(dataset, tmp_path)
+        assert_same_dataset(load_dataset(tmp_path / "fast.csv"), dataset)

@@ -1,7 +1,9 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qlbs.market import (
     MarketParams,
@@ -190,7 +192,47 @@ class TestPriceIncrements:
         assert np.allclose(inc.delta_s, 0.0, atol=1e-12)
 
 
+def csv_writer_paths(paths, dest):
+    """The original writer: ``repr(float(v))`` per numpy scalar."""
+    with open(dest, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([repr(float(t)) for t in paths.times])
+        for row in paths.prices:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+@st.composite
+def path_sets(draw):
+    n_paths = draw(st.integers(1, 4))
+    n_steps = draw(st.integers(1, 4))
+    positive = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+    s0 = draw(positive)
+    later = draw(st.lists(st.lists(positive, min_size=n_steps, max_size=n_steps),
+                          min_size=n_paths, max_size=n_paths))
+    prices = np.column_stack([np.full(n_paths, s0), np.array(later)])
+    return table_to_pathset(prices, dt=draw(st.floats(1e-4, 10.0)))
+
+
 class TestPathIo:
+    def test_byte_identical_to_csv_writer(self, tmp_path):
+        paths = simulate_gbm(table4_market(n_paths=1000, seed=11))
+        save_paths(paths, tmp_path / "fast.csv")
+        csv_writer_paths(paths, tmp_path / "reference.csv")
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
+
+    @given(paths=path_sets())
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip_property(self, tmp_path, paths):
+        save_paths(paths, tmp_path / "fast.csv")
+        csv_writer_paths(paths, tmp_path / "reference.csv")
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
+        loaded = load_paths(tmp_path / "fast.csv")
+        assert np.array_equal(loaded.prices, paths.prices)
+        assert loaded.dt == paths.dt
+
     def test_round_trip(self, tmp_path):
         paths = simulate_gbm(table4_market(n_paths=7, n_steps=9, seed=2))
         dest = tmp_path / "paths.csv"
