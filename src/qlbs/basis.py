@@ -8,9 +8,12 @@ partition of unity.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import RowBand, row_band
 
 DEFAULT_N_BASIS = 12
 DEFAULT_ORDER = 4
@@ -85,6 +88,57 @@ class FeatureMatrix:
     @property
     def n_basis(self) -> int:
         return self.values.shape[1]
+
+
+# Banded Gram assembly pays only when the basis is large and each row's
+# band narrow. Both Grams of a step on 10k rows (2 cores, numpy 2.4 with
+# OpenBLAS), band extraction included, as a share of the dense BLAS time:
+#   N = 12: width 1 0.60, width 4 2.19 (dense 0.7 ms)
+#   N = 30: width 3 0.60, width 6 1.21
+#   N = 40: width 4 0.53, width 6 0.90, width 8 1.32
+#   N = 50: width 6 0.66, width 8 1.08 (dense 4.6 ms)
+#   N = 100: width 10 0.55, width 12 0.75, width 16 1.18 (dense 13 ms)
+#   N = 150: width 16 0.75, width 20 1.15
+# So a band is extracted only from 40 columns on, where a wasted
+# extraction costs at most a third of the dense product, and used when
+# its width is at most an eighth of the columns.
+_BANDED_MIN_BASIS = 40
+_BANDED_MAX_WIDTH_SHARE = 8
+
+
+class StepFeatures:
+    """One time step's (K, n_basis) slab of a feature cube, unchecked.
+
+    The backward passes pass one per step where a FeatureMatrix would go,
+    so no slab is copied or scanned. A nonfinite feature is caught by
+    :meth:`gram` instead: the diagonal entry sum_k r_k^2 f_kj^2 is
+    nonfinite exactly when column j holds one (or a square overflows).
+    Both Grams of a step share the row band, extracted on first use.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    @functools.cached_property
+    def band(self) -> RowBand | None:
+        """The slab's row band when banded Gram assembly is cheaper, else None."""
+        n_basis = self.values.shape[1]
+        if n_basis < _BANDED_MIN_BASIS:
+            return None
+        band = row_band(self.values)
+        return band if _BANDED_MAX_WIDTH_SHARE * band.width <= n_basis else None
+
+    def gram(self, root_weights: np.ndarray | None = None) -> np.ndarray:
+        """sum_k r_k^2 f_k f_k^T over the rows f_k, by band or by BLAS."""
+        if self.band is not None:
+            gram = self.band.gram(root_weights)
+        else:
+            weighted = (self.values if root_weights is None
+                        else self.values * root_weights[:, np.newaxis])
+            gram = weighted.T @ weighted
+        if not np.all(np.isfinite(np.diagonal(gram))):
+            raise ValueError("feature matrix must be finite")
+        return gram
 
 
 def make_spec(data_lo: float, data_hi: float, n_basis: int = DEFAULT_N_BASIS,

@@ -19,7 +19,7 @@ from .experiments import (
     emit_report,
     run_scenario,
 )
-from .fqi import fqi_from_hedges, load_dataset, run_fqi, save_dataset
+from .fqi import check_noise, fqi_from_hedges, load_dataset, run_fqi, save_dataset
 from .market import MarketParams, StateKind, compute_states, save_paths, simulate_gbm
 
 
@@ -109,6 +109,7 @@ def _cmd_price_fqi(args) -> int:
                                order=args.spline_order)
         solution = run_fqi(dataset, spec, regularizer=args.ridge)
     else:
+        check_noise(args.noise)
         _, paths, kind, states, spec, cube, risk = _prepared_run(args)
         dp = run_model_based(paths, kind, strike=args.strike, risk=risk,
                              basis_spec=spec, features=cube,

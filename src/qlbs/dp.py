@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FeatureMatrix, feature_cube, spec_for_states
+from .basis import BasisSpec, FeatureMatrix, StepFeatures, feature_cube, spec_for_states
 from .market import PathSet, StateKind, compute_states, price_increments
 from .numerics import DEFAULT_RIDGE_REL, scaled_regularizer, solve_normal_equations
 
@@ -125,6 +125,14 @@ def _solve_rows(gram: np.ndarray, rhs: np.ndarray,
     return solve_normal_equations(gram, rhs.T, _effective_ridge(gram, regularizer)).T
 
 
+def _gram(phi_t: FeatureMatrix | StepFeatures,
+          root_weights: np.ndarray | None = None) -> np.ndarray:
+    """sum_k r_k^2 phi_k phi_k^T; a pass's StepFeatures reuse their band."""
+    if not isinstance(phi_t, StepFeatures):
+        phi_t = StepFeatures(phi_t.values)
+    return phi_t.gram(root_weights)
+
+
 def fit_hedge_coefficients(phi_t: FeatureMatrix, delta_s: np.ndarray,
                            delta_s_hat: np.ndarray, pi_hat_next: np.ndarray,
                            risk, regularizer: float | None = None) -> np.ndarray:
@@ -139,8 +147,7 @@ def fit_hedge_coefficients(phi_t: FeatureMatrix, delta_s: np.ndarray,
     """
     gamma, pure_risk, risk_aversion = _contract_risk(risk)
     features = phi_t.values
-    weighted = features * delta_s_hat[:, np.newaxis]
-    gram = weighted.T @ weighted
+    gram = _gram(phi_t, delta_s_hat)
     target = pi_hat_next * delta_s_hat
     if not pure_risk:
         target = target + delta_s / (2.0 * risk_aversion * gamma)
@@ -179,7 +186,7 @@ def fit_q_coefficients(phi_t: FeatureMatrix, rewards_t: np.ndarray,
     factorization of the shared Gram matrix.
     """
     features = phi_t.values
-    gram = features.T @ features
+    gram = _gram(phi_t)
     return _solve_rows(gram, (rewards_t + gamma * q_next) @ features, regularizer)
 
 
@@ -207,6 +214,11 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
     and factors them once and solves every contract as one more
     right-hand side. Work arrays are time-major, (T+1, C, K), so a step
     reads and writes contiguous (C, K) slabs.
+
+    Each step's slab is read from the cube unchecked (see StepFeatures):
+    a large basis whose rows are narrow bands, such as N = 100 splines,
+    assembles both Grams from each row's band, smaller ones use one dense
+    product each.
 
     When no basis spec is given, the default clamped basis is built over
     the global range of the chosen state. A precomputed feature cube
@@ -240,7 +252,7 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
      q_values[-1]) = terminal_conditions(paths, strikes, risks)
 
     for t in range(n_steps - 1, -1, -1):
-        phi_t = FeatureMatrix(values=features[t])
+        phi_t = StepFeatures(features[t])
         ds = increments.delta_s[:, t]
         ds_hat = increments.delta_s_hat[:, t]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FeatureMatrix, feature_cube
+from .basis import BasisSpec, FeatureMatrix, StepFeatures, feature_cube
 from .market import PathSet, StateKind, StateSeries
 from .numerics import (
     DEFAULT_RIDGE_REL,
@@ -117,14 +117,19 @@ class FQISolution:
     greedy_fallbacks: int
 
 
+def check_noise(eta: float) -> None:
+    """Reject a noise level outside [0, 1], the range perturb_actions accepts."""
+    if not 0 <= eta <= 1:
+        raise ValueError("eta must lie in [0, 1]")
+
+
 def perturb_actions(a_star: np.ndarray, eta: float, seed: int) -> np.ndarray:
     """Scale each action by an independent Uniform(1-eta, 1+eta) draw.
 
     Multiplicative noise keeps the hedge sign; eta = 0 returns the input
     unchanged and eta = 1 spans (0, 2) times the input.
     """
-    if not 0 <= eta <= 1:
-        raise ValueError("eta must lie in [0, 1]")
+    check_noise(eta)
     a_star = np.asarray(a_star, dtype=float)
     if eta == 0:
         return a_star.copy()
@@ -244,6 +249,9 @@ def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
     Returns (WMatrix, q_t, n_fallbacks); the counter reports how many
     maximizer candidates the guarded greedy rejected. The maximizer runs
     only when ``greedy_update`` is set, so the counter is 0 otherwise.
+    A nonfinite feature raises ValueError: the phi block of the Gram
+    matrix has diagonal sum_k phi_kj^2, nonfinite exactly when column j
+    holds one, so unchecked StepFeatures are caught there.
     """
     features = phi_t.values
     design = _psi_matrix(actions_t, features)
@@ -254,6 +262,8 @@ def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
             "relying on the ridge penalty", design.shape[0], n_coef,
         )
     gram = design.T @ design
+    if not np.all(np.isfinite(np.diagonal(gram)[:features.shape[1]])):
+        raise ValueError("feature matrix must be finite")
     rhs = design.T @ (rewards_t + gamma * q_next)
     if regularizer is None:
         regularizer = scaled_regularizer(gram, DEFAULT_RIDGE_REL)
@@ -290,7 +300,7 @@ def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
     for t in range(n_steps - 1, -1, -1):
         w_list[t], q_values[:, t], n_fb = fqi_backward_step(
             dataset.actions[:, t], dataset.rewards[:, t],
-            FeatureMatrix(values=features[t]), q_values[:, t + 1], gamma,
+            StepFeatures(features[t]), q_values[:, t + 1], gamma,
             regularizer, greedy_update,
         )
         fallbacks += n_fb

@@ -93,6 +93,81 @@ def scaled_regularizer(gram: np.ndarray, relative: float = DEFAULT_RIDGE_REL) ->
     return relative * trace / gram.shape[0]
 
 
+@dataclass(frozen=True)
+class RowBand:
+    """The nonzeros of a (K, N) matrix, held as one band of w columns per row.
+
+    Row k keeps columns ``columns[:, k]``, w consecutive ones, and their
+    entries ``values[:, k]``; every entry outside its row's band is zero.
+    Both arrays are (w, K), so each band position is contiguous over rows.
+    """
+
+    columns: np.ndarray
+    values: np.ndarray
+    n_cols: int
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[0]
+
+    def gram(self, root_weights: np.ndarray | None = None) -> np.ndarray:
+        """sum_k r_k^2 f_k f_k^T for rows f_k, one bincount per diagonal.
+
+        Diagonal d of the Gram sums the products of band positions i and
+        i + d over rows, binned by the column of position i; diagonals at
+        or beyond the width are zero.
+        """
+        width, n = self.width, self.n_cols
+        values = self.values if root_weights is None else self.values * root_weights
+        gram = np.zeros((n, n))
+        for d in range(width):
+            sums = np.bincount(self.columns[:width - d].ravel(),
+                               (values[:width - d] * values[d:]).ravel(), n - d)
+            i = np.arange(n - d)
+            gram[i, i + d] = sums
+            gram[i + d, i] = sums
+        return gram
+
+
+# Rows whose width row_band measures directly: one in this many.
+_BAND_SAMPLE_STRIDE = 64
+
+
+def row_band(matrix: np.ndarray) -> RowBand:
+    """The narrowest common band that holds every nonzero of each row.
+
+    w is the largest last - first + 1 over the rows' nonzero columns (NaN
+    and inf count as nonzero), so the band is exact for any matrix. A row
+    starts at its first nonzero column, moved left where the band would
+    pass the last column; an all-zero row keeps a band of zeros.
+
+    The widest row of a sample is a lower bound on w. When a band that
+    wide holds as many nonzeros as the whole matrix, no row is wider and
+    the bound is w; otherwise every row's width is measured.
+    """
+    nonzero = matrix != 0
+    first = nonzero.argmax(axis=1)
+    sample = slice(None, None, _BAND_SAMPLE_STRIDE)
+    band = _band_of_width(matrix, first,
+                          _widest_row(nonzero[sample], first[sample]))
+    if np.count_nonzero(band.values) != np.count_nonzero(nonzero):
+        band = _band_of_width(matrix, first, _widest_row(nonzero, first))
+    return band
+
+
+def _widest_row(nonzero: np.ndarray, first: np.ndarray) -> int:
+    """Largest last - first + 1 over rows with a nonzero, at least 1."""
+    end = nonzero.shape[1] - nonzero[:, ::-1].argmax(axis=1)
+    return int(np.max((end - first) * nonzero.any(axis=1), initial=1))
+
+
+def _band_of_width(matrix: np.ndarray, first: np.ndarray, width: int) -> RowBand:
+    n_rows, n_cols = matrix.shape
+    columns = np.minimum(first, n_cols - width) + np.arange(width)[:, np.newaxis]
+    values = np.take(matrix, columns + np.arange(0, n_rows * n_cols, n_cols))
+    return RowBand(columns=columns, values=values, n_cols=n_cols)
+
+
 def cross_sectional_stats(values) -> tuple[float, float]:
     """Arithmetic mean and population variance (divide by K) of a sample."""
     values = np.asarray(values, dtype=float)

@@ -93,6 +93,14 @@ def golden_solution(golden_paths, golden_risk, golden_spec, golden_features):
                            features=golden_features, regularizer=GOLDEN_RIDGE)
 
 
+def spoil(cube):
+    """The cube with one NaN and one inf, each in place of a nonzero feature."""
+    cube = cube.copy()
+    for t, k, bad in ((2, 5, np.nan), (4, 9, np.inf)):
+        cube[t, k, np.flatnonzero(cube[t, k])[0]] = bad
+    return cube
+
+
 class BenchmarkCache:
     """Memoizes desk-scale paths and DP prices shared across test modules.
 

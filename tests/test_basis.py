@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlbs.basis import (
     BasisSpec,
+    StepFeatures,
     basis_values,
     eval_basis,
     feature_cube,
@@ -270,3 +271,38 @@ class TestFeatureMatrix:
     def test_spec_requires_finite_knots(self):
         with pytest.raises(ValueError, match="finite"):
             BasisSpec(knots=[0, 0, 0.5, np.inf, np.inf], n_basis=3, order=2)
+
+
+class TestStepFeatures:
+    @pytest.mark.parametrize("n_basis, order, banded", [
+        (12, 4, False),   # desk scale stays on the dense product
+        (39, 1, False),   # too few columns to look for a band
+        (50, 3, True),
+        (50, 10, False),  # the band is wider than an eighth of the columns
+        (100, 1, True),
+        (100, 10, True),
+    ])
+    def test_assembly_rule(self, n_basis, order, banded):
+        rng = np.random.default_rng(order)
+        values = basis_values(make_spec(-3.0, 3.0, n_basis, order), rng.normal(size=2000))
+        step = StepFeatures(values)
+        assert (step.band is not None) == banded
+        weights = rng.normal(size=2000)
+        want = (values * (weights**2)[:, np.newaxis]).T @ values
+        got = step.gram(weights)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_full_matrix_takes_the_dense_product(self):
+        values = np.random.default_rng(5).normal(size=(300, 60))
+        step = StepFeatures(values)
+        assert step.band is None
+        assert np.array_equal(step.gram(), values.T @ values)
+
+    @pytest.mark.parametrize("n_basis", [12, 100])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_feature_rejected(self, n_basis, bad):
+        values = basis_values(make_spec(-3.0, 3.0, n_basis, 3),
+                              np.random.default_rng(6).normal(size=1000))
+        values[17, np.flatnonzero(values[17])[0]] = bad
+        with pytest.raises(ValueError, match="feature matrix must be finite"):
+            StepFeatures(values).gram(np.ones(1000))

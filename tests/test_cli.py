@@ -172,6 +172,14 @@ class TestUsageErrors:
         assert re.search(message, err)
         assert "Traceback" not in err
 
+    def test_noise_rejected_before_simulation(self, monkeypatch, capsys):
+        def simulate(*args, **kwargs):
+            raise AssertionError("paths simulated before --noise was checked")
+
+        monkeypatch.setattr(cli, "simulate_gbm", simulate)
+        assert main(["price-qlbs-fqi", "--noise", "2"]) == 2
+        assert capsys.readouterr().err == "qlbs: error: eta must lie in [0, 1]\n"
+
     def test_missing_dataset_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
         assert main(["price-qlbs-fqi", "--dataset-in", str(missing)]) == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qlbs.basis import FeatureMatrix, basis_values, make_spec
+from qlbs.basis import FeatureMatrix, basis_values, feature_cube, make_spec, spec_for_states
 from qlbs.dp import (
     RiskParams,
     compute_rewards,
@@ -14,7 +14,7 @@ from qlbs.dp import (
     run_model_based,
     terminal_conditions,
 )
-from qlbs.market import MarketParams, StateKind, simulate_gbm
+from qlbs.market import MarketParams, StateKind, compute_states, simulate_gbm
 
 from conftest import (
     GOLDEN_DT,
@@ -37,6 +37,7 @@ from conftest import (
     PRICE_TOL,
     STAGE_TOL,
     TABLE_TOL,
+    spoil,
 )
 
 GAMMA = math.exp(-GOLDEN_RATE * GOLDEN_DT)
@@ -313,3 +314,18 @@ class TestRunModelBased:
                                    strike=GOLDEN_STRIKE, risk=risk,
                                    basis_spec=golden_spec)
         assert np.all(np.isfinite(solution.q_values))
+
+
+class TestNonfiniteFeatures:
+    # N = 100 puts every step on banded Gram assembly, N = 12 on the dense one.
+    @pytest.mark.parametrize("n_basis", [12, 100])
+    def test_run_model_based_rejects_nonfinite_cube(self, n_basis):
+        params = MarketParams(s0=100, mu=0.05, sigma=0.15, r=0.03, maturity=1.0,
+                              n_steps=6, n_paths=500, seed=3)
+        paths = simulate_gbm(params)
+        states = compute_states(paths, StateKind.PRICE).values
+        spec = spec_for_states(states, n_basis=n_basis, order=3)
+        risk = RiskParams.from_rate(1e-3, params.r, params.dt)
+        with pytest.raises(ValueError, match="feature matrix must be finite"):
+            run_model_based(paths, StateKind.PRICE, 100.0, risk, basis_spec=spec,
+                            features=spoil(feature_cube(spec, states)))

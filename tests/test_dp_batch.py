@@ -22,7 +22,7 @@ from qlbs.market import (
     price_increments,
     simulate_gbm,
 )
-from qlbs.numerics import DEFAULT_RIDGE_REL
+from qlbs.numerics import DEFAULT_RIDGE_REL, scaled_regularizer, solve_normal_equations
 
 MARKET = MarketParams(s0=100.0, mu=0.05, sigma=0.2, r=0.03, maturity=0.5,
                       n_steps=6, n_paths=400, seed=11)
@@ -136,7 +136,9 @@ def order1_reference(paths, bins, n_bins, contracts, regularizer=None):
 
 class TestOrderOneReference:
     # The full hedge's values scale like 1/lambda, so it is checked at
-    # lambda in {0.01, 0.05}, as in TestBatchEqualsSingles.
+    # lambda in {0.01, 0.05}, as in TestBatchEqualsSingles. 100 bins put
+    # the pass on banded Gram assembly and leave some bins empty.
+    @pytest.mark.parametrize("n_bins", [8, 100])
     @pytest.mark.parametrize("kind", list(StateKind))
     @pytest.mark.parametrize("pure_risk,lambdas,regularizer", [
         (True, (0.0, 1e-4, 1e-3), None),
@@ -144,10 +146,10 @@ class TestOrderOneReference:
         (False, (1e-2, 5e-2), None),
     ])
     def test_batch_matches_bincount_solution(self, kind, pure_risk, lambdas,
-                                             regularizer):
+                                             regularizer, n_bins):
         paths = simulate_gbm(MARKET)
         states = compute_states(paths, kind).values
-        spec = spec_for_states(states, n_basis=8, order=1)
+        spec = spec_for_states(states, n_basis=n_bins, order=1)
         cube = feature_cube(spec, states)
         assert np.all((cube == 0.0) | (cube == 1.0)) and np.all(cube.sum(axis=2) == 1.0)
         contracts = [(strike, RiskParams.from_rate(lam, MARKET.r, MARKET.dt,
@@ -155,7 +157,7 @@ class TestOrderOneReference:
                      for lam in lambdas for strike in (60.0, 90.0, 100.0, 125.0)]
         batch = run_model_based_batch(paths, kind, contracts, basis_spec=spec,
                                       regularizer=regularizer, features=cube)
-        hedges, values = order1_reference(paths, cube.argmax(axis=2), 8,
+        hedges, values = order1_reference(paths, cube.argmax(axis=2), n_bins,
                                           contracts, regularizer)
         for c, got in enumerate(batch):
             assert abs(got.price_t0 + values[0][c].mean()) <= TOL
@@ -163,6 +165,47 @@ class TestOrderOneReference:
             for t in range(MARKET.n_steps):
                 assert np.max(np.abs(got.hedges[:, t] - hedges[t][c])) <= TOL
                 assert np.max(np.abs(got.q_values[:, t] - values[t][c])) <= TOL
+
+
+def dense_gram_reference(paths, cube, strike, risk):
+    """(price_t0, hedge_t0) of one pure-risk contract, each step's Grams
+    formed as dense (K, N)^T (K, N) products at the default ridge."""
+    gamma = risk.gamma
+    inc = price_increments(paths, -np.log(gamma) / paths.dt)
+    pi = np.maximum(strike - paths.prices[:, -1], 0.0)
+    q = -pi - risk.risk_aversion * pi.var()
+
+    def solve(features, weights, target):
+        gram = (features * weights[:, np.newaxis]).T @ features
+        return solve_normal_equations(gram, features.T @ target,
+                                      scaled_regularizer(gram, DEFAULT_RIDGE_REL))
+
+    for t in range(paths.n_steps - 1, -1, -1):
+        features, ds, ds_hat = cube[t], inc.delta_s[:, t], inc.delta_s_hat[:, t]
+        hedge = features @ solve(features, ds_hat**2, (pi - pi.mean()) * ds_hat)
+        pi_t = gamma * (pi - hedge * ds)
+        reward = gamma * pi - pi_t - risk.risk_aversion * pi_t.var()
+        q = features @ solve(features, np.ones(paths.n_paths), reward + gamma * q)
+        pi = pi_t
+    return -q.mean(), hedge.mean()
+
+
+class TestLargeBasisMatchesDenseGrams:
+    # N = 100 takes the banded Gram assembly at every one of these orders.
+    @pytest.mark.parametrize("order", [1, 3, 10])
+    @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
+    def test_price_and_hedge(self, kind, order):
+        market = replace(MARKET, n_paths=3000, seed=7)
+        paths = simulate_gbm(market)
+        states = compute_states(paths, kind).values
+        spec = spec_for_states(states, n_basis=100, order=order)
+        cube = feature_cube(spec, states)
+        risk = RiskParams.from_rate(1e-3, market.r, market.dt)
+        got = run_model_based(paths, kind, 100.0, risk, basis_spec=spec,
+                              features=cube)
+        price, hedge = dense_gram_reference(paths, cube, 100.0, risk)
+        assert abs(got.price_t0 - price) <= TOL
+        assert abs(got.hedge_t0 - hedge) <= TOL
 
 
 class TestBatchValidation:

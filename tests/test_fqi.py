@@ -25,7 +25,7 @@ from qlbs.fqi import (
 from qlbs.market import MarketParams, StateKind, compute_states, simulate_gbm
 from qlbs.numerics import scaled_regularizer, solve_normal_equations
 
-from conftest import GOLDEN_REWARDS_2, GOLDEN_STRIKE, STAGE_TOL
+from conftest import GOLDEN_REWARDS_2, GOLDEN_STRIKE, STAGE_TOL, spoil
 
 
 def small_run(kind=StateKind.DRIFT_ADJUSTED, n_paths=1000, seed=0, sigma=0.15,
@@ -204,6 +204,13 @@ class TestBackwardStep:
 
 
 class TestRunFqi:
+    def test_nonfinite_cube_rejected(self):
+        paths, states, spec, cube, risk, dp = small_run(n_paths=500)
+        dataset = build_offline_dataset(paths, states, dp.hedges,
+                                        strike=100.0, risk=risk)
+        with pytest.raises(ValueError, match="feature matrix must be finite"):
+            run_fqi(dataset, spec, features=spoil(cube))
+
     def test_zero_noise_matches_model_based(self):
         paths, states, spec, cube, risk, dp = small_run(n_paths=1000)
         dataset = build_offline_dataset(paths, states, dp.hedges,

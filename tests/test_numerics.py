@@ -6,6 +6,7 @@ from qlbs.numerics import (
     RidgeProblem,
     cross_sectional_stats,
     ridge_solve,
+    row_band,
     scaled_regularizer,
     solve_normal_equations,
 )
@@ -138,3 +139,81 @@ class TestGoldenHedgeSystem:
         rhs = GOLDEN_PHI2.T @ (pi_hat * delta_s_hat)
         coeffs = solve_normal_equations(gram, rhs, GOLDEN_RIDGE)
         assert np.allclose(coeffs, [-3.05, 11.37, 8.2], atol=0.05)
+
+
+def dense_gram(matrix, weights):
+    """The reference: sum_k w_k f_k f_k^T as one dense product."""
+    return (matrix * weights[:, np.newaxis]).T @ matrix
+
+
+def banded_matrix(rng, n_rows, n_cols, width):
+    """Random rows with nonzeros in ``width`` consecutive columns; some
+    entries inside a band are zero, and the first row spans the full width."""
+    matrix = np.zeros((n_rows, n_cols))
+    starts = rng.integers(0, n_cols - width + 1, size=n_rows)
+    for k, start in enumerate(starts):
+        matrix[k, start:start + width] = rng.normal(size=width)
+    matrix[rng.random(matrix.shape) < 0.05] = 0.0
+    matrix[0, starts[0]] = matrix[0, starts[0] + width - 1] = 1.5
+    return matrix
+
+
+def assert_gram_matches(matrix, root_weights):
+    band = row_band(matrix)
+    got = band.gram(root_weights)
+    want = dense_gram(matrix, root_weights**2)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    return band
+
+
+class TestRowBandGram:
+    @pytest.mark.parametrize("n_cols, width", [
+        (n_cols, width) for n_cols in (1, 7, 40, 100)
+        for width in (1, 2, 3, 5, 8, 10) if width <= n_cols])
+    def test_random_banded_matrices(self, n_cols, width):
+        rng = np.random.default_rng(100 * n_cols + width)
+        matrix = banded_matrix(rng, 500, n_cols, width)
+        band = assert_gram_matches(matrix, rng.normal(size=500))
+        assert band.width == width
+        assert_gram_matches(matrix, np.ones(500))
+
+    def test_zero_weights(self):
+        rng = np.random.default_rng(1)
+        matrix = banded_matrix(rng, 300, 60, 4)
+        assert np.array_equal(row_band(matrix).gram(np.zeros(300)), np.zeros((60, 60)))
+        weights = rng.normal(size=300)
+        weights[::3] = 0.0
+        assert_gram_matches(matrix, weights)
+
+    def test_all_zero_rows(self):
+        rng = np.random.default_rng(2)
+        matrix = banded_matrix(rng, 300, 50, 3)
+        matrix[[5, 64, 299]] = 0.0
+        band = assert_gram_matches(matrix, rng.normal(size=300))
+        assert band.width == 3
+        assert row_band(np.zeros((10, 6))).gram().sum() == 0.0
+
+    def test_wide_row_outside_the_sample(self):
+        # Rows 0, 64, 128, ... are measured first; a wider row elsewhere
+        # must still set the width.
+        rng = np.random.default_rng(3)
+        matrix = banded_matrix(rng, 300, 80, 2)
+        matrix[77] = 0.0
+        matrix[77, 10:19] = 1.0
+        band = assert_gram_matches(matrix, rng.normal(size=300))
+        assert band.width == 9
+
+    def test_full_matrix(self):
+        rng = np.random.default_rng(4)
+        matrix = rng.normal(size=(200, 30))
+        band = assert_gram_matches(matrix, rng.normal(size=200))
+        assert band.width == 30
+
+    def test_nonfinite_entries_count_as_nonzero(self):
+        matrix = np.zeros((4, 20))
+        matrix[:, 3] = 1.0
+        matrix[1, 9] = np.nan
+        matrix[2, 15] = np.inf
+        band = row_band(matrix)
+        assert band.width == 13
+        assert np.isnan(band.gram()[9, 9]) and np.isinf(band.gram()[15, 15])
