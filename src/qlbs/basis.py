@@ -93,17 +93,19 @@ class FeatureMatrix:
 # Banded Gram assembly pays only when the basis is large and each row's
 # band narrow. Both Grams of a step on 10k rows (2 cores, numpy 2.4 with
 # OpenBLAS), band extraction included, as a share of the dense BLAS time:
-#   N = 12: width 1 0.60, width 4 2.19 (dense 0.7 ms)
-#   N = 30: width 3 0.60, width 6 1.21
-#   N = 40: width 4 0.53, width 6 0.90, width 8 1.32
-#   N = 50: width 6 0.66, width 8 1.08 (dense 4.6 ms)
-#   N = 100: width 10 0.55, width 12 0.75, width 16 1.18 (dense 13 ms)
-#   N = 150: width 16 0.75, width 20 1.15
-# So a band is extracted only from 40 columns on, where a wasted
-# extraction costs at most a third of the dense product, and used when
-# its width is at most an eighth of the columns.
-_BANDED_MIN_BASIS = 40
-_BANDED_MAX_WIDTH_SHARE = 8
+#   N = 12: width 1 2.00, width 4 4.18 (dense 0.6 ms)
+#   N = 40: width 1 0.67, width 4 0.97, width 5 1.08 (dense 3.7 ms)
+#   N = 50: width 3 0.69, width 5 0.85, width 6 1.03 (dense 4.9 ms)
+#   N = 64: width 6 0.70, width 8 0.86, width 10 1.16
+#   N = 100: width 3 0.37, width 10 0.70, width 12 0.89, width 14 1.13
+#            (dense 13 ms)
+#   N = 150: width 10 0.52, width 16 0.82, width 20 1.21
+# The extraction alone, wasted when the band turns out too wide, costs
+# 0.6-0.7 of the dense time at N = 40-50 and a third at N = 100. So a
+# band is extracted only from 50 columns on and used when its width is
+# at most a tenth of the columns.
+_BANDED_MIN_BASIS = 50
+_BANDED_MAX_WIDTH_SHARE = 10
 
 
 class StepFeatures:

@@ -223,7 +223,8 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
     When no basis spec is given, the default clamped basis is built over
     the global range of the chosen state. A precomputed feature cube
     (T+1, K, N) may be passed to reuse work across runs that share paths
-    and basis. Returns one solution per contract, in order.
+    and basis; it is read as float64. Returns one solution per contract,
+    in order.
     """
     strikes = np.array([float(strike) for strike, _ in contracts])
     risks = tuple(risk for _, risk in contracts)
@@ -233,6 +234,7 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
         if basis_spec is None:
             basis_spec = spec_for_states(states.values)
         features = feature_cube(basis_spec, states.values)
+    features = np.asarray(features, dtype=float)
     # The rate implied by the discount factor, so increments and
     # discounting always agree even for loaded path fixtures.
     rate = -math.log(gamma) / paths.dt

@@ -129,10 +129,6 @@ class RowBand:
         return gram
 
 
-# Rows whose width row_band measures directly: one in this many.
-_BAND_SAMPLE_STRIDE = 64
-
-
 def row_band(matrix: np.ndarray) -> RowBand:
     """The narrowest common band that holds every nonzero of each row.
 
@@ -140,29 +136,12 @@ def row_band(matrix: np.ndarray) -> RowBand:
     and inf count as nonzero), so the band is exact for any matrix. A row
     starts at its first nonzero column, moved left where the band would
     pass the last column; an all-zero row keeps a band of zeros.
-
-    The widest row of a sample is a lower bound on w. When a band that
-    wide holds as many nonzeros as the whole matrix, no row is wider and
-    the bound is w; otherwise every row's width is measured.
     """
+    n_rows, n_cols = matrix.shape
     nonzero = matrix != 0
     first = nonzero.argmax(axis=1)
-    sample = slice(None, None, _BAND_SAMPLE_STRIDE)
-    band = _band_of_width(matrix, first,
-                          _widest_row(nonzero[sample], first[sample]))
-    if np.count_nonzero(band.values) != np.count_nonzero(nonzero):
-        band = _band_of_width(matrix, first, _widest_row(nonzero, first))
-    return band
-
-
-def _widest_row(nonzero: np.ndarray, first: np.ndarray) -> int:
-    """Largest last - first + 1 over rows with a nonzero, at least 1."""
-    end = nonzero.shape[1] - nonzero[:, ::-1].argmax(axis=1)
-    return int(np.max((end - first) * nonzero.any(axis=1), initial=1))
-
-
-def _band_of_width(matrix: np.ndarray, first: np.ndarray, width: int) -> RowBand:
-    n_rows, n_cols = matrix.shape
+    end = n_cols - nonzero[:, ::-1].argmax(axis=1)
+    width = int(np.max((end - first) * nonzero.any(axis=1), initial=1))
     columns = np.minimum(first, n_cols - width) + np.arange(width)[:, np.newaxis]
     values = np.take(matrix, columns + np.arange(0, n_rows * n_cols, n_cols))
     return RowBand(columns=columns, values=values, n_cols=n_cols)

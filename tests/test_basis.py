@@ -276,9 +276,10 @@ class TestFeatureMatrix:
 class TestStepFeatures:
     @pytest.mark.parametrize("n_basis, order, banded", [
         (12, 4, False),   # desk scale stays on the dense product
-        (39, 1, False),   # too few columns to look for a band
+        (49, 1, False),   # too few columns to look for a band
         (50, 3, True),
-        (50, 10, False),  # the band is wider than an eighth of the columns
+        (50, 6, False),   # the band is wider than a tenth of the columns
+        (50, 10, False),
         (100, 1, True),
         (100, 10, True),
     ])

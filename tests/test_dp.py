@@ -316,16 +316,34 @@ class TestRunModelBased:
         assert np.all(np.isfinite(solution.q_values))
 
 
+def cube_run(n_basis):
+    params = MarketParams(s0=100, mu=0.05, sigma=0.15, r=0.03, maturity=1.0,
+                          n_steps=6, n_paths=500, seed=3)
+    paths = simulate_gbm(params)
+    states = compute_states(paths, StateKind.PRICE).values
+    spec = spec_for_states(states, n_basis=n_basis, order=3)
+    risk = RiskParams.from_rate(1e-3, params.r, params.dt)
+    return paths, spec, feature_cube(spec, states), risk
+
+
 class TestNonfiniteFeatures:
     # N = 100 puts every step on banded Gram assembly, N = 12 on the dense one.
     @pytest.mark.parametrize("n_basis", [12, 100])
     def test_run_model_based_rejects_nonfinite_cube(self, n_basis):
-        params = MarketParams(s0=100, mu=0.05, sigma=0.15, r=0.03, maturity=1.0,
-                              n_steps=6, n_paths=500, seed=3)
-        paths = simulate_gbm(params)
-        states = compute_states(paths, StateKind.PRICE).values
-        spec = spec_for_states(states, n_basis=n_basis, order=3)
-        risk = RiskParams.from_rate(1e-3, params.r, params.dt)
+        paths, spec, cube, risk = cube_run(n_basis)
         with pytest.raises(ValueError, match="feature matrix must be finite"):
             run_model_based(paths, StateKind.PRICE, 100.0, risk, basis_spec=spec,
-                            features=spoil(feature_cube(spec, states)))
+                            features=spoil(cube))
+
+
+class TestFloat32Cube:
+    @pytest.mark.parametrize("n_basis", [12, 100])
+    def test_solved_in_float64(self, n_basis):
+        paths, spec, cube, risk = cube_run(n_basis)
+        single = cube.astype(np.float32)
+        got = run_model_based(paths, StateKind.PRICE, 100.0, risk, basis_spec=spec,
+                              features=single)
+        want = run_model_based(paths, StateKind.PRICE, 100.0, risk, basis_spec=spec,
+                               features=single.astype(float))
+        assert got.price_t0 == want.price_t0 and got.hedge_t0 == want.hedge_t0
+        assert np.array_equal(got.q_values, want.q_values)

@@ -211,6 +211,16 @@ class TestRunFqi:
         with pytest.raises(ValueError, match="feature matrix must be finite"):
             run_fqi(dataset, spec, features=spoil(cube))
 
+    def test_float32_cube_solved_in_float64(self):
+        paths, states, spec, cube, risk, dp = small_run(n_paths=500)
+        dataset = build_offline_dataset(paths, states, dp.hedges,
+                                        strike=100.0, risk=risk)
+        single = cube.astype(np.float32)
+        got = run_fqi(dataset, spec, features=single)
+        want = run_fqi(dataset, spec, features=single.astype(float))
+        assert got.price_t0 == want.price_t0
+        assert np.array_equal(got.q_values, want.q_values)
+
     def test_zero_noise_matches_model_based(self):
         paths, states, spec, cube, risk, dp = small_run(n_paths=1000)
         dataset = build_offline_dataset(paths, states, dp.hedges,

@@ -193,9 +193,7 @@ class TestRowBandGram:
         assert band.width == 3
         assert row_band(np.zeros((10, 6))).gram().sum() == 0.0
 
-    def test_wide_row_outside_the_sample(self):
-        # Rows 0, 64, 128, ... are measured first; a wider row elsewhere
-        # must still set the width.
+    def test_one_wide_row_sets_the_width(self):
         rng = np.random.default_rng(3)
         matrix = banded_matrix(rng, 300, 80, 2)
         matrix[77] = 0.0

@@ -1,17 +1,16 @@
 """Write a BENCH_<n>.json record: benchmark runs, machine and suite timings.
 
     python3 tools/bench_record.py --number 10 --parent ../parent-checkout \
-        --claim basis-stress --seed 7301 --pairs 10
+        --claim basis-stress --seed 7301
 
 Run from the repository root. For every workload in ``BENCHMARK.json``
 the record keeps the last JSON line of ``perfbench/run.py`` (end-to-end,
-``--trace 0``, the file's ``run_seconds``), run from this checkout and,
-with ``--parent``, from the parent's checkout too, in pairs that
-alternate which side runs first. The claim workload runs ``--pairs``
-pairs and the others three. Each workload gets the medians, the
-parent's interquartile range and the pairs the change won per metric.
-The record also holds each side's tier-1 wall time and every acceptance
-criterion's call time from ``pytest --durations``.
+``--trace 0``, the file's ``run_seconds``), run from this checkout and
+from the parent's, in pairs that alternate which side runs first. The
+claim workload runs ten pairs and the others three. Each workload gets
+the medians, the parent's interquartile range and the pairs the change
+won per metric. The record also holds each side's tier-1 wall time and
+every acceptance criterion's call time from ``pytest --durations``.
 """
 from __future__ import annotations
 
@@ -29,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+CLAIM_PAIRS = 10
 OTHER_PAIRS = 3
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0"]
 CRITERION = re.compile(
@@ -67,18 +67,15 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     out = {}
     for name, direction in better.items():
         change = [m[name]["value"] for m in sides["change"].values()]
-        row = {"change_median": round(statistics.median(change), 4)}
-        if sides["parent"]:
-            parent = [m[name]["value"] for m in sides["parent"].values()]
-            q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
-                         if len(parent) > 1 else (parent[0],) * 3)
-            sign = 1 if direction == "lower" else -1
-            won = sum(sign * (sides["change"][p][name]["value"] - m[name]["value"]) < 0
-                      for p, m in sides["parent"].items())
-            row = {"parent_median": round(statistics.median(parent), 4),
-                   "parent_iqr": round(q3 - q1, 4), **row,
-                   "change_better_pairs": f"{won}/{len(parent)}"}
-        out[name] = row
+        parent = [m[name]["value"] for m in sides["parent"].values()]
+        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        sign = 1 if direction == "lower" else -1
+        won = sum(sign * (sides["change"][p][name]["value"] - m[name]["value"]) < 0
+                  for p, m in sides["parent"].items())
+        out[name] = {"parent_median": round(statistics.median(parent), 4),
+                     "parent_iqr": round(q3 - q1, 4),
+                     "change_median": round(statistics.median(change), 4),
+                     "change_better_pairs": f"{won}/{len(parent)}"}
     return out
 
 
@@ -89,20 +86,19 @@ def revision(checkout: Path) -> str:
 
 
 def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--number", type=int, required=True, help="n of BENCH_<n>.json")
-    parser.add_argument("--parent", type=Path, default=None,
+    parser.add_argument("--parent", type=Path, required=True,
                         help="checkout of the parent commit to pair against")
-    parser.add_argument("--claim", default=None, help="workload the change claims")
+    parser.add_argument("--claim", required=True,
+                        choices=[w["name"] for w in spec["workloads"]],
+                        help="workload the change claims")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    checkouts = {"change": ROOT}
-    if args.parent is not None:
-        checkouts["parent"] = args.parent.resolve()
+    checkouts = {"change": ROOT, "parent": args.parent.resolve()}
     record = {
         "what": f"perfbench/run.py --seconds {spec['run_seconds']} --trace 0, last "
                 "JSON lines; pairs alternate which side runs first",
@@ -115,7 +111,7 @@ def main(argv=None) -> int:
         "summary": {},
     }
     for workload in (w["name"] for w in spec["workloads"]):
-        pairs = args.pairs if workload == args.claim else OTHER_PAIRS
+        pairs = CLAIM_PAIRS if workload == args.claim else OTHER_PAIRS
         runs = []
         for pair in range(1, pairs + 1):
             order = list(checkouts) if pair % 2 else list(reversed(checkouts))
