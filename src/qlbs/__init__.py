@@ -8,11 +8,11 @@ are benchmarked against the closed-form Black-Scholes-Merton put.
 from .basis import (
     BasisSpec,
     FeatureMatrix,
-    eval_basis,
+    SplineFeatures,
     feature_cube,
-    feature_matrix,
     make_spec,
     spec_for_states,
+    spline_features,
 )
 from .bsm import BsmQuote, bsm_put_delta, bsm_put_price, bsm_put_quote, norm_cdf
 from .dp import (
@@ -37,7 +37,6 @@ from .fqi import (
     greedy_action,
     load_dataset,
     perturb_actions,
-    psi_features,
     run_fqi,
     save_dataset,
 )

@@ -108,27 +108,57 @@ _BANDED_MIN_BASIS = 50
 _BANDED_MAX_WIDTH_SHARE = 10
 
 
+def _band_pays(n_basis: int, width: int) -> bool:
+    return n_basis >= _BANDED_MIN_BASIS and _BANDED_MAX_WIDTH_SHARE * width <= n_basis
+
+
+# Band-wise right-hand sides and fitted values for C contracts take about
+# C * width passes over the rows; a densified slab costs one scatter and
+# then BLAS products. Whole DP passes from SplineFeatures at N = 100 on
+# 10k x 24 paths (2 cores), seconds band-wise / densified:
+#   width 1: C = 16 0.17 / 0.25, C = 40 0.42 / 0.43
+#   width 3: C = 4 0.10 / 0.13, C = 16 0.27 / 0.25
+#   width 5: C = 4 0.14 / 0.15, C = 8 0.24 / 0.20
+#   width 10: C = 1 0.14 / 0.20, C = 2 0.30 / 0.22
+# So products are band-wise while C * width is at most 16.
+_BAND_PRODUCTS_MAX = 16
+
+
 class StepFeatures:
-    """One time step's (K, n_basis) slab of a feature cube, unchecked.
+    """One time step's (K, n_basis) features, unchecked.
 
     The backward passes pass one per step where a FeatureMatrix would go,
-    so no slab is copied or scanned. A nonfinite feature is caught by
-    :meth:`gram` instead: the diagonal entry sum_k r_k^2 f_kj^2 is
-    nonfinite exactly when column j holds one (or a square overflows).
-    Both Grams of a step share the row band, extracted on first use.
+    so no slab is copied or scanned. It holds a dense slab, or only the
+    row band of compact features (see :meth:`SplineFeatures.step`); then
+    right-hand sides and fitted values for few contracts are formed
+    band-wise, and :attr:`values` densifies the slab on first use for
+    the others.
+
+    A nonfinite feature is caught by :meth:`gram`: the diagonal entry
+    sum_k r_k^2 f_kj^2 is nonfinite exactly when column j holds one (or a
+    square overflows). Both Grams of a step share the row band; a dense
+    slab's is extracted on first use.
     """
 
-    def __init__(self, values: np.ndarray):
-        self.values = values
+    def __init__(self, values: np.ndarray | None, band: RowBand | None = None):
+        self._dense = values
+        self._band = band
 
     @functools.cached_property
     def band(self) -> RowBand | None:
-        """The slab's row band when banded Gram assembly is cheaper, else None."""
-        n_basis = self.values.shape[1]
+        """The row band when banded Gram assembly is cheaper, else None."""
+        if self._dense is None:
+            return self._band
+        n_basis = self._dense.shape[1]
         if n_basis < _BANDED_MIN_BASIS:
             return None
-        band = row_band(self.values)
-        return band if _BANDED_MAX_WIDTH_SHARE * band.width <= n_basis else None
+        band = row_band(self._dense)
+        return band if _band_pays(n_basis, band.width) else None
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The dense (K, n_basis) slab."""
+        return self._band.dense() if self._dense is None else self._dense
 
     def gram(self, root_weights: np.ndarray | None = None) -> np.ndarray:
         """sum_k r_k^2 f_k f_k^T over the rows f_k, by band or by BLAS."""
@@ -141,6 +171,70 @@ class StepFeatures:
         if not np.all(np.isfinite(np.diagonal(gram))):
             raise ValueError("feature matrix must be finite")
         return gram
+
+    def _band_products(self, rows: np.ndarray) -> bool:
+        """Whether products with these (C, .) or (.,) rows go band-wise."""
+        n_contracts = rows.size // rows.shape[-1]
+        return (self._dense is None
+                and n_contracts * self._band.width <= _BAND_PRODUCTS_MAX)
+
+    def rhs(self, targets: np.ndarray) -> np.ndarray:
+        """targets @ F: (K,) targets give (n_basis,), (C, K) give (C, n_basis)."""
+        if self._band_products(targets):
+            return self._band.rhs(targets)
+        return targets @ self.values
+
+    def fitted(self, coefficients: np.ndarray) -> np.ndarray:
+        """coefficients @ F^T: (n_basis,) give (K,), (C, n_basis) give (C, K)."""
+        if self._band_products(coefficients):
+            return self._band.fitted(coefficients)
+        return coefficients @ self.values.T
+
+
+@dataclass(frozen=True)
+class SplineFeatures:
+    """A feature cube held by its nonzeros: ``order`` splines per point.
+
+    The point of path k at time t has its nonzero features in columns
+    ``first[t, k]`` .. ``first[t, k] + order - 1``, with entries
+    ``values[t, :, k]``; every other column is zero. ``first`` is
+    (T+1, K) and ``values`` (T+1, order, K), so the cube takes order / N
+    of the dense (T+1, K, N) cube's memory, plus ``first``.
+    """
+
+    first: np.ndarray
+    values: np.ndarray
+    n_basis: int
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """Shape of the dense cube, (T+1, K, n_basis)."""
+        n_times, _, n_paths = self.values.shape
+        return n_times, n_paths, self.n_basis
+
+    def band(self, t: int) -> RowBand:
+        """Time step t as a row band of width ``order``."""
+        order = self.values.shape[1]
+        return RowBand(columns=self.first[t] + np.arange(order)[:, np.newaxis],
+                       values=self.values[t], n_cols=self.n_basis)
+
+    def step(self, t: int) -> StepFeatures:
+        """Time step t: its row band if banded assembly pays, else its dense slab."""
+        band = self.band(t)
+        if _band_pays(self.n_basis, band.width):
+            return StepFeatures(None, band)
+        return StepFeatures(band.dense())
+
+    def dense(self) -> np.ndarray:
+        """The dense (T+1, K, n_basis) cube."""
+        return np.array([self.band(t).dense() for t in range(self.shape[0])])
+
+
+def step_features(features, t: int) -> StepFeatures:
+    """Time step t of a dense (T+1, K, N) cube or of SplineFeatures."""
+    if isinstance(features, SplineFeatures):
+        return features.step(t)
+    return StepFeatures(features[t])
 
 
 def make_spec(data_lo: float, data_hi: float, n_basis: int = DEFAULT_N_BASIS,
@@ -164,14 +258,23 @@ def make_spec(data_lo: float, data_hi: float, n_basis: int = DEFAULT_N_BASIS,
     return BasisSpec(knots=knots, n_basis=n_basis, order=order)
 
 
-def basis_values(spec: BasisSpec, points) -> np.ndarray:
-    """Evaluate all basis functions at many points, vectorized.
+# Each scratch array of the blocked Cox-de Boor evaluation holds at most
+# this many doubles (8 MiB): a block is 2**20 // order points, so a
+# desk-scale build (10k paths x 25 times, order 4: 250k points) is still
+# one block. Peak RSS of the benchmark on 2 cores (numpy 2.4, seed
+# 3203): basis-stress (N = 100, order 10 on 10k x 25 points) read
+# 266.9 MB at this budget, 255.6 MB at 2**18 and 328.4 MB with
+# whole-array scratch; dataset-replay read 134.1 MB at this budget and
+# with one time step (10k points) per block, 134.2 MB with whole-array
+# scratch.
+_BLOCK_DOUBLES = 2**20
 
-    Points are clamped to [lo, hi] first. Returns shape (len(points),
-    n_basis); each row is nonnegative, sums to one, and has at most
-    ``order`` consecutive nonzero entries.
-    """
-    x = np.clip(np.asarray(points, dtype=float).ravel(), spec.lo, spec.hi)
+
+def _cox_de_boor(spec: BasisSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, values) of the points: point i is clamped to [lo, hi], its
+    nonzero splines are columns first[i] .. first[i] + order - 1 and
+    their values are values[:, i], so ``values`` is (order, len(points))."""
+    x = np.clip(points, spec.lo, spec.hi)
     t = spec.knots
     p = spec.degree
     n = spec.n_basis
@@ -196,22 +299,35 @@ def basis_values(spec: BasisSpec, points) -> np.ndarray:
             values[i] = saved + right[i + 1] * ratio
             saved = left[j - i] * ratio
         values[j] = saved
+    return span - p, values
 
-    out = np.zeros((m, n))
-    rows = np.arange(m)[:, np.newaxis]
-    cols = span[:, np.newaxis] - p + np.arange(p + 1)[np.newaxis, :]
-    out[rows, cols] = values.T
+
+def _spline_blocks(spec: BasisSpec, points: np.ndarray):
+    """(start, first, values) of consecutive blocks of the flat ``points``,
+    each of at most ``_BLOCK_DOUBLES // order`` points from index
+    ``start`` (see :func:`_cox_de_boor`)."""
+    size = max(1, _BLOCK_DOUBLES // spec.order)
+    for start in range(0, points.size, size):
+        yield (start, *_cox_de_boor(spec, points[start:start + size]))
+
+
+def basis_values(spec: BasisSpec, points) -> np.ndarray:
+    """Evaluate all basis functions at many points, vectorized.
+
+    Points are clamped to [lo, hi] first. Returns shape (len(points),
+    n_basis); each row is nonnegative, sums to one, and has at most
+    ``order`` consecutive nonzero entries. Points are evaluated in blocks
+    of bounded scratch, each scattered straight into the output.
+    """
+    x = np.asarray(points, dtype=float).ravel()
+    n = spec.n_basis
+    out = np.zeros((x.size, n))
+    for start, first, values in _spline_blocks(spec, x):
+        # Flat index of each point's first nonzero in the output.
+        first += np.arange(start * n, (start + first.size) * n, n)
+        for position, row in enumerate(values):
+            np.put(out, first + position, row)
     return out
-
-
-def eval_basis(spec: BasisSpec, x: float) -> np.ndarray:
-    """Basis vector (length n_basis) at a single point."""
-    return basis_values(spec, [x])[0]
-
-
-def feature_matrix(spec: BasisSpec, states_at_t) -> FeatureMatrix:
-    """Feature matrix for one time step: row k = basis at state k."""
-    return FeatureMatrix(values=basis_values(spec, states_at_t))
 
 
 def feature_cube(spec: BasisSpec, state_values: np.ndarray) -> np.ndarray:
@@ -224,6 +340,28 @@ def feature_cube(spec: BasisSpec, state_values: np.ndarray) -> np.ndarray:
     n_paths, n_times = state_values.shape
     flat = basis_values(spec, state_values.T.ravel())
     return flat.reshape(n_times, n_paths, spec.n_basis)
+
+
+def spline_features(spec: BasisSpec, state_values: np.ndarray) -> SplineFeatures:
+    """The feature cube of a (K, T+1) state matrix in compact form.
+
+    Holds the same numbers as :func:`feature_cube`, evaluated in the same
+    blocks, without the zeros.
+    """
+    state_values = np.asarray(state_values, dtype=float)
+    n_paths, n_times = state_values.shape
+    first = np.empty((n_times, n_paths), dtype=np.int64)
+    values = np.empty((n_times, spec.order, n_paths))
+    flat_first = first.reshape(-1)
+    for start, block_first, block_values in _spline_blocks(spec, state_values.T.ravel()):
+        stop = start + block_first.size
+        flat_first[start:stop] = block_first
+        # Copy the block into each time step it covers.
+        for t in range(start // n_paths, (stop - 1) // n_paths + 1):
+            lo, hi = max(start, t * n_paths), min(stop, (t + 1) * n_paths)
+            values[t, :, lo - t * n_paths:hi - t * n_paths] = \
+                block_values[:, lo - start:hi - start]
+    return SplineFeatures(first=first, values=values, n_basis=spec.n_basis)
 
 
 def spec_for_states(state_values: np.ndarray, n_basis: int = DEFAULT_N_BASIS,

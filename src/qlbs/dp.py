@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FeatureMatrix, StepFeatures, feature_cube, spec_for_states
+from .basis import (
+    BasisSpec,
+    FeatureMatrix,
+    SplineFeatures,
+    StepFeatures,
+    feature_cube,
+    spec_for_states,
+    step_features,
+)
 from .market import PathSet, StateKind, compute_states, price_increments
 from .numerics import DEFAULT_RIDGE_REL, scaled_regularizer, solve_normal_equations
 
@@ -125,12 +133,9 @@ def _solve_rows(gram: np.ndarray, rhs: np.ndarray,
     return solve_normal_equations(gram, rhs.T, _effective_ridge(gram, regularizer)).T
 
 
-def _gram(phi_t: FeatureMatrix | StepFeatures,
-          root_weights: np.ndarray | None = None) -> np.ndarray:
-    """sum_k r_k^2 phi_k phi_k^T; a pass's StepFeatures reuse their band."""
-    if not isinstance(phi_t, StepFeatures):
-        phi_t = StepFeatures(phi_t.values)
-    return phi_t.gram(root_weights)
+def _step(phi_t: FeatureMatrix | StepFeatures) -> StepFeatures:
+    """The step's features as StepFeatures; a pass's own are kept, with their band."""
+    return phi_t if isinstance(phi_t, StepFeatures) else StepFeatures(phi_t.values)
 
 
 def fit_hedge_coefficients(phi_t: FeatureMatrix, delta_s: np.ndarray,
@@ -146,17 +151,17 @@ def fit_hedge_coefficients(phi_t: FeatureMatrix, delta_s: np.ndarray,
     shared, so the contracts cost one factorization.
     """
     gamma, pure_risk, risk_aversion = _contract_risk(risk)
-    features = phi_t.values
-    gram = _gram(phi_t, delta_s_hat)
+    step = _step(phi_t)
+    gram = step.gram(delta_s_hat)
     target = pi_hat_next * delta_s_hat
     if not pure_risk:
         target = target + delta_s / (2.0 * risk_aversion * gamma)
-    return _solve_rows(gram, target @ features, regularizer)
+    return _solve_rows(gram, step.rhs(target), regularizer)
 
 
 def optimal_hedge_values(phi_t: FeatureMatrix, coefficients: np.ndarray) -> np.ndarray:
     """Per-path hedge: (N,) coefficients give (K,) hedges, (C, N) give (C, K)."""
-    return coefficients @ phi_t.values.T
+    return _step(phi_t).fitted(coefficients)
 
 
 def rollback_portfolio(pi_next: np.ndarray, hedge: np.ndarray,
@@ -185,15 +190,14 @@ def fit_q_coefficients(phi_t: FeatureMatrix, rewards_t: np.ndarray,
     (K,) inputs give (N,) coefficients; (C, K) inputs give (C, N) from one
     factorization of the shared Gram matrix.
     """
-    features = phi_t.values
-    gram = _gram(phi_t)
-    return _solve_rows(gram, (rewards_t + gamma * q_next) @ features, regularizer)
+    step = _step(phi_t)
+    return _solve_rows(step.gram(), step.rhs(rewards_t + gamma * q_next), regularizer)
 
 
 def run_model_based(paths: PathSet, state_kind: StateKind, strike: float,
                     risk: RiskParams, basis_spec: BasisSpec | None = None,
                     regularizer: float | None = None,
-                    features: np.ndarray | None = None) -> DPSolution:
+                    features: np.ndarray | SplineFeatures | None = None) -> DPSolution:
     """Backward pass from expiry to time 0 for one contract.
 
     The one-contract case of :func:`run_model_based_batch`.
@@ -205,7 +209,8 @@ def run_model_based(paths: PathSet, state_kind: StateKind, strike: float,
 def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
                           basis_spec: BasisSpec | None = None,
                           regularizer: float | None = None,
-                          features: np.ndarray | None = None) -> list[DPSolution]:
+                          features: np.ndarray | SplineFeatures | None = None
+                          ) -> list[DPSolution]:
     """Backward pass from expiry to time 0 for many contracts on shared paths.
 
     ``contracts`` is a sequence of (strike, RiskParams) that share gamma
@@ -215,16 +220,19 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
     right-hand side. Work arrays are time-major, (T+1, C, K), so a step
     reads and writes contiguous (C, K) slabs.
 
-    Each step's slab is read from the cube unchecked (see StepFeatures):
-    a large basis whose rows are narrow bands, such as N = 100 splines,
-    assembles both Grams from each row's band, smaller ones use one dense
-    product each.
+    Each step's features are read unchecked (see StepFeatures). A large
+    basis whose rows are narrow bands, such as N = 100 splines, assembles
+    both Grams from each row's band; smaller ones use one dense product
+    each. Given SplineFeatures, such a step reads the bands directly and,
+    for a pass of few contracts, forms right-hand sides and fitted values
+    band-wise too, without a (K, N) slab. Other steps densify their slab;
+    below 50 functions their numbers equal a dense cube's.
 
     When no basis spec is given, the default clamped basis is built over
-    the global range of the chosen state. A precomputed feature cube
-    (T+1, K, N) may be passed to reuse work across runs that share paths
-    and basis; it is read as float64. Returns one solution per contract,
-    in order.
+    the global range of the chosen state. Precomputed features, a dense
+    (T+1, K, N) cube or SplineFeatures, may be passed to reuse work
+    across runs that share paths and basis; a dense cube is read as
+    float64. Returns one solution per contract, in order.
     """
     strikes = np.array([float(strike) for strike, _ in contracts])
     risks = tuple(risk for _, risk in contracts)
@@ -234,7 +242,8 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
         if basis_spec is None:
             basis_spec = spec_for_states(states.values)
         features = feature_cube(basis_spec, states.values)
-    features = np.asarray(features, dtype=float)
+    if not isinstance(features, SplineFeatures):
+        features = np.asarray(features, dtype=float)
     # The rate implied by the discount factor, so increments and
     # discounting always agree even for loaded path fixtures.
     rate = -math.log(gamma) / paths.dt
@@ -254,7 +263,7 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
      q_values[-1]) = terminal_conditions(paths, strikes, risks)
 
     for t in range(n_steps - 1, -1, -1):
-        phi_t = StepFeatures(features[t])
+        phi_t = step_features(features, t)
         ds = increments.delta_s[:, t]
         ds_hat = increments.delta_s_hat[:, t]
 
@@ -266,7 +275,7 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
                                      risk_aversion)
         omega[t] = fit_q_coefficients(phi_t, rewards[t], q_values[t + 1], gamma,
                                       regularizer)
-        q_values[t] = omega[t] @ phi_t.values.T
+        q_values[t] = phi_t.fitted(omega[t])
         pi_hat_next = portfolio[t] - portfolio[t].mean(axis=-1, keepdims=True)
 
     cash = hedges * paths.prices.T[:, np.newaxis, :]

@@ -4,7 +4,7 @@ Each scenario sweeps one axis (volatility, sample size and action noise,
 hedging frequency, strike, transaction costs, or basis shape), runs the
 solvers per state kind and seed, and collects one row per cell. Paths
 are simulated once per market; cells on the same paths and basis share
-one feature cube and solve their contracts in batched backward passes,
+one set of features and solve their contracts in batched backward passes,
 so sweeps stay fast at desk scale.
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import DEFAULT_N_BASIS, DEFAULT_ORDER, feature_cube, spec_for_states
+from .basis import DEFAULT_N_BASIS, DEFAULT_ORDER, spec_for_states, spline_features
 from .bsm import bsm_put_delta, bsm_put_price
 from .dp import DPSolution, RiskParams, run_model_based_batch
 from .fqi import fqi_from_hedges
@@ -235,8 +235,9 @@ _COLUMNS = [
 def _pass_size(n_basis: int) -> int:
     """Most contracts one batched backward pass solves.
 
-    A pass keeps five (T+1, K) arrays per contract; 6 * n_basis / 5
-    contracts hold them within six (T+1, K, n_basis) feature cubes.
+    A pass keeps five (T+1, K) work arrays per contract, so a pass of
+    6 * n_basis / 5 contracts holds at most 6 * n_basis of them: a larger
+    basis, whose fits cost more per contract, allows a longer pass.
     """
     return 6 * n_basis // 5
 
@@ -282,7 +283,7 @@ def _fail(config: ScenarioConfig, job: _Job, err: Exception) -> None:
 
 
 def _finish_job(config: ScenarioConfig, job: _Job, dp: DPSolution,
-                dp_seconds: float, paths: PathSet, states, spec, cube,
+                dp_seconds: float, paths: PathSet, states, spec, features,
                 risk: RiskParams) -> None:
     """Run the job's fitted-Q pass if asked, then build its report rows."""
     solved = {"dp": (dp, dp_seconds)}
@@ -290,7 +291,7 @@ def _finish_job(config: ScenarioConfig, job: _Job, dp: DPSolution,
         try:
             started = time.perf_counter()
             _, fqi = fqi_from_hedges(paths, states, dp.hedges, job.base["noise"],
-                                     job.base["strike"], risk, spec, features=cube,
+                                     job.base["strike"], risk, spec, features=features,
                                      regularizer=config.regularizer)
             solved["fqi"] = (fqi, time.perf_counter() - started)
         except Exception as err:  # record and continue with the sweep
@@ -317,7 +318,8 @@ def _solve_group(get_paths, config: ScenarioConfig, market: MarketParams,
                  kind: StateKind, n_basis: int, order: int, jobs: list) -> None:
     """Solve every job on one set of paths, state kind and basis.
 
-    The feature cube is built once. Jobs with the same (strike, risk)
+    The features are built once, in compact form (SplineFeatures), and
+    shared by every pass and fitted-Q run. Jobs with the same (strike, risk)
     share one contract, and the contracts are solved in batched passes
     of at most ``_pass_size(n_basis)``; each DP row's runtime is its
     pass's wall time divided by the pass's contracts. A failure inside a
@@ -327,7 +329,7 @@ def _solve_group(get_paths, config: ScenarioConfig, market: MarketParams,
         paths = get_paths(market)
         states = compute_states(paths, kind)
         spec = spec_for_states(states.values, n_basis=n_basis, order=order)
-        cube = feature_cube(spec, states.values)
+        features = spline_features(spec, states.values)
     except Exception as err:  # record and continue with the sweep
         for job in jobs:
             _fail(config, job, err)
@@ -349,7 +351,7 @@ def _solve_group(get_paths, config: ScenarioConfig, market: MarketParams,
             started = time.perf_counter()
             solutions = run_model_based_batch(paths, kind, batch, basis_spec=spec,
                                               regularizer=config.regularizer,
-                                              features=cube)
+                                              features=features)
             per_contract = (time.perf_counter() - started) / len(batch)
         except Exception as err:  # record and continue with the sweep
             for key in batch:
@@ -359,7 +361,7 @@ def _solve_group(get_paths, config: ScenarioConfig, market: MarketParams,
         for (strike, risk), solution in zip(batch, solutions):
             for job in contracts[strike, risk]:
                 _finish_job(config, job, solution, per_contract, paths, states,
-                            spec, cube, risk)
+                            spec, features, risk)
         # Free this pass's arrays before the next pass allocates its own.
         del solutions, solution
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FeatureMatrix, StepFeatures, feature_cube
+from .basis import BasisSpec, FeatureMatrix, SplineFeatures, feature_cube, step_features
 from .market import PathSet, StateKind, StateSeries
 from .numerics import (
     DEFAULT_RIDGE_REL,
@@ -185,13 +185,8 @@ def build_offline_dataset(paths: PathSet, states: StateSeries,
     )
 
 
-def psi_features(action: float, phi_x: np.ndarray) -> np.ndarray:
-    """Action-state feature vector [phi, a*phi, (a^2/2)*phi], length 3N."""
-    phi_x = np.asarray(phi_x, dtype=float)
-    return np.concatenate([phi_x, action * phi_x, 0.5 * action**2 * phi_x])
-
-
 def _psi_matrix(actions_t: np.ndarray, features_t: np.ndarray) -> np.ndarray:
+    """Action-state features, row k = [phi_k, a_k phi_k, (a_k^2 / 2) phi_k]."""
     a = actions_t[:, np.newaxis]
     return np.hstack([features_t, a * features_t, 0.5 * a**2 * features_t])
 
@@ -279,13 +274,15 @@ def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
 def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
             gamma: float | None = None,
             regularizer: float | None = None,
-            features: np.ndarray | None = None,
+            features: np.ndarray | SplineFeatures | None = None,
             greedy_update: bool = False) -> FQISolution:
     """Backward fitted Q iteration over the whole dataset.
 
     The terminal value column comes from the known payoff; every earlier
     column is fitted from the recorded tuples. The time-0 price is the
-    negative average of the initial values.
+    negative average of the initial values. ``features`` is a dense
+    (T+1, K, N) cube or SplineFeatures, whose steps are densified one
+    slab at a time.
     """
     if gamma is None:
         gamma = dataset.risk.gamma
@@ -300,7 +297,7 @@ def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
     for t in range(n_steps - 1, -1, -1):
         w_list[t], q_values[:, t], n_fb = fqi_backward_step(
             dataset.actions[:, t], dataset.rewards[:, t],
-            StepFeatures(features[t]), q_values[:, t + 1], gamma,
+            step_features(features, t), q_values[:, t + 1], gamma,
             regularizer, greedy_update,
         )
         fallbacks += n_fb
@@ -315,7 +312,8 @@ def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
 
 def fqi_from_hedges(paths: PathSet, states: StateSeries, hedges: np.ndarray,
                     noise: float, strike: float, risk: RiskParams,
-                    basis_spec: BasisSpec, features: np.ndarray | None = None,
+                    basis_spec: BasisSpec,
+                    features: np.ndarray | SplineFeatures | None = None,
                     regularizer: float | None = None
                     ) -> tuple[OfflineDataset, FQISolution]:
     """Fitted Q on ``hedges`` perturbed by noise the path seed fixes and

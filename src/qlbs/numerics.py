@@ -128,6 +128,36 @@ class RowBand:
             gram[i + d, i] = sums
         return gram
 
+    def rhs(self, targets: np.ndarray) -> np.ndarray:
+        """targets @ M: one bincount over the band per row of targets.
+
+        (K,) targets give (n_cols,), (C, K) targets give (C, n_cols).
+        """
+        targets = np.asarray(targets)
+        columns = self.columns.ravel()
+        sums = [np.bincount(columns, (self.values * row).ravel(), self.n_cols)
+                for row in targets.reshape(-1, targets.shape[-1])]
+        return np.reshape(sums, targets.shape[:-1] + (self.n_cols,))
+
+    def fitted(self, coefficients: np.ndarray) -> np.ndarray:
+        """coefficients @ M^T, summed over the band positions.
+
+        (n_cols,) coefficients give (K,), (C, n_cols) give (C, K).
+        """
+        coefficients = np.asarray(coefficients)
+        out = coefficients[..., self.columns[0]] * self.values[0]
+        for p in range(1, self.width):
+            out += coefficients[..., self.columns[p]] * self.values[p]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The (K, n_cols) matrix the band holds."""
+        n_rows = self.values.shape[1]
+        out = np.zeros((n_rows, self.n_cols))
+        np.put(out, self.columns + np.arange(0, n_rows * self.n_cols, self.n_cols),
+               self.values)
+        return out
+
 
 def row_band(matrix: np.ndarray) -> RowBand:
     """The narrowest common band that holds every nonzero of each row.

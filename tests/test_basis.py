@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlbs import basis
 from qlbs.basis import (
     BasisSpec,
+    SplineFeatures,
     StepFeatures,
     basis_values,
-    eval_basis,
     feature_cube,
-    feature_matrix,
     make_spec,
+    spline_features,
 )
 
 from conftest import GOLDEN_DOMAIN, GOLDEN_PHI2, GOLDEN_PRICES
@@ -70,22 +73,120 @@ def guarded_basis_values(spec, points):
     return out
 
 
-class TestMatchesGuardedRecursion:
-    @staticmethod
-    def probe_points(spec, rng):
-        width = spec.hi - spec.lo
-        return np.concatenate([
-            spec.knots, [spec.lo, spec.hi],
-            [spec.lo - 1.0, spec.hi + 1.0, spec.lo - 10 * width, spec.hi + 10 * width],
-            rng.uniform(spec.lo, spec.hi, 200),
-        ])
+def whole_array_basis_values(spec, points):
+    """Cox-de Boor over all points at once with one 2-D scatter: the
+    evaluation before it was split into blocks of bounded scratch."""
+    x = np.clip(np.asarray(points, dtype=float).ravel(), spec.lo, spec.hi)
+    t = spec.knots
+    p = spec.degree
+    n = spec.n_basis
+    span = np.searchsorted(t, x, side="right") - 1
+    span = np.clip(span, p, n - 1)
+    m = x.size
+    values = np.empty((p + 1, m))
+    values[0] = 1.0
+    left = np.empty((p + 1, m))
+    right = np.empty((p + 1, m))
+    for j in range(1, p + 1):
+        left[j] = x - t[span + 1 - j]
+        right[j] = t[span + j] - x
+        saved = 0.0
+        for i in range(j):
+            ratio = values[i] / (right[i + 1] + left[j - i])
+            values[i] = saved + right[i + 1] * ratio
+            saved = left[j - i] * ratio
+        values[j] = saved
+    out = np.zeros((m, n))
+    rows = np.arange(m)[:, np.newaxis]
+    cols = span[:, np.newaxis] - p + np.arange(p + 1)[np.newaxis, :]
+    out[rows, cols] = values.T
+    return out
 
+
+def probe_points(spec, rng, size=0):
+    """Every knot, lo and hi, points beyond both ends, then uniform draws
+    up to ``size`` points in all."""
+    width = spec.hi - spec.lo
+    edges = np.concatenate([
+        spec.knots, [spec.lo, spec.hi],
+        [spec.lo - 1.0, spec.hi + 1.0, spec.lo - 10 * width, spec.hi + 10 * width],
+    ])
+    draws = rng.uniform(spec.lo, spec.hi, max(size - edges.size, 200 * (size == 0)))
+    return np.concatenate([edges, draws])
+
+
+class TestBlockedEvaluation:
+    # 13 paths x 5 times = 65 points in blocks of 16: blocks end inside a
+    # time step, and the last block holds the single point 64.
+    N_PATHS, N_TIMES, BLOCK = 13, 5, 16
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        def set_order(order):
+            monkeypatch.setattr(basis, "_BLOCK_DOUBLES", self.BLOCK * order)
+        return set_order
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_blocks_match_whole_array_evaluation(self, order, small_blocks):
+        spec = make_spec(-1.5, 2.5, n_basis=order + 9, order=order)
+        points = probe_points(spec, np.random.default_rng(order),
+                              self.N_PATHS * self.N_TIMES)
+        rng = np.random.default_rng(50 + order)
+        states = rng.permutation(points).reshape(self.N_PATHS, self.N_TIMES)
+        want = whole_array_basis_values(spec, states.T.ravel())
+        small_blocks(order)
+        sizes = [b.size for _, b, _ in basis._spline_blocks(spec, states.T.ravel())]
+        assert sizes == [16, 16, 16, 16, 1]
+        assert np.array_equal(basis_values(spec, states.T.ravel()), want)
+        cube = want.reshape(self.N_TIMES, self.N_PATHS, spec.n_basis)
+        assert np.array_equal(feature_cube(spec, states), cube)
+        compact = spline_features(spec, states)
+        assert compact.first.shape == (self.N_TIMES, self.N_PATHS)
+        assert compact.values.shape == (self.N_TIMES, order, self.N_PATHS)
+        assert compact.shape == cube.shape
+        assert np.array_equal(compact.dense(), cube)
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_default_budget_matches_whole_array_evaluation(self, order):
+        spec = make_spec(-1.5, 2.5, n_basis=order + 9, order=order)
+        x = probe_points(spec, np.random.default_rng(order))
+        assert np.array_equal(basis_values(spec, x), whole_array_basis_values(spec, x))
+
+    @pytest.mark.parametrize("n_basis, order", [(12, 4), (100, 1), (100, 10)])
+    def test_compact_densifies_to_the_feature_cube(self, n_basis, order):
+        states = np.random.default_rng(order).normal(size=(300, 7)).cumsum(axis=1)
+        spec = make_spec(states.min(), states.max(), n_basis, order)
+        compact = spline_features(spec, states)
+        cube = feature_cube(spec, states)
+        assert np.array_equal(compact.dense(), cube)
+        for t in range(7):
+            assert np.array_equal(compact.band(t).dense(), cube[t])
+
+    def test_feature_cube_peak_is_its_output_plus_bounded_scratch(self, monkeypatch):
+        # 40k points at N = 100, order 10: a 32 MB cube. Whole-array
+        # scratch would add about 13 MB; each block's arrays are bounded
+        # by the budget, set here to 2**16 doubles (0.5 MB).
+        budget = 2**16
+        monkeypatch.setattr(basis, "_BLOCK_DOUBLES", budget)
+        states = np.random.default_rng(9).normal(size=(4000, 10))
+        spec = make_spec(states.min(), states.max(), n_basis=100, order=10)
+        tracemalloc.start()
+        try:
+            cube = feature_cube(spec, states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = cube.nbytes + states.nbytes + 8 * 8 * budget
+        assert peak <= bound, f"peak {peak / 1e6:.1f} MB above {bound / 1e6:.1f} MB"
+
+
+class TestMatchesGuardedRecursion:
     @pytest.mark.parametrize("order", range(1, 11))
     def test_uniform_knots(self, order):
         rng = np.random.default_rng(order)
         for n_basis in (order, order + 1, order + 9):
             spec = make_spec(-1.5, 2.5, n_basis=n_basis, order=order)
-            x = self.probe_points(spec, rng)
+            x = probe_points(spec, rng)
             assert np.array_equal(basis_values(spec, x), guarded_basis_values(spec, x))
 
     @pytest.mark.parametrize("order", range(1, 11))
@@ -94,7 +195,7 @@ class TestMatchesGuardedRecursion:
         interior = [0.1, 0.35, 0.35, 0.9]
         knots = np.concatenate([np.zeros(order), interior, np.ones(order)])
         spec = BasisSpec(knots=knots, n_basis=len(interior) + order, order=order)
-        x = self.probe_points(spec, np.random.default_rng(100 + order))
+        x = probe_points(spec, np.random.default_rng(100 + order))
         values = basis_values(spec, x)
         assert np.array_equal(values, guarded_basis_values(spec, x))
         assert np.allclose(values.sum(axis=1), 1.0, atol=1e-12)
@@ -154,7 +255,7 @@ class TestMakeSpec:
         assert np.array_equal(np.round(values, 2), GOLDEN_PHI2)
 
 
-class TestEvalBasis:
+class TestBasisValues:
     @settings(max_examples=60, deadline=None)
     @given(
         lo=st.floats(-50, 50),
@@ -165,26 +266,27 @@ class TestEvalBasis:
     )
     def test_partition_of_unity(self, lo, width, n_extra, order, u):
         spec = make_spec(lo, lo + width, n_basis=order + n_extra, order=order)
-        row = eval_basis(spec, lo + u * width)
+        row = basis_values(spec, [lo + u * width])[0]
         assert abs(row.sum() - 1.0) <= 1e-12
         assert np.all(row >= 0.0)
 
     def test_left_endpoint_interpolation(self):
         spec = make_spec(2.0, 5.0, n_basis=6, order=4)
-        row = eval_basis(spec, spec.lo)
+        row = basis_values(spec, [spec.lo])[0]
         assert row[0] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(row[1:], 0.0, atol=1e-12)
 
     def test_right_endpoint_interpolation(self):
         spec = make_spec(2.0, 5.0, n_basis=6, order=4)
-        row = eval_basis(spec, spec.hi)
+        row = basis_values(spec, [spec.hi])[0]
         assert row[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(row[:-1], 0.0, atol=1e-12)
 
     def test_clamping_beyond_domain(self):
         spec = make_spec(0.0, 1.0, n_basis=5, order=3)
-        assert np.array_equal(eval_basis(spec, -10.0), eval_basis(spec, spec.lo))
-        assert np.array_equal(eval_basis(spec, 10.0), eval_basis(spec, spec.hi))
+        values = basis_values(spec, [-10.0, spec.lo, 10.0, spec.hi])
+        assert np.array_equal(values[0], values[1])
+        assert np.array_equal(values[2], values[3])
 
     def test_against_recursive_oracle(self):
         rng = np.random.default_rng(42)
@@ -192,7 +294,7 @@ class TestEvalBasis:
             for n_basis in (order, order + 1, order + 5):
                 spec = make_spec(-3.0, 7.0, n_basis=n_basis, order=order)
                 for x in rng.uniform(spec.lo, spec.hi, size=20):
-                    mine = eval_basis(spec, float(x))
+                    mine = basis_values(spec, [float(x)])[0]
                     oracle = naive_basis_row(spec, float(x))
                     assert np.allclose(mine, oracle, atol=1e-12)
 
@@ -206,7 +308,7 @@ class TestEvalBasis:
     def test_local_support(self):
         spec = make_spec(0.0, 1.0, n_basis=10, order=3)
         for x in np.linspace(0.01, 0.99, 17):
-            row = eval_basis(spec, float(x))
+            row = basis_values(spec, [float(x)])[0]
             nonzero = np.flatnonzero(row > 1e-14)
             assert nonzero.size <= spec.order
             assert np.all(np.diff(nonzero) == 1)
@@ -231,21 +333,21 @@ class TestEvalBasis:
 
     def test_order_one_is_piecewise_constant(self):
         spec = make_spec(0.0, 1.0, n_basis=4, order=1)
-        assert np.allclose(eval_basis(spec, 0.1), [1, 0, 0, 0])
-        assert np.allclose(eval_basis(spec, 0.99), [0, 0, 0, 1])
-        assert np.allclose(eval_basis(spec, spec.hi), [0, 0, 0, 1])
+        assert np.allclose(basis_values(spec, [0.1])[0], [1, 0, 0, 0])
+        assert np.allclose(basis_values(spec, [0.99])[0], [0, 0, 0, 1])
+        assert np.allclose(basis_values(spec, [spec.hi])[0], [0, 0, 0, 1])
 
 
-class TestFeatureMatrix:
+class TestFeatureCube:
     def test_constant_states_give_identical_rows(self):
         spec = make_spec(0.0, 1.0, n_basis=5, order=3)
-        fm = feature_matrix(spec, np.full(7, 0.4))
-        assert np.allclose(fm.values, fm.values[0])
+        values = basis_values(spec, np.full(7, 0.4))
+        assert np.array_equal(values, np.broadcast_to(values[0], values.shape))
 
     def test_rows_sum_to_one(self):
         spec = make_spec(-2.0, 2.0, n_basis=8, order=4)
-        fm = feature_matrix(spec, np.linspace(-3, 3, 50))
-        assert np.allclose(fm.values.sum(axis=1), 1.0, atol=1e-12)
+        values = basis_values(spec, np.linspace(-3, 3, 50))
+        assert np.allclose(values.sum(axis=1), 1.0, atol=1e-12)
 
     def test_feature_cube_layout(self):
         spec = make_spec(0.0, 1.0, n_basis=5, order=2)
@@ -307,3 +409,47 @@ class TestStepFeatures:
         values[17, np.flatnonzero(values[17])[0]] = bad
         with pytest.raises(ValueError, match="feature matrix must be finite"):
             StepFeatures(values).gram(np.ones(1000))
+
+    @pytest.mark.parametrize("n_basis, order, banded", [
+        (12, 4, False),
+        (49, 1, False),   # too few columns for the band
+        (50, 5, True),
+        (50, 6, False),   # order 6 is more than a tenth of 50 columns
+        (100, 1, True),
+        (100, 10, True),
+        (100, 11, False),
+    ])
+    def test_compact_steps(self, n_basis, order, banded):
+        rng = np.random.default_rng(n_basis + order)
+        states = rng.normal(size=(2000, 3))
+        spec = make_spec(states.min(), states.max(), n_basis, order)
+        step = spline_features(spec, states).step(1)
+        dense = feature_cube(spec, states)[1]
+        weights, targets = rng.normal(size=2000), rng.normal(size=(3, 2000))
+        coefficients = rng.normal(size=(3, n_basis))
+        assert (step.band is not None) == banded
+        if banded:
+            assert step.band.width == order
+            reference, tol = StepFeatures(dense), 1e-13
+            reference.band = None  # plain dense products
+        else:
+            # A densified slab takes a dense cube's products: bit-identical.
+            assert np.array_equal(step.values, dense)
+            reference, tol = StepFeatures(dense), 0.0
+        for method, argument in [("gram", weights), ("rhs", targets),
+                                 ("rhs", targets[0]), ("fitted", coefficients),
+                                 ("fitted", coefficients[0])]:
+            got = getattr(step, method)(argument)
+            want = getattr(reference, method)(argument)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), method
+        assert np.array_equal(step.values, dense)
+
+    @pytest.mark.parametrize("n_basis", [12, 100])
+    def test_nonfinite_compact_feature_rejected(self, n_basis):
+        states = np.random.default_rng(7).normal(size=(1000, 3))
+        spec = make_spec(states.min(), states.max(), n_basis, 3)
+        compact = spline_features(spec, states)
+        compact.values[2, 1, 17] = np.nan
+        with pytest.raises(ValueError, match="feature matrix must be finite"):
+            compact.step(2).gram(np.ones(1000))

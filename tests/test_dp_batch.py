@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlbs.basis import feature_cube, spec_for_states
+from qlbs.basis import feature_cube, spec_for_states, spline_features
 from qlbs.dp import RiskParams, run_model_based, run_model_based_batch
 from qlbs.experiments import Scenario, ScenarioConfig, run_scenario
 from qlbs.fqi import build_offline_dataset, perturb_actions, run_fqi
@@ -191,10 +191,13 @@ def dense_gram_reference(paths, cube, strike, risk):
 
 
 class TestLargeBasisMatchesDenseGrams:
-    # N = 100 takes the banded Gram assembly at every one of these orders.
+    # N = 100 takes the banded Gram assembly at every one of these orders;
+    # from SplineFeatures it also forms right-hand sides and fitted values
+    # band-wise.
+    @pytest.mark.parametrize("compact", [False, True], ids=["dense", "compact"])
     @pytest.mark.parametrize("order", [1, 3, 10])
     @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
-    def test_price_and_hedge(self, kind, order):
+    def test_price_and_hedge(self, kind, order, compact):
         market = replace(MARKET, n_paths=3000, seed=7)
         paths = simulate_gbm(market)
         states = compute_states(paths, kind).values
@@ -202,10 +205,58 @@ class TestLargeBasisMatchesDenseGrams:
         cube = feature_cube(spec, states)
         risk = RiskParams.from_rate(1e-3, market.r, market.dt)
         got = run_model_based(paths, kind, 100.0, risk, basis_spec=spec,
-                              features=cube)
+                              features=spline_features(spec, states) if compact else cube)
         price, hedge = dense_gram_reference(paths, cube, 100.0, risk)
         assert abs(got.price_t0 - price) <= TOL
         assert abs(got.hedge_t0 - hedge) <= TOL
+
+
+class TestSplineFeatures:
+    """The solvers on SplineFeatures against the same features as a dense cube."""
+
+    @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
+    def test_small_basis_is_bit_identical(self, kind):
+        paths = simulate_gbm(replace(MARKET, n_paths=2000))
+        states = compute_states(paths, kind)
+        spec = spec_for_states(states.values, n_basis=12, order=4)
+        cube = feature_cube(spec, states.values)
+        compact = spline_features(spec, states.values)
+        contracts = [(z, RiskParams.from_rate(lam, MARKET.r, MARKET.dt))
+                     for z in (60.0, 100.0) for lam in (1e-4, 1e-3)]
+        runs = [run_model_based_batch(paths, kind, contracts, basis_spec=spec,
+                                      features=features)
+                for features in (cube, compact)]
+        for want, got in zip(*runs):
+            assert got.price_t0 == want.price_t0
+            assert got.hedge_t0 == want.hedge_t0
+            for name in ("hedges", "q_values", "phi", "omega"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        noisy = perturb_actions(runs[0][0].hedges, 0.2, seed=5)
+        noisy[:, -1] = 0.0
+        dataset = build_offline_dataset(paths, states, noisy, 60.0, contracts[0][1])
+        want, got = (run_fqi(dataset, spec, features=f) for f in (cube, compact))
+        assert got.price_t0 == want.price_t0
+        assert np.array_equal(got.q_values, want.q_values)
+        for got_w, want_w in zip(got.w, want.w):
+            assert np.array_equal(got_w.values, want_w.values)
+
+    # Four contracts at N = 100: order 1 forms products band-wise, order
+    # 10 densifies each step for them; both assemble Grams from bands.
+    @pytest.mark.parametrize("order", [1, 10])
+    def test_large_basis_batch_matches_dense_cube(self, order):
+        kind, paths = StateKind.LOG_RETURN, simulate_gbm(replace(MARKET, n_paths=2000))
+        states = compute_states(paths, kind).values
+        spec = spec_for_states(states, n_basis=100, order=order)
+        contracts = [(z, RiskParams.from_rate(1e-3, MARKET.r, MARKET.dt))
+                     for z in (60.0, 90.0, 100.0, 125.0)]
+        runs = [run_model_based_batch(paths, kind, contracts, basis_spec=spec,
+                                      features=features)
+                for features in (feature_cube(spec, states),
+                                 spline_features(spec, states))]
+        for want, got in zip(*runs):
+            assert abs(got.price_t0 - want.price_t0) <= TOL
+            for name in MATRICES:
+                assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= TOL
 
 
 class TestBatchValidation:

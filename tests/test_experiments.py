@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from qlbs import experiments
+from qlbs.basis import spec_for_states
 from qlbs.dp import RiskParams, run_model_based
 from qlbs.experiments import (
     FREQUENCY_STEPS,
@@ -16,7 +19,14 @@ from qlbs.experiments import (
     run_scenario,
     terminal_wealth,
 )
-from qlbs.market import MarketParams, StateKind, simulate_gbm, table_to_pathset
+from qlbs.market import (
+    MarketParams,
+    StateKind,
+    StateSeries,
+    compute_states,
+    simulate_gbm,
+    table_to_pathset,
+)
 
 
 def flat_hedge_paths():
@@ -177,6 +187,25 @@ class TestRunScenario:
         assert table.errors
         assert len(table.rows) == 4  # error rows still emitted per method
 
+    @pytest.mark.parametrize("n_basis", [12, 100])
+    def test_nan_state_gives_error_rows(self, monkeypatch, n_basis):
+        # One NaN state, with the basis spanning the finite ones: the
+        # compact features hold NaNs, which the first Gram rejects.
+        def nan_states(paths, kind):
+            values = compute_states(paths, kind).values.copy()
+            values[7, 3] = np.nan
+            return StateSeries(values=values, kind=kind)
+
+        def finite_spec(values, **basis):
+            return spec_for_states(values[np.isfinite(values)], **basis)
+
+        monkeypatch.setattr(experiments, "compute_states", nan_states)
+        monkeypatch.setattr(experiments, "spec_for_states", finite_spec)
+        config = small_config(scenario=Scenario.SINGLE, n_basis=n_basis, order=3)
+        table = run_scenario(config)
+        assert len(table.rows) == 4
+        assert table.errors == ["feature matrix must be finite"] * 4
+
     def test_basis_sensitivity_shape(self):
         config = small_config(scenario=Scenario.BASIS_SENSITIVITY,
                               sweep={"basis_sizes": [6], "orders": [1, 3]})
@@ -203,6 +232,25 @@ class TestReports:
         assert loaded.columns == table.columns
         assert loaded.rows == table.rows
         assert loaded.meta == table.meta
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_json_round_trip_of_any_table(self, tmp_path, data):
+        scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                            st.floats(allow_nan=False, allow_infinity=False),
+                            st.text())
+        values = st.recursive(scalars, lambda inner: st.one_of(
+            st.lists(inner, max_size=3), st.dictionaries(st.text(), inner, max_size=3)),
+            max_leaves=8)
+        columns = data.draw(st.lists(st.text(), unique=True, max_size=6))
+        rows = data.draw(st.lists(st.lists(scalars, min_size=len(columns),
+                                           max_size=len(columns)), max_size=5))
+        meta = data.draw(st.dictionaries(st.text(), values, max_size=4))
+        dest = tmp_path / "report.json"
+        emit_report(ResultTable(columns=columns, rows=rows, meta=meta), dest, "json")
+        loaded = load_report(dest)
+        assert (loaded.columns, loaded.rows, loaded.meta) == (columns, rows, meta)
 
     @pytest.mark.parametrize("payload, message", [
         ([["a"], [[1]]], r"expected a JSON object, got list"),

@@ -13,12 +13,12 @@ from qlbs import fqi as fqi_module
 from qlbs.fqi import (
     OfflineDataset,
     WMatrix,
+    _psi_matrix,
     build_offline_dataset,
     fqi_backward_step,
     greedy_action,
     load_dataset,
     perturb_actions,
-    psi_features,
     run_fqi,
     save_dataset,
 )
@@ -112,34 +112,36 @@ class TestBuildOfflineDataset:
         assert np.allclose(dataset.terminal_q(), dp.q_values[:, -1], atol=1e-12)
 
 
-class TestPsiFeatures:
+class TestPsiMatrix:
     def test_zero_action(self):
-        phi = np.array([0.2, 0.5, 0.3])
-        psi = psi_features(0.0, phi)
-        assert np.array_equal(psi[:3], phi)
-        assert np.all(psi[3:] == 0.0)
+        phi = np.array([[0.2, 0.5, 0.3]])
+        psi = _psi_matrix(np.zeros(1), phi)
+        assert np.array_equal(psi[0, :3], phi[0])
+        assert np.all(psi[0, 3:] == 0.0)
 
     def test_unit_basis_pattern(self):
-        phi = np.array([1.0, 0.0, 0.0, 0.0])
-        psi = psi_features(1.0, phi)
+        phi = np.array([[1.0, 0.0, 0.0, 0.0]])
+        psi = _psi_matrix(np.ones(1), phi)
         expected = np.zeros(12)
         expected[0] = 1.0
         expected[4] = 1.0
         expected[8] = 0.5
-        assert np.array_equal(psi, expected)
+        assert np.array_equal(psi[0], expected)
 
     def test_bilinear_identity(self):
         # Flattened-coefficient dot product equals the bilinear form
-        # [1, a, a^2/2] W phi.
+        # [1, a, a^2/2] W phi, row by row.
         rng = np.random.default_rng(8)
         for _ in range(30):
             n = rng.integers(2, 9)
             w = rng.normal(size=(3, n))
-            phi = rng.normal(size=n)
-            a = rng.normal() * 3
-            direct = np.array([1.0, a, 0.5 * a * a]) @ w @ phi
-            flattened = w.reshape(-1) @ psi_features(a, phi)
-            assert abs(direct - flattened) <= 1e-12 * max(1.0, abs(direct))
+            phi = rng.normal(size=(4, n))
+            a = rng.normal(size=4) * 3
+            direct = np.einsum("ki,ij,kj->k", np.stack([np.ones(4), a, 0.5 * a * a], 1),
+                               w, phi)
+            flattened = _psi_matrix(a, phi) @ w.reshape(-1)
+            assert np.all(np.abs(direct - flattened)
+                          <= 1e-12 * np.maximum(1.0, np.abs(direct)))
 
 
 class TestGreedyAction:

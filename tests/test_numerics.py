@@ -215,3 +215,20 @@ class TestRowBandGram:
         band = row_band(matrix)
         assert band.width == 13
         assert np.isnan(band.gram()[9, 9]) and np.isinf(band.gram()[15, 15])
+
+
+class TestRowBandProducts:
+    @pytest.mark.parametrize("n_cols, width", [(1, 1), (40, 3), (100, 10)])
+    def test_rhs_fitted_and_dense(self, n_cols, width):
+        rng = np.random.default_rng(10 * n_cols + width)
+        matrix = banded_matrix(rng, 400, n_cols, width)
+        band = row_band(matrix)
+        assert np.array_equal(band.dense(), matrix)
+        targets = rng.normal(size=(3, 400))
+        coefficients = rng.normal(size=(3, n_cols))
+        for got, want in [(band.rhs(targets), targets @ matrix),
+                          (band.rhs(targets[1]), targets[1] @ matrix),
+                          (band.fitted(coefficients), coefficients @ matrix.T),
+                          (band.fitted(coefficients[1]), coefficients[1] @ matrix.T)]:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -7,10 +7,11 @@ Run from the repository root. For every workload in ``BENCHMARK.json``
 the record keeps the last JSON line of ``perfbench/run.py`` (end-to-end,
 ``--trace 0``, the file's ``run_seconds``), run from this checkout and
 from the parent's, in pairs that alternate which side runs first. The
-claim workload runs ten pairs and the others three. Each workload gets
-the medians, the parent's interquartile range and the pairs the change
-won per metric. The record also holds each side's tier-1 wall time and
-every acceptance criterion's call time from ``pytest --durations``.
+claim workload runs ten pairs and the others three. Each workload gets,
+per metric, the medians, each side's minimum and maximum, the parent's
+interquartile range and the pairs the change won. The record also holds
+each side's tier-1 wall time and every acceptance criterion's call time
+from ``pytest --durations``.
 """
 from __future__ import annotations
 
@@ -60,7 +61,9 @@ def tier1(checkout: Path) -> dict:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: medians, the parent's quartile spread, pairs the change won."""
+    """Per metric: medians, each side's range, the parent's quartile spread
+    and the pairs the change won. The ranges show a bimodal metric without
+    reading every run."""
     sides = {"parent": {}, "change": {}}
     for run in runs:
         sides[run["side"]][run["pair"]] = run["result"]["metrics"]
@@ -74,7 +77,11 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                   for p, m in sides["parent"].items())
         out[name] = {"parent_median": round(statistics.median(parent), 4),
                      "parent_iqr": round(q3 - q1, 4),
+                     "parent_min": round(min(parent), 4),
+                     "parent_max": round(max(parent), 4),
                      "change_median": round(statistics.median(change), 4),
+                     "change_min": round(min(change), 4),
+                     "change_max": round(max(change), 4),
                      "change_better_pairs": f"{won}/{len(parent)}"}
     return out
 
