@@ -103,16 +103,14 @@ def whole_array_basis_values(spec, points):
     return out
 
 
-def probe_points(spec, rng, size=0):
-    """Every knot, lo and hi, points beyond both ends, then uniform draws
-    up to ``size`` points in all."""
+def probe_points(spec, rng, n_draws=200):
+    """Every knot, lo and hi, points beyond both ends, then uniform draws."""
     width = spec.hi - spec.lo
-    edges = np.concatenate([
+    return np.concatenate([
         spec.knots, [spec.lo, spec.hi],
         [spec.lo - 1.0, spec.hi + 1.0, spec.lo - 10 * width, spec.hi + 10 * width],
+        rng.uniform(spec.lo, spec.hi, n_draws),
     ])
-    draws = rng.uniform(spec.lo, spec.hi, max(size - edges.size, 200 * (size == 0)))
-    return np.concatenate([edges, draws])
 
 
 class TestBlockedEvaluation:
@@ -129,9 +127,9 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("order", range(1, 11))
     def test_blocks_match_whole_array_evaluation(self, order, small_blocks):
         spec = make_spec(-1.5, 2.5, n_basis=order + 9, order=order)
-        points = probe_points(spec, np.random.default_rng(order),
-                              self.N_PATHS * self.N_TIMES)
-        rng = np.random.default_rng(50 + order)
+        rng = np.random.default_rng(order)
+        # The knots and edge points take n_basis + order + 6 of the 65.
+        points = probe_points(spec, rng, 65 - (spec.n_basis + order + 6))
         states = rng.permutation(points).reshape(self.N_PATHS, self.N_TIMES)
         want = whole_array_basis_values(spec, states.T.ravel())
         small_blocks(order)
