@@ -112,27 +112,14 @@ def _band_pays(n_basis: int, width: int) -> bool:
     return n_basis >= _BANDED_MIN_BASIS and _BANDED_MAX_WIDTH_SHARE * width <= n_basis
 
 
-# Band-wise right-hand sides and fitted values for C contracts take about
-# C * width passes over the rows; a densified slab costs one scatter and
-# then BLAS products. Whole DP passes from SplineFeatures at N = 100 on
-# 10k x 24 paths (2 cores), seconds band-wise / densified:
-#   width 1: C = 16 0.17 / 0.25, C = 40 0.42 / 0.43
-#   width 3: C = 4 0.10 / 0.13, C = 16 0.27 / 0.25
-#   width 5: C = 4 0.14 / 0.15, C = 8 0.24 / 0.20
-#   width 10: C = 1 0.14 / 0.20, C = 2 0.30 / 0.22
-# So products are band-wise while C * width is at most 16.
-_BAND_PRODUCTS_MAX = 16
-
-
 class StepFeatures:
     """One time step's (K, n_basis) features, unchecked.
 
     The backward passes pass one per step where a FeatureMatrix would go,
     so no slab is copied or scanned. It holds a dense slab, or only the
     row band of compact features (see :meth:`SplineFeatures.step`); then
-    right-hand sides and fitted values for few contracts are formed
-    band-wise, and :attr:`values` densifies the slab on first use for
-    the others.
+    right-hand sides and fitted values are formed band-wise, and
+    :attr:`values` densifies the slab only for a caller that asks for it.
 
     A nonfinite feature is caught by :meth:`gram`: the diagonal entry
     sum_k r_k^2 f_kj^2 is nonfinite exactly when column j holds one (or a
@@ -172,23 +159,17 @@ class StepFeatures:
             raise ValueError("feature matrix must be finite")
         return gram
 
-    def _band_products(self, rows: np.ndarray) -> bool:
-        """Whether products with these (C, .) or (.,) rows go band-wise."""
-        n_contracts = rows.size // rows.shape[-1]
-        return (self._dense is None
-                and n_contracts * self._band.width <= _BAND_PRODUCTS_MAX)
-
     def rhs(self, targets: np.ndarray) -> np.ndarray:
         """targets @ F: (K,) targets give (n_basis,), (C, K) give (C, n_basis)."""
-        if self._band_products(targets):
+        if self._dense is None:
             return self._band.rhs(targets)
-        return targets @ self.values
+        return targets @ self._dense
 
     def fitted(self, coefficients: np.ndarray) -> np.ndarray:
         """coefficients @ F^T: (n_basis,) give (K,), (C, n_basis) give (C, K)."""
-        if self._band_products(coefficients):
+        if self._dense is None:
             return self._band.fitted(coefficients)
-        return coefficients @ self.values.T
+        return coefficients @ self._dense.T
 
 
 @dataclass(frozen=True)
@@ -224,10 +205,6 @@ class SplineFeatures:
         if _band_pays(self.n_basis, band.width):
             return StepFeatures(None, band)
         return StepFeatures(band.dense())
-
-    def dense(self) -> np.ndarray:
-        """The dense (T+1, K, n_basis) cube."""
-        return np.array([self.band(t).dense() for t in range(self.shape[0])])
 
 
 def step_features(features, t: int) -> StepFeatures:

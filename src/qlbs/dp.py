@@ -223,10 +223,10 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
     Each step's features are read unchecked (see StepFeatures). A large
     basis whose rows are narrow bands, such as N = 100 splines, assembles
     both Grams from each row's band; smaller ones use one dense product
-    each. Given SplineFeatures, such a step reads the bands directly and,
-    for a pass of few contracts, forms right-hand sides and fitted values
-    band-wise too, without a (K, N) slab. Other steps densify their slab;
-    below 50 functions their numbers equal a dense cube's.
+    each. Given SplineFeatures, such a step reads the bands directly and
+    forms right-hand sides and fitted values band-wise too, without a
+    (K, N) slab. Other steps densify their slab; below 50 functions their
+    numbers equal a dense cube's.
 
     When no basis spec is given, the default clamped basis is built over
     the global range of the chosen state. Precomputed features, a dense

@@ -240,23 +240,32 @@ class TestSplineFeatures:
         for got_w, want_w in zip(got.w, want.w):
             assert np.array_equal(got_w.values, want_w.values)
 
-    # Four contracts at N = 100: order 1 forms products band-wise, order
-    # 10 densifies each step for them; both assemble Grams from bands.
+    # Four contracts at N = 100: Grams, right-hand sides and fitted values
+    # all come from the bands. At order 10 on 2000 paths the Grams are so
+    # ill-conditioned that any change in summation order moves the
+    # per-path matrices by up to about 3e-8 (cash); batching the dense
+    # cube's contracts moves them as much. So the matrices are held to a
+    # few times that spread of the dense solver against itself.
     @pytest.mark.parametrize("order", [1, 10])
     def test_large_basis_batch_matches_dense_cube(self, order):
         kind, paths = StateKind.LOG_RETURN, simulate_gbm(replace(MARKET, n_paths=2000))
         states = compute_states(paths, kind).values
         spec = spec_for_states(states, n_basis=100, order=order)
+        cube = feature_cube(spec, states)
         contracts = [(z, RiskParams.from_rate(1e-3, MARKET.r, MARKET.dt))
                      for z in (60.0, 90.0, 100.0, 125.0)]
         runs = [run_model_based_batch(paths, kind, contracts, basis_spec=spec,
                                       features=features)
-                for features in (feature_cube(spec, states),
-                                 spline_features(spec, states))]
-        for want, got in zip(*runs):
+                for features in (cube, spline_features(spec, states))]
+        singles = [run_model_based(paths, kind, z, risk, basis_spec=spec, features=cube)
+                   for z, risk in contracts]
+        for want, got, single in zip(*runs, singles):
             assert abs(got.price_t0 - want.price_t0) <= TOL
+            assert abs(got.hedge_t0 - want.hedge_t0) <= TOL
             for name in MATRICES:
-                assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= TOL
+                want_m, got_m = getattr(want, name), getattr(got, name)
+                spread = np.max(np.abs(getattr(single, name) - want_m))
+                assert np.max(np.abs(got_m - want_m)) <= max(TOL, 4 * spread), name
 
 
 class TestBatchValidation:
