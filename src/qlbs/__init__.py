@@ -68,7 +68,6 @@ from .market import (
 from .numerics import (
     RankDeficientError,
     RidgeProblem,
-    cross_sectional_stats,
     ridge_solve,
     scaled_regularizer,
     solve_normal_equations,

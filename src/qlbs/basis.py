@@ -236,15 +236,18 @@ def make_spec(data_lo: float, data_hi: float, n_basis: int = DEFAULT_N_BASIS,
 
 
 # Each scratch array of the blocked Cox-de Boor evaluation holds at most
-# this many doubles (8 MiB): a block is 2**20 // order points, so a
-# desk-scale build (10k paths x 25 times, order 4: 250k points) is still
-# one block. Peak RSS of the benchmark on 2 cores (numpy 2.4, seed
-# 3203): basis-stress (N = 100, order 10 on 10k x 25 points) read
-# 266.9 MB at this budget, 255.6 MB at 2**18 and 328.4 MB with
-# whole-array scratch; dataset-replay read 134.1 MB at this budget and
-# with one time step (10k points) per block, 134.2 MB with whole-array
-# scratch.
-_BLOCK_DOUBLES = 2**20
+# this many doubles (512 KiB), so a block is 2**16 // order points. Best
+# of 5 and tracemalloc peak, ms / MB, on 10k paths x 25 times (2 cores,
+# numpy 2.4; the outputs are bit-equal at every budget):
+#   budget (doubles)                     2**20      2**18      2**16      2**14
+#   spline_features, N = 12, order 4    47 / 48    36 / 24    22 / 15    25 / 13
+#   feature_cube, N = 12, order 4       61 / 62    33 / 38    30 / 29    32 / 27
+#   spline_features, N = 100, order 10  122 / 63   104 / 34   92 / 27    137 / 25
+#   feature_cube, N = 100, order 10     186 / 241  165 / 212  150 / 205  216 / 203
+# The outputs take 10, 24, 22 and 200 MB. Smaller blocks are also faster
+# while each block's scratch stays in cache; at 2**14 the per-block
+# overhead shows at order 10.
+_BLOCK_DOUBLES = 2**16
 
 
 def _cox_de_boor(spec: BasisSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,10 +311,12 @@ def basis_values(spec: BasisSpec, points) -> np.ndarray:
 
 
 def feature_cube(spec: BasisSpec, state_values: np.ndarray) -> np.ndarray:
-    """Stack feature matrices for every time step.
+    """Stack feature matrices for every time step: a dense densifier for
+    callers that want the whole cube.
 
     ``state_values`` has shape (K, T+1); the result has shape
-    (T+1, K, n_basis).
+    (T+1, K, n_basis). The solvers build :func:`spline_features` instead,
+    which holds the same numbers in order / n_basis of the memory.
     """
     state_values = np.asarray(state_values, dtype=float)
     n_paths, n_times = state_values.shape

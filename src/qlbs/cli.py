@@ -5,7 +5,7 @@ import argparse
 import json
 import sys
 
-from .basis import DEFAULT_N_BASIS, DEFAULT_ORDER, feature_cube, spec_for_states
+from .basis import DEFAULT_N_BASIS, DEFAULT_ORDER, spec_for_states, spline_features
 from .bsm import bsm_put_quote
 from .dp import RiskParams, run_model_based
 from .experiments import (
@@ -61,10 +61,10 @@ def _prepared_run(args):
     states = compute_states(paths, kind)
     spec = spec_for_states(states.values, n_basis=args.n_splines,
                            order=args.spline_order)
-    cube = feature_cube(spec, states.values)
+    features = spline_features(spec, states.values)
     risk = RiskParams.from_rate(args.risk_aversion, market.r, market.dt,
                                 pure_risk=not args.full_hedge)
-    return market, paths, kind, states, spec, cube, risk
+    return market, paths, kind, states, spec, features, risk
 
 
 def _cmd_simulate(args) -> int:
@@ -87,9 +87,9 @@ def _cmd_price_bs(args) -> int:
 
 
 def _cmd_price_dp(args) -> int:
-    _, paths, kind, _, spec, cube, risk = _prepared_run(args)
+    _, paths, kind, _, spec, features, risk = _prepared_run(args)
     solution = run_model_based(paths, kind, strike=args.strike, risk=risk,
-                               basis_spec=spec, features=cube,
+                               basis_spec=spec, features=features,
                                regularizer=args.ridge)
     print(json.dumps({"price": solution.price_t0, "hedge": solution.hedge_t0},
                      indent=2))
@@ -110,12 +110,15 @@ def _cmd_price_fqi(args) -> int:
         solution = run_fqi(dataset, spec, regularizer=args.ridge)
     else:
         check_noise(args.noise)
-        _, paths, kind, states, spec, cube, risk = _prepared_run(args)
-        dp = run_model_based(paths, kind, strike=args.strike, risk=risk,
-                             basis_spec=spec, features=cube,
-                             regularizer=args.ridge)
-        dataset, solution = fqi_from_hedges(paths, states, dp.hedges, args.noise,
-                                            args.strike, risk, spec, features=cube,
+        _, paths, kind, states, spec, features, risk = _prepared_run(args)
+        # Only the hedges outlive the DP: its other work arrays are freed
+        # before fitted Q allocates its own.
+        hedges = run_model_based(paths, kind, strike=args.strike, risk=risk,
+                                 basis_spec=spec, features=features,
+                                 regularizer=args.ridge).hedges
+        dataset, solution = fqi_from_hedges(paths, states, hedges, args.noise,
+                                            args.strike, risk, spec,
+                                            features=features,
                                             regularizer=args.ridge)
         if args.dataset_out:
             save_dataset(dataset, args.dataset_out)

@@ -19,8 +19,8 @@ from .basis import (
     FeatureMatrix,
     SplineFeatures,
     StepFeatures,
-    feature_cube,
     spec_for_states,
+    spline_features,
     step_features,
 )
 from .market import PathSet, StateKind, compute_states, price_increments
@@ -228,11 +228,12 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
     (K, N) slab. Other steps densify their slab; below 50 functions their
     numbers equal a dense cube's.
 
-    When no basis spec is given, the default clamped basis is built over
-    the global range of the chosen state. Precomputed features, a dense
-    (T+1, K, N) cube or SplineFeatures, may be passed to reuse work
-    across runs that share paths and basis; a dense cube is read as
-    float64. Returns one solution per contract, in order.
+    Without ``features`` the pass builds SplineFeatures of the chosen
+    state on ``basis_spec``, or, when no basis spec is given either, on
+    the default clamped basis over the state's global range. Precomputed
+    features, a dense (T+1, K, N) cube or SplineFeatures, may be passed
+    to reuse work across runs that share paths and basis; a dense cube is
+    read as float64. Returns one solution per contract, in order.
     """
     strikes = np.array([float(strike) for strike, _ in contracts])
     risks = tuple(risk for _, risk in contracts)
@@ -241,7 +242,7 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
         states = compute_states(paths, state_kind)
         if basis_spec is None:
             basis_spec = spec_for_states(states.values)
-        features = feature_cube(basis_spec, states.values)
+        features = spline_features(basis_spec, states.values)
     if not isinstance(features, SplineFeatures):
         features = np.asarray(features, dtype=float)
     # The rate implied by the discount factor, so increments and

@@ -15,14 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FeatureMatrix, SplineFeatures, feature_cube, step_features
+from .basis import BasisSpec, FeatureMatrix, SplineFeatures, spline_features, step_features
 from .market import PathSet, StateKind, StateSeries
-from .numerics import (
-    DEFAULT_RIDGE_REL,
-    cross_sectional_stats,
-    scaled_regularizer,
-    solve_normal_equations,
-)
+from .numerics import DEFAULT_RIDGE_REL, scaled_regularizer, solve_normal_equations
 from .dp import RiskParams, compute_rewards, rollback_portfolio
 
 log = logging.getLogger(__name__)
@@ -79,7 +74,7 @@ class OfflineDataset:
 
     def terminal_q(self) -> np.ndarray:
         """Known terminal action value: -payoff - lambda * Var(payoff)."""
-        _, var = cross_sectional_stats(self.terminal_portfolio)
+        var = self.terminal_portfolio.var()
         return -self.terminal_portfolio - self.risk.risk_aversion * var
 
 
@@ -163,8 +158,7 @@ def build_offline_dataset(paths: PathSet, states: StateSeries,
     portfolio = np.zeros((n_paths, n_cols))
     rewards = np.zeros_like(portfolio)
     portfolio[:, -1] = payoff
-    _, terminal_var = cross_sectional_stats(payoff)
-    rewards[:, -1] = -risk.risk_aversion * terminal_var
+    rewards[:, -1] = -risk.risk_aversion * payoff.var()
     for t in range(n_cols - 2, -1, -1):
         portfolio[:, t] = rollback_portfolio(portfolio[:, t + 1], actions[:, t],
                                              delta_s[:, t], risk.gamma)
@@ -282,12 +276,13 @@ def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
     column is fitted from the recorded tuples. The time-0 price is the
     negative average of the initial values. ``features`` is a dense
     (T+1, K, N) cube or SplineFeatures, whose steps are densified one
-    slab at a time.
+    slab at a time; without it the pass builds SplineFeatures of the
+    recorded states on ``basis_spec``.
     """
     if gamma is None:
         gamma = dataset.risk.gamma
     if features is None:
-        features = feature_cube(basis_spec, dataset.states)
+        features = spline_features(basis_spec, dataset.states)
 
     n_paths, n_steps = dataset.n_paths, dataset.n_steps
     q_values = np.zeros((n_paths, n_steps + 1))

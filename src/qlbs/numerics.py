@@ -1,4 +1,4 @@
-"""Regularized least squares and cross-sectional statistics shared by the solvers.
+"""Regularized least squares shared by the solvers.
 
 Everything here works on the normal equations: the solvers assemble
 either a design/target pair or a precomputed Gram matrix and right-hand
@@ -176,10 +176,3 @@ def row_band(matrix: np.ndarray) -> RowBand:
     values = np.take(matrix, columns + np.arange(0, n_rows * n_cols, n_cols))
     return RowBand(columns=columns, values=values, n_cols=n_cols)
 
-
-def cross_sectional_stats(values) -> tuple[float, float]:
-    """Arithmetic mean and population variance (divide by K) of a sample."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 1:
-        raise ValueError("need at least one value")
-    return float(values.mean()), float(values.var())

@@ -165,12 +165,14 @@ class TestBlockedEvaluation:
         for t in range(7):
             assert np.array_equal(compact.band(t).dense(), cube[t])
 
-    def test_feature_cube_peak_is_its_output_plus_bounded_scratch(self, monkeypatch):
+    # Blocked evaluation bounds the scratch of a build: besides its output
+    # and one flat copy of the states, no more than eight arrays of the
+    # default budget, 2**16 doubles (4 MiB in all).
+    SCRATCH_BYTES = 8 * 8 * 2**16
+
+    def test_feature_cube_peak_is_its_output_plus_bounded_scratch(self):
         # 40k points at N = 100, order 10: a 32 MB cube. Whole-array
-        # scratch would add about 13 MB; each block's arrays are bounded
-        # by the budget, set here to 2**16 doubles (0.5 MB).
-        budget = 2**16
-        monkeypatch.setattr(basis, "_BLOCK_DOUBLES", budget)
+        # scratch would add about 13 MB.
         states = np.random.default_rng(9).normal(size=(4000, 10))
         spec = make_spec(states.min(), states.max(), n_basis=100, order=10)
         tracemalloc.start()
@@ -179,7 +181,23 @@ class TestBlockedEvaluation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = cube.nbytes + states.nbytes + 8 * 8 * budget
+        bound = cube.nbytes + states.nbytes + self.SCRATCH_BYTES
+        assert peak <= bound, f"peak {peak / 1e6:.1f} MB above {bound / 1e6:.1f} MB"
+
+    def test_spline_features_peak_is_its_output_plus_bounded_scratch(self):
+        # The desk shape: 10k paths x 25 times, 12 cubic splines, a 10 MB
+        # result from 2 MB of states; it peaks near 15 MB. With blocks of
+        # 2**20 doubles the whole build is one block and peaks near 48 MB.
+        states = np.random.default_rng(10).normal(size=(10_000, 25)).cumsum(axis=1)
+        spec = make_spec(states.min(), states.max(), n_basis=12, order=4)
+        tracemalloc.start()
+        try:
+            compact = spline_features(spec, states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = compact.first.nbytes + compact.values.nbytes
+        bound = output + states.nbytes + self.SCRATCH_BYTES
         assert peak <= bound, f"peak {peak / 1e6:.1f} MB above {bound / 1e6:.1f} MB"
 
 

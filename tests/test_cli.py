@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from qlbs.basis import spec_for_states
+from qlbs.basis import feature_cube, spec_for_states
 from qlbs.bsm import bsm_put_price
 from qlbs import cli
 from qlbs.cli import main
@@ -139,6 +139,31 @@ class TestFqiPipelineAgreement:
         # The same dataset priced directly: the ridge must reach run_fqi.
         assert run_fqi(dataset, spec, regularizer=ridge).price_t0 == cli_price
         assert run_fqi(dataset, spec).price_t0 != cli_price
+
+
+class TestLargeBasisQuote:
+    @pytest.mark.parametrize("state", ["drift-adjusted", "log-return"])
+    def test_matches_the_library_on_a_dense_cube(self, capsys, state):
+        # N = 100 takes the band path on the CLI's compact features.
+        argv = ["--steps", "6", "--paths", "2000", "--seed", "3", "--state", state,
+                "--n-splines", "100", "--spline-order", "3"]
+        dp_quote = json.loads(run_cli(capsys, "price-qlbs-dp", *argv)[1])
+        fqi_quote = json.loads(run_cli(capsys, "price-qlbs-fqi", *argv)[1])
+
+        market = replace(DEFAULT_MARKET, n_steps=6, n_paths=2000, seed=3)
+        kind = StateKind.parse(state)
+        paths = simulate_gbm(market)
+        states = compute_states(paths, kind)
+        spec = spec_for_states(states.values, n_basis=100, order=3)
+        cube = feature_cube(spec, states.values)
+        risk = RiskParams.from_rate(DEFAULT_RISK_AVERSION, market.r, market.dt)
+        dp = run_model_based(paths, kind, DEFAULT_STRIKE, risk, basis_spec=spec,
+                             features=cube)
+        _, fqi = fqi_from_hedges(paths, states, dp.hedges, DEFAULT_NOISE,
+                                 DEFAULT_STRIKE, risk, spec, features=cube)
+        assert abs(dp_quote["price"] - dp.price_t0) <= 1e-10
+        assert abs(dp_quote["hedge"] - dp.hedge_t0) <= 1e-10
+        assert abs(fqi_quote["price"] - fqi.price_t0) <= 1e-10
 
 
 class TestBadSeed:

@@ -268,6 +268,69 @@ class TestSplineFeatures:
                 assert np.max(np.abs(got_m - want_m)) <= max(TOL, 4 * spread), name
 
 
+class TestDefaultFeatures:
+    """Without ``features`` the solvers build SplineFeatures; against runs on
+    an explicit dense cube of the same basis."""
+
+    @staticmethod
+    def solve(kind, n_basis, order):
+        """Inputs, then (DP, fitted Q) without features and on the dense
+        cube, on 2000 paths; both fitted-Q runs read one dataset."""
+        paths = simulate_gbm(replace(MARKET, n_paths=2000))
+        states = compute_states(paths, kind)
+        spec = spec_for_states(states.values, n_basis=n_basis, order=order)
+        cube = feature_cube(spec, states.values)
+        risk = RiskParams.from_rate(1e-3, MARKET.r, MARKET.dt)
+        dp, dp_cube = (run_model_based(paths, kind, 100.0, risk, basis_spec=spec,
+                                       features=features) for features in (None, cube))
+        noisy = perturb_actions(dp_cube.hedges, 0.2, seed=5)
+        noisy[:, -1] = 0.0
+        dataset = build_offline_dataset(paths, states, noisy, 100.0, risk)
+        fqi, fqi_cube = (run_fqi(dataset, spec, features=features)
+                         for features in (None, cube))
+        return (paths, states, spec, cube, risk), (dp, fqi), (dp_cube, fqi_cube)
+
+    @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
+    def test_small_basis_is_bit_identical(self, kind):
+        _, (dp, fqi), (dp_cube, fqi_cube) = self.solve(kind, 12, 4)
+        assert dp.price_t0 == dp_cube.price_t0
+        assert dp.hedge_t0 == dp_cube.hedge_t0
+        for name in ("hedges", "q_values", "phi", "omega"):
+            assert np.array_equal(getattr(dp, name), getattr(dp_cube, name)), name
+        assert fqi.price_t0 == fqi_cube.price_t0
+        assert np.array_equal(fqi.q_values, fqi_cube.q_values)
+        for w, w_cube in zip(fqi.w, fqi_cube.w):
+            assert np.array_equal(w.values, w_cube.values)
+
+    # At N = 100 the DP reads bands, so its sums run in another order than
+    # on the dense cube. Prices, time-0 hedges and fitted Q (which
+    # densifies each step) hold to 1e-10. At order 10 on 2000 paths the
+    # Grams are so ill-conditioned that the DP's per-path matrices move by
+    # up to about 1e-10 (cash 1e-8) and its coefficients by up to about
+    # 1e-3 (omega), as far as batching the dense cube's contract with a
+    # second one moves them; so those are held to four times that spread.
+    @pytest.mark.parametrize("order", [1, 10])
+    @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
+    def test_large_basis_matches_dense_cube(self, kind, order):
+        (paths, states, spec, cube, risk), (dp, fqi), (dp_cube, fqi_cube) = \
+            self.solve(kind, 100, order)
+        assert abs(dp.price_t0 - dp_cube.price_t0) <= TOL
+        assert abs(dp.hedge_t0 - dp_cube.hedge_t0) <= TOL
+        twin = run_model_based_batch(paths, kind, [(100.0, risk), (90.0, risk)],
+                                     basis_spec=spec, features=cube)[0]
+        compact = run_model_based(paths, kind, 100.0, risk, basis_spec=spec,
+                                  features=spline_features(spec, states.values))
+        for name in MATRICES + ("phi", "omega"):
+            got, want = getattr(dp, name), getattr(dp_cube, name)
+            spread = np.max(np.abs(getattr(twin, name) - want))
+            assert np.max(np.abs(got - want)) <= max(TOL, 4 * spread), name
+            assert np.array_equal(got, getattr(compact, name)), name
+        assert abs(fqi.price_t0 - fqi_cube.price_t0) <= TOL
+        assert np.max(np.abs(fqi.q_values - fqi_cube.q_values)) <= TOL
+        for w, w_cube in zip(fqi.w, fqi_cube.w):
+            assert np.max(np.abs(w.values - w_cube.values)) <= TOL
+
+
 class TestBatchValidation:
     def test_mixed_gamma_rejected(self):
         kind, paths, spec, cube = shared_inputs(0)

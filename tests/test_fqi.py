@@ -25,7 +25,14 @@ from qlbs.fqi import (
 from qlbs.market import MarketParams, StateKind, compute_states, simulate_gbm
 from qlbs.numerics import scaled_regularizer, solve_normal_equations
 
-from conftest import GOLDEN_REWARDS_2, GOLDEN_STRIKE, STAGE_TOL, spoil
+from conftest import (
+    GOLDEN_PI_T,
+    GOLDEN_Q_T,
+    GOLDEN_REWARDS_2,
+    GOLDEN_STRIKE,
+    STAGE_TOL,
+    spoil,
+)
 
 
 def small_run(kind=StateKind.DRIFT_ADJUSTED, n_paths=1000, seed=0, sigma=0.15,
@@ -104,6 +111,18 @@ class TestBuildOfflineDataset:
         bad[:, -1] = 0.5
         with pytest.raises(ValueError):
             build_offline_dataset(paths, states, bad, strike=100.0, risk=risk)
+
+    def test_terminal_q_uses_population_variance(self):
+        # The published terminal values pin the variance convention:
+        # population variance rounds to them, the sample variance does not.
+        lam, zeros = 1e-3, np.zeros((GOLDEN_PI_T.size, 2))
+        dataset = OfflineDataset(states=zeros, actions=zeros, rewards=zeros,
+                                 terminal_portfolio=GOLDEN_PI_T,
+                                 state_kind=StateKind.PRICE, strike=GOLDEN_STRIKE,
+                                 risk=RiskParams(lam, gamma=0.99), dt=1.0)
+        assert np.array_equal(np.round(dataset.terminal_q(), 2), GOLDEN_Q_T)
+        sample = -GOLDEN_PI_T - lam * np.var(GOLDEN_PI_T, ddof=1)
+        assert not np.array_equal(np.round(sample, 2), GOLDEN_Q_T)
 
     def test_terminal_q_matches_dp(self):
         paths, states, _, _, risk, dp = small_run(n_paths=300)

@@ -4,7 +4,6 @@ import pytest
 from qlbs.numerics import (
     RankDeficientError,
     RidgeProblem,
-    cross_sectional_stats,
     ridge_solve,
     row_band,
     scaled_regularizer,
@@ -13,8 +12,6 @@ from qlbs.numerics import (
 
 from conftest import (
     GOLDEN_PHI2,
-    GOLDEN_PI_HAT_T,
-    GOLDEN_PI_T,
     GOLDEN_PRICES,
     GOLDEN_Q_T,
     GOLDEN_REWARDS_2,
@@ -90,38 +87,6 @@ class TestRidgeSolve:
     def test_scaled_regularizer(self):
         gram = np.diag([1.0, 2.0, 3.0])
         assert scaled_regularizer(gram, 1e-6) == pytest.approx(2e-6)
-
-
-class TestCrossSectionalStats:
-    def test_golden_terminal_portfolio(self):
-        mean, var = cross_sectional_stats(GOLDEN_PI_T)
-        assert mean == pytest.approx(4.55, abs=0.01)
-        assert np.allclose(GOLDEN_PI_T - mean, GOLDEN_PI_HAT_T, atol=0.01)
-
-    def test_population_variance_reproduces_golden_values(self):
-        # The published terminal values pin the variance convention:
-        # population variance rounds to them, the sample variance does not.
-        _, var_pop = cross_sectional_stats(GOLDEN_PI_T)
-        lam = 1e-3
-        assert np.array_equal(np.round(-GOLDEN_PI_T - lam * var_pop, 2), GOLDEN_Q_T)
-        var_sample = np.var(GOLDEN_PI_T, ddof=1)
-        assert not np.array_equal(
-            np.round(-GOLDEN_PI_T - lam * var_sample, 2), GOLDEN_Q_T)
-
-    def test_constant_vector(self):
-        mean, var = cross_sectional_stats(np.full(9, 3.25))
-        assert mean == pytest.approx(3.25)
-        assert var == 0.0
-
-    def test_demeaned_sum_is_zero(self):
-        rng = np.random.default_rng(23)
-        values = rng.normal(size=1000) * 40 + 7
-        mean, _ = cross_sectional_stats(values)
-        assert abs(np.sum(values - mean)) <= 1e-12 * max(np.abs(values).sum(), 1.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            cross_sectional_stats(np.array([]))
 
 
 class TestGoldenHedgeSystem:

@@ -12,6 +12,12 @@ per metric, the medians, each side's minimum and maximum, the parent's
 interquartile range and the pairs the change won. The record also holds
 each side's tier-1 wall time and every acceptance criterion's call time
 from ``pytest --durations``.
+
+A run that exits non-zero, times out, prints no result line, reports
+``correct: false`` or counts failed operations does not stop the record:
+the run keeps its exit code and the tail of its standard error, its
+metrics (if any) stay in the summary, and once the record is written the
+script names every such run (workload, side, pair) and exits 1.
 """
 from __future__ import annotations
 
@@ -31,18 +37,62 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 CLAIM_PAIRS = 10
 OTHER_PAIRS = 3
+# A 14 s run with its set-up and last round ends within a minute; one
+# that is still going after ten has hung.
+RUN_TIMEOUT_S = 600
+STDERR_TAIL_LINES = 40
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0"]
 CRITERION = re.compile(
     r"^([\d.]+)s call\s+tests/test_acceptance\.py::TestCriterion(\d+)\w*::", re.M)
 
 
-def last_json_line(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one end-to-end benchmark run in ``checkout``."""
-    run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(run.stdout.strip().splitlines()[-1])
+def _tail(text) -> str:
+    # A timed-out run's output arrives as bytes even in text mode.
+    if isinstance(text, bytes):
+        text = text.decode(errors="replace")
+    return "\n".join((text or "").splitlines()[-STDERR_TAIL_LINES:])
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One end-to-end benchmark run in ``checkout``: its exit code and
+    result line, plus the tail of its standard error if it went wrong."""
+    try:
+        run = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+             str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired as err:
+        return {"exit_code": None, "timed_out": True, "stderr_tail": _tail(err.stderr)}
+    record = {"exit_code": run.returncode}
+    try:
+        record["result"] = json.loads(run.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        pass
+    if problem(record):
+        record["stderr_tail"] = _tail(run.stderr)
+    return record
+
+
+def problem(run: dict) -> str | None:
+    """Why a run cannot count as a clean measurement, or None."""
+    if run.get("timed_out"):
+        return f"timed out after {RUN_TIMEOUT_S} s"
+    if run["exit_code"] != 0:
+        return f"exit code {run['exit_code']}"
+    result = run.get("result")
+    if not isinstance(result, dict) or "metrics" not in result:
+        return "no result line"
+    if not result.get("correct", False):
+        return "correct: false"
+    if result.get("failed", 0):
+        return f"{result['failed']} of {result.get('attempted')} operations failed"
+    return None
+
+
+def flagged(end_to_end: dict) -> list[str]:
+    """'<workload> <side> pair <n>: <problem>' for every run with a problem."""
+    return [f"{workload} {run['side']} pair {run['pair']}: {problem(run)}"
+            for workload, runs in end_to_end.items() for run in runs if problem(run)]
 
 
 def tier1(checkout: Path) -> dict:
@@ -61,28 +111,39 @@ def tier1(checkout: Path) -> dict:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: medians, each side's range, the parent's quartile spread
-    and the pairs the change won. The ranges show a bimodal metric without
-    reading every run."""
+    """Each run's outcome, then per metric: medians, each side's range, the
+    parent's quartile spread and the pairs the change won. The ranges show
+    a bimodal metric without reading every run. A run without metrics is
+    left out of them, and a pair missing a side is not counted as won or
+    lost, so ``change_better_pairs`` counts complete pairs only."""
+    out = {"runs": []}
     sides = {"parent": {}, "change": {}}
     for run in runs:
-        sides[run["side"]][run["pair"]] = run["result"]["metrics"]
-    out = {}
+        result = run.get("result") or {}
+        out["runs"].append({"side": run["side"], "pair": run["pair"],
+                            **{key: result.get(key) for key in
+                               ("correct", "attempted", "failed")},
+                            "problem": problem(run)})
+        if "metrics" in result:
+            sides[run["side"]][run["pair"]] = result["metrics"]
     for name, direction in better.items():
-        change = [m[name]["value"] for m in sides["change"].values()]
-        parent = [m[name]["value"] for m in sides["parent"].values()]
-        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        values = {side: [m[name]["value"] for m in by_pair.values()]
+                  for side, by_pair in sides.items()}
+        pairs = sides["parent"].keys() & sides["change"].keys()
         sign = 1 if direction == "lower" else -1
-        won = sum(sign * (sides["change"][p][name]["value"] - m[name]["value"]) < 0
-                  for p, m in sides["parent"].items())
-        out[name] = {"parent_median": round(statistics.median(parent), 4),
-                     "parent_iqr": round(q3 - q1, 4),
-                     "parent_min": round(min(parent), 4),
-                     "parent_max": round(max(parent), 4),
-                     "change_median": round(statistics.median(change), 4),
-                     "change_min": round(min(change), 4),
-                     "change_max": round(max(change), 4),
-                     "change_better_pairs": f"{won}/{len(parent)}"}
+        won = sum(sign * (sides["change"][p][name]["value"]
+                          - sides["parent"][p][name]["value"]) < 0 for p in pairs)
+        summary = {}
+        for side, side_values in values.items():
+            if side_values:
+                summary[f"{side}_median"] = round(statistics.median(side_values), 4)
+                summary[f"{side}_min"] = round(min(side_values), 4)
+                summary[f"{side}_max"] = round(max(side_values), 4)
+        if len(values["parent"]) > 1:
+            q1, _, q3 = statistics.quantiles(values["parent"], n=4, method="inclusive")
+            summary["parent_iqr"] = round(q3 - q1, 4)
+        summary["change_better_pairs"] = f"{won}/{len(pairs)}"
+        out[name] = summary
     return out
 
 
@@ -123,11 +184,13 @@ def main(argv=None) -> int:
         for pair in range(1, pairs + 1):
             order = list(checkouts) if pair % 2 else list(reversed(checkouts))
             for side in order:
-                result = last_json_line(checkouts[side], workload, args.seed,
-                                        spec["run_seconds"])
-                runs.append({"side": side, "pair": pair, "result": result})
+                run = {"side": side, "pair": pair,
+                       **run_once(checkouts[side], workload, args.seed,
+                                  spec["run_seconds"])}
+                runs.append(run)
                 print(f"{workload} pair {pair} {side}: "
-                      f"{json.dumps(result['metrics'])}", file=sys.stderr)
+                      f"{problem(run) or json.dumps(run['result']['metrics'])}",
+                      file=sys.stderr)
         record["end_to_end"][workload] = runs
         record["summary"][workload] = summarize(runs, better)
     record["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
@@ -135,7 +198,10 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out.name}")
-    return 0
+    bad = flagged(record["end_to_end"])
+    for line in bad:
+        print(f"bad run: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
