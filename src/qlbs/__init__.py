@@ -44,7 +44,6 @@ from .experiments import (
     ResultTable,
     Scenario,
     ScenarioConfig,
-    TerminalWealthReport,
     TwFormula,
     emit_report,
     load_report,

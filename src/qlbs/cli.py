@@ -122,8 +122,7 @@ def _cmd_price_fqi(args) -> int:
                                             regularizer=args.ridge)
         if args.dataset_out:
             save_dataset(dataset, args.dataset_out)
-    print(json.dumps({"price": solution.price_t0,
-                      "greedy_fallbacks": solution.greedy_fallbacks}, indent=2))
+    print(json.dumps({"price": solution.price_t0}, indent=2))
     return 0
 
 

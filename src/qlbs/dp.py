@@ -24,7 +24,7 @@ from .basis import (
     step_features,
 )
 from .market import PathSet, StateKind, compute_states, price_increments
-from .numerics import DEFAULT_RIDGE_REL, scaled_regularizer, solve_normal_equations
+from .numerics import effective_ridge, solve_normal_equations
 
 
 @dataclass(frozen=True)
@@ -117,20 +117,13 @@ def terminal_conditions(paths: PathSet, strike, risk):
     return payoff, pi_hat, hedge, reward, q_value
 
 
-def _effective_ridge(gram: np.ndarray, regularizer: float | None) -> float:
-    """Absolute ridge weight: an explicit value wins, else the scaled default."""
-    if regularizer is not None:
-        return regularizer
-    return scaled_regularizer(gram, DEFAULT_RIDGE_REL)
-
-
 def _solve_rows(gram: np.ndarray, rhs: np.ndarray,
                 regularizer: float | None) -> np.ndarray:
     """Coefficients for each row of ``rhs`` from one factorization of ``gram``.
 
     A (C, N) right-hand side gives (C, N) coefficients, a (N,) one gives (N,).
     """
-    return solve_normal_equations(gram, rhs.T, _effective_ridge(gram, regularizer)).T
+    return solve_normal_equations(gram, rhs.T, effective_ridge(gram, regularizer)).T
 
 
 def _step(phi_t: FeatureMatrix | StepFeatures) -> StepFeatures:

@@ -19,7 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import DEFAULT_N_BASIS, DEFAULT_ORDER, spec_for_states, spline_features
+from .basis import (DEFAULT_N_BASIS, DEFAULT_ORDER, BasisSpec, spec_for_states,
+                    spline_features)
 from .bsm import bsm_put_delta, bsm_put_price
 from .dp import DPSolution, RiskParams, run_model_based_batch
 from .fqi import fqi_from_hedges
@@ -144,25 +145,6 @@ class ScenarioConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
-
-
-@dataclass(frozen=True)
-class TerminalWealthReport:
-    """Distribution summary of the writer's terminal wealth."""
-
-    terminal_wealth: np.ndarray
-    mean: float
-    median: float
-    state_kind: StateKind
-    cost_rate: float
-
-    @classmethod
-    def from_sample(cls, tw: np.ndarray, state_kind: StateKind,
-                    cost_rate: float) -> "TerminalWealthReport":
-        tw = np.asarray(tw, dtype=float)
-        return cls(terminal_wealth=tw, mean=float(tw.mean()),
-                   median=float(np.median(tw)), state_kind=state_kind,
-                   cost_rate=cost_rate)
 
 
 def terminal_wealth(paths: PathSet, hedges: np.ndarray, strike: float,
@@ -307,15 +289,15 @@ def _finish_job(config: ScenarioConfig, job: _Job, dp: DPSolution,
         if job.cost_rate is not None and method == "dp":
             tw = terminal_wealth(paths, solution.hedges, job.base["strike"],
                                  job.cost_rate, solution.price_t0)
-            report = TerminalWealthReport.from_sample(tw, job.kind, job.cost_rate)
             row["cost_rate"] = job.cost_rate
-            row["tw_mean"] = report.mean
-            row["tw_median"] = report.median
+            row["tw_mean"] = float(tw.mean())
+            row["tw_median"] = float(np.median(tw))
         job.rows.append(row)
 
 
 def _solve_group(get_paths, config: ScenarioConfig, market: MarketParams,
-                 kind: StateKind, n_basis: int, order: int, jobs: list) -> None:
+                 kind: StateKind, n_basis: int, order: int,
+                 jobs: list) -> BasisSpec | None:
     """Solve every job on one set of paths, state kind and basis.
 
     The features are built once, in compact form (SplineFeatures), and
@@ -323,7 +305,8 @@ def _solve_group(get_paths, config: ScenarioConfig, market: MarketParams,
     share one contract, and the contracts are solved in batched passes
     of at most ``_pass_size(n_basis)``; each DP row's runtime is its
     pass's wall time divided by the pass's contracts. A failure inside a
-    pass marks every job of that pass.
+    pass marks every job of that pass. Returns the group's BasisSpec, or
+    None when the paths, states or basis could not be built.
     """
     try:
         paths = get_paths(market)
@@ -333,7 +316,7 @@ def _solve_group(get_paths, config: ScenarioConfig, market: MarketParams,
     except Exception as err:  # record and continue with the sweep
         for job in jobs:
             _fail(config, job, err)
-        return
+        return None
     contracts: dict[tuple[float, RiskParams], list[_Job]] = {}
     for job in jobs:
         try:
@@ -364,6 +347,7 @@ def _solve_group(get_paths, config: ScenarioConfig, market: MarketParams,
                             spec, features, risk)
         # Free this pass's arrays before the next pass allocates its own.
         del solutions, solution
+    return spec
 
 
 def _run_cells(config: ScenarioConfig, cells, methods=("dp", "fqi")) -> ResultTable:
@@ -371,9 +355,13 @@ def _run_cells(config: ScenarioConfig, cells, methods=("dp", "fqi")) -> ResultTa
 
     Each (cell, state kind) is a job. Jobs that share paths, state kind
     and basis are solved together (see :func:`_solve_group`); rows come
-    out in cell order whatever order the groups ran in.
+    out in cell order whatever order the groups ran in. The header's
+    ``knots`` holds, per state kind, the knots of the group on the base
+    configuration (``config.market``, ``n_basis`` and ``order``); a kind
+    no cell solved there has no entry.
     """
     get_paths = functools.cache(simulate_gbm)  # paths shared by the run's cells
+    base = (config.market, config.n_basis, config.order)
     jobs: list[_Job] = []
     groups: dict[tuple, list[_Job]] = {}
     for cell in cells:
@@ -407,24 +395,16 @@ def _run_cells(config: ScenarioConfig, cells, methods=("dp", "fqi")) -> ResultTa
                 _fail(config, job, benchmark_error)
             else:
                 groups.setdefault((market, kind, n_basis, order), []).append(job)
+    knots = {}
     for (market, kind, n_basis, order), members in groups.items():
-        _solve_group(get_paths, config, market, kind, n_basis, order, members)
-    meta = {"config": config.to_json_dict(),
-            "knots": _base_knots(get_paths(config.market), config)}
+        spec = _solve_group(get_paths, config, market, kind, n_basis, order, members)
+        if spec is not None and (market, n_basis, order) == base:
+            knots[kind.value] = [float(k) for k in spec.knots]
+    meta = {"config": config.to_json_dict(), "knots": knots}
     return ResultTable(columns=list(_COLUMNS),
                        rows=[[r[c] for c in _COLUMNS]
                              for job in jobs for r in job.rows],
                        meta=meta)
-
-
-def _base_knots(paths: PathSet, config: ScenarioConfig) -> dict:
-    """Knot vectors of the base-configuration basis, one per state kind."""
-    knots = {}
-    for kind in config.state_kinds:
-        values = compute_states(paths, kind).values
-        spec = spec_for_states(values, n_basis=config.n_basis, order=config.order)
-        knots[kind.value] = [float(k) for k in spec.knots]
-    return knots
 
 
 def _seeded_markets(config: ScenarioConfig, **changes):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import BasisSpec, FeatureMatrix, SplineFeatures, spline_features, step_features
 from .market import PathSet, StateKind, StateSeries
-from .numerics import DEFAULT_RIDGE_REL, scaled_regularizer, solve_normal_equations
+from .numerics import effective_ridge, solve_normal_equations
 from .dp import RiskParams, compute_rewards, rollback_portfolio
 
 log = logging.getLogger(__name__)
@@ -99,17 +99,11 @@ class WMatrix:
 
 @dataclass(frozen=True)
 class FQISolution:
-    """Fitted coefficients per step, action values per path, and the price.
-
-    ``greedy_fallbacks`` totals the maximizer candidates the guarded
-    greedy rejected over all steps; it is 0 unless the fit ran with
-    ``greedy_update``.
-    """
+    """Fitted coefficients per step, action values per path, and the price."""
 
     w: tuple
     q_values: np.ndarray
     price_t0: float
-    greedy_fallbacks: int
 
 
 def check_noise(eta: float) -> None:
@@ -185,25 +179,6 @@ def _psi_matrix(actions_t: np.ndarray, features_t: np.ndarray) -> np.ndarray:
     return np.hstack([features_t, a * features_t, 0.5 * a**2 * features_t])
 
 
-def _quadratic(u: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    return u[:, 0] + actions * u[:, 1] + 0.5 * actions**2 * u[:, 2]
-
-
-def _greedy_batch(w: np.ndarray, features_t: np.ndarray,
-                  observed: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Maximize the fitted quadratic per path, falling back to the data.
-
-    Returns (actions, values, n_fallbacks).
-    """
-    u = features_t @ w.T  # (K, 3): constant, slope, curvature
-    bracket = _ACTION_BRACKET_FACTOR * max(float(np.max(np.abs(observed))), 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        candidate = -u[:, 1] / u[:, 2]
-    usable = (u[:, 2] < 0) & np.isfinite(candidate) & (np.abs(candidate) <= bracket)
-    actions = np.where(usable, candidate, observed)
-    return actions, _quadratic(u, actions), int(np.sum(~usable))
-
-
 def greedy_action(w_t: WMatrix, phi_x: np.ndarray, observed_action: float = 0.0) -> float:
     """Action maximizing the fitted quadratic at one state.
 
@@ -211,36 +186,34 @@ def greedy_action(w_t: WMatrix, phi_x: np.ndarray, observed_action: float = 0.0)
     convex fits, and maximizers far outside the action scale, fall back
     to the observed action.
     """
-    actions, _, _ = _greedy_batch(
-        w_t.values, np.asarray(phi_x, dtype=float)[np.newaxis, :],
-        np.array([observed_action]),
-    )
-    return float(actions[0])
+    phi = np.asarray(phi_x, dtype=float)[np.newaxis, :]
+    _, slope, curvature = (phi @ w_t.values.T)[0]
+    bracket = _ACTION_BRACKET_FACTOR * max(abs(observed_action), 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        candidate = -slope / curvature
+    if curvature < 0 and np.isfinite(candidate) and abs(candidate) <= bracket:
+        return float(candidate)
+    return float(observed_action)
 
 
 def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
                       phi_t: FeatureMatrix, q_next: np.ndarray, gamma: float,
-                      regularizer: float | None = None,
-                      greedy_update: bool = False):
+                      regularizer: float | None = None):
     """Fit one step's coefficients and evaluate the per-path values.
 
     Regresses reward + gamma * next value on the action-state features;
     ``q_next`` must already hold final values (terminal column included).
 
-    By default the fitted surface is evaluated at the recorded actions.
-    The variance penalty in the rewards is a cross-sectional scalar, so
-    the regression target is conditionally linear in the action: the
-    fitted curvature is sampling noise, and chasing its analytic maximizer
-    diverges within a few backward steps (measured on the benchmark
-    configuration). ``greedy_update`` switches the evaluation to the
-    guarded maximizer for experimentation.
+    The fitted surface is evaluated at the recorded actions. The variance
+    penalty in the rewards is a cross-sectional scalar, so the regression
+    target is conditionally linear in the action: the fitted curvature is
+    sampling noise, and chasing its analytic maximizer diverges within a
+    few backward steps (measured on the benchmark configuration).
 
-    Returns (WMatrix, q_t, n_fallbacks); the counter reports how many
-    maximizer candidates the guarded greedy rejected. The maximizer runs
-    only when ``greedy_update`` is set, so the counter is 0 otherwise.
-    A nonfinite feature raises ValueError: the phi block of the Gram
-    matrix has diagonal sum_k phi_kj^2, nonfinite exactly when column j
-    holds one, so unchecked StepFeatures are caught there.
+    Returns (WMatrix, q_t). A nonfinite feature raises ValueError: the
+    phi block of the Gram matrix has diagonal sum_k phi_kj^2, nonfinite
+    exactly when column j holds one, so unchecked StepFeatures are
+    caught there.
     """
     features = phi_t.values
     design = _psi_matrix(actions_t, features)
@@ -254,33 +227,26 @@ def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
     if not np.all(np.isfinite(np.diagonal(gram)[:features.shape[1]])):
         raise ValueError("feature matrix must be finite")
     rhs = design.T @ (rewards_t + gamma * q_next)
-    if regularizer is None:
-        regularizer = scaled_regularizer(gram, DEFAULT_RIDGE_REL)
-    w_vec = solve_normal_equations(gram, rhs, regularizer)
+    w_vec = solve_normal_equations(gram, rhs, effective_ridge(gram, regularizer))
     w = w_vec.reshape(3, features.shape[1])
-    if greedy_update:
-        _, q_t, fallbacks = _greedy_batch(w, features, actions_t)
-    else:
-        q_t, fallbacks = _quadratic(features @ w.T, actions_t), 0
-    return WMatrix(values=w), q_t, fallbacks
+    u = features @ w.T  # (K, 3): constant, slope, curvature
+    q_t = u[:, 0] + actions_t * u[:, 1] + 0.5 * actions_t**2 * u[:, 2]
+    return WMatrix(values=w), q_t
 
 
 def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
-            gamma: float | None = None,
             regularizer: float | None = None,
-            features: np.ndarray | SplineFeatures | None = None,
-            greedy_update: bool = False) -> FQISolution:
+            features: np.ndarray | SplineFeatures | None = None) -> FQISolution:
     """Backward fitted Q iteration over the whole dataset.
 
     The terminal value column comes from the known payoff; every earlier
-    column is fitted from the recorded tuples. The time-0 price is the
-    negative average of the initial values. ``features`` is a dense
-    (T+1, K, N) cube or SplineFeatures, whose steps are densified one
-    slab at a time; without it the pass builds SplineFeatures of the
-    recorded states on ``basis_spec``.
+    column is fitted from the recorded tuples, discounted by the
+    dataset's ``risk.gamma``. The time-0 price is the negative average of
+    the initial values. ``features`` is a dense (T+1, K, N) cube or
+    SplineFeatures, whose steps are densified one slab at a time; without
+    it the pass builds SplineFeatures of the recorded states on
+    ``basis_spec``.
     """
-    if gamma is None:
-        gamma = dataset.risk.gamma
     if features is None:
         features = spline_features(basis_spec, dataset.states)
 
@@ -288,20 +254,17 @@ def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
     q_values = np.zeros((n_paths, n_steps + 1))
     q_values[:, -1] = dataset.terminal_q()
     w_list: list[WMatrix] = [None] * n_steps
-    fallbacks = 0
     for t in range(n_steps - 1, -1, -1):
-        w_list[t], q_values[:, t], n_fb = fqi_backward_step(
+        w_list[t], q_values[:, t] = fqi_backward_step(
             dataset.actions[:, t], dataset.rewards[:, t],
-            step_features(features, t), q_values[:, t + 1], gamma,
-            regularizer, greedy_update,
+            step_features(features, t), q_values[:, t + 1], dataset.risk.gamma,
+            regularizer,
         )
-        fallbacks += n_fb
 
     return FQISolution(
         w=tuple(w_list),
         q_values=q_values,
         price_t0=float(-q_values[:, 0].mean()),
-        greedy_fallbacks=fallbacks,
     )
 
 
@@ -366,16 +329,17 @@ def save_dataset(dataset: OfflineDataset, dest) -> None:
             state = next_state
 
 
-_META_KEYS = ("state_kind", "strike", "risk_aversion", "gamma", "dt", "mu",
-              "sigma", "n_paths", "n_steps")
+_META_KEYS = ("state_kind", "strike", "risk_aversion", "gamma", "pure_risk",
+              "dt", "mu", "sigma", "n_paths", "n_steps")
 
 
 def load_dataset(source) -> OfflineDataset:
     """Load a dataset written by :func:`save_dataset`.
 
     Every (t, k) must appear exactly once; a missing or duplicate row, an
-    index outside the stated shape, or a missing metadata key raises
-    ValueError naming the file and the row or key.
+    index outside the stated shape, a missing metadata key, or a
+    ``pure_risk`` other than ``True`` or ``False`` raises ValueError naming
+    the file and the row or key.
     """
     meta: dict[str, str] = {}
     rows = []
@@ -395,6 +359,9 @@ def load_dataset(source) -> OfflineDataset:
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
         raise ValueError(f"{source}: missing metadata key {missing[0]!r}")
+    if meta["pure_risk"] not in ("True", "False"):
+        raise ValueError(f"{source}: metadata key 'pure_risk' must be True or "
+                         f"False, got {meta['pure_risk']!r}")
 
     n_paths = int(meta["n_paths"])
     n_steps = int(meta["n_steps"])
@@ -444,7 +411,7 @@ def load_dataset(source) -> OfflineDataset:
         risk=RiskParams(
             risk_aversion=float(meta["risk_aversion"]),
             gamma=float(meta["gamma"]),
-            pure_risk=meta.get("pure_risk", "True") == "True",
+            pure_risk=meta["pure_risk"] == "True",
         ),
         dt=float(meta["dt"]),
         mu=float(meta["mu"]),

@@ -81,11 +81,6 @@ class MarketParams:
     def dt(self) -> float:
         return self.maturity / self.n_steps
 
-    @property
-    def discount(self) -> float:
-        """Per-step discount factor exp(-r * dt)."""
-        return math.exp(-self.r * self.dt)
-
 
 def _freeze(array: np.ndarray) -> np.ndarray:
     out = np.array(array, dtype=float)

@@ -93,6 +93,13 @@ def scaled_regularizer(gram: np.ndarray, relative: float = DEFAULT_RIDGE_REL) ->
     return relative * trace / gram.shape[0]
 
 
+def effective_ridge(gram: np.ndarray, regularizer: float | None) -> float:
+    """Absolute ridge weight: an explicit value wins, else the scaled default."""
+    if regularizer is not None:
+        return regularizer
+    return scaled_regularizer(gram)
+
+
 @dataclass(frozen=True)
 class RowBand:
     """The nonzeros of a (K, N) matrix, held as one band of w columns per row.

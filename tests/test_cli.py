@@ -74,11 +74,13 @@ class TestSolverCommands:
                             "--seed", "2", "--noise", "0.2",
                             "--dataset-out", str(dataset))
         assert code == 0
+        assert json.loads(out).keys() == {"price"}
         direct = json.loads(out)["price"]
 
         code, out = run_cli(capsys, "price-qlbs-fqi",
                             "--dataset-in", str(dataset))
         assert code == 0
+        assert json.loads(out).keys() == {"price"}
         reloaded = json.loads(out)["price"]
         assert reloaded == pytest.approx(direct, abs=1e-9)
 

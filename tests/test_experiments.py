@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from qlbs.experiments import (
     ResultTable,
     Scenario,
     ScenarioConfig,
-    TerminalWealthReport,
     TwFormula,
     emit_report,
     load_report,
@@ -90,10 +90,22 @@ class TestTerminalWealth:
         assert np.allclose(corrected - literal, gap, atol=1e-12)
 
     def test_report_statistics_consistent(self):
-        tw = np.array([-3.0, 1.0, 2.0, 5.0])
-        report = TerminalWealthReport.from_sample(tw, StateKind.PRICE, 0.01)
-        assert report.mean == pytest.approx(tw.mean())
-        assert report.median == pytest.approx(np.median(tw))
+        # A transaction-costs row reports the mean and median of the
+        # terminal wealth of its DP hedges, premium included.
+        config = small_config(scenario=Scenario.TRANSACTION_COSTS,
+                              state_kinds=(StateKind.PRICE,))
+        table = run_scenario(config)
+        row = dict(zip(table.columns, table.rows[0]))
+        paths = simulate_gbm(config.market)
+        risk = RiskParams.from_rate(row["risk_aversion"], config.market.r,
+                                    config.market.dt)
+        spec = spec_for_states(compute_states(paths, StateKind.PRICE).values)
+        dp = run_model_based(paths, StateKind.PRICE, 100.0, risk, basis_spec=spec)
+        tw = terminal_wealth(paths, dp.hedges, 100.0, row["cost_rate"], dp.price_t0)
+        assert row["cost_rate"] == 0.01
+        assert row["price"] == dp.price_t0
+        assert row["tw_mean"] == pytest.approx(tw.mean(), rel=1e-12)
+        assert row["tw_median"] == pytest.approx(np.median(tw), rel=1e-12)
 
     def test_cost_rate_validation(self):
         paths = flat_hedge_paths()
@@ -205,6 +217,32 @@ class TestRunScenario:
         table = run_scenario(config)
         assert len(table.rows) == 4
         assert table.errors == ["feature matrix must be finite"] * 4
+
+    @pytest.mark.parametrize("scenario, sweep, field, values", [
+        (Scenario.NOISE_GRID, {"path_counts": [100, 200], "noise_levels": [0.4]},
+         "n_paths", [100, 200]),
+        (Scenario.HEDGE_FREQUENCY, {"step_counts": [12, 2]}, "n_steps", [12, 2]),
+    ], ids=["noise-grid", "hedge-frequency"])
+    def test_simulates_each_cell_market_once(self, monkeypatch, scenario, sweep,
+                                             field, values):
+        # No cell runs on the 500-path base market, so it is never simulated
+        # and the header has no knots.
+        calls = []
+
+        def counted(market):
+            calls.append(market)
+            return simulate_gbm(market)
+
+        monkeypatch.setattr(experiments, "simulate_gbm", counted)
+        market = replace(small_config().market, n_paths=500)
+        config = small_config(scenario=scenario, sweep=sweep, seeds=(0, 1),
+                              market=market)
+        table = run_scenario(config)
+        assert not table.errors
+        cells = {replace(config.market, seed=seed, **{field: value})
+                 for value in values for seed in config.seeds}
+        assert len(calls) == len(cells) and set(calls) == cells
+        assert table.meta["knots"] == {}
 
     def test_basis_sensitivity_shape(self):
         config = small_config(scenario=Scenario.BASIS_SENSITIVITY,

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qlbs.basis import FeatureMatrix, basis_values, make_spec, spec_for_states, feature_cube
 from qlbs.dp import RiskParams, run_model_based
-from qlbs import fqi as fqi_module
 from qlbs.fqi import (
     OfflineDataset,
     WMatrix,
@@ -207,8 +206,8 @@ class TestBackwardStep:
         states = rng.uniform(0, 1, 60)
         features = FeatureMatrix(basis_values(spec, states))
         actions = rng.normal(0, 1, 60)
-        w, q_t, _ = fqi_backward_step(actions, np.full(60, 1.7),
-                                      features, np.zeros(60), 1.0)
+        w, q_t = fqi_backward_step(actions, np.full(60, 1.7),
+                                   features, np.zeros(60), 1.0)
         assert np.allclose(q_t, 1.7, atol=1e-4)
 
     def test_underdetermined_system_warns_but_solves(self, caplog):
@@ -218,8 +217,8 @@ class TestBackwardStep:
         features = FeatureMatrix(basis_values(spec, states))
         actions = rng.normal(0, 1, 10)
         with caplog.at_level(logging.WARNING):
-            w, q_t, _ = fqi_backward_step(actions, rng.normal(size=10),
-                                          features, np.zeros(10), 0.99)
+            w, q_t = fqi_backward_step(actions, rng.normal(size=10),
+                                       features, np.zeros(10), 0.99)
         assert np.all(np.isfinite(q_t))
         assert any("ridge" in message for message in caplog.messages)
 
@@ -284,7 +283,7 @@ class TestRunFqi:
             after = run_fqi(loaded, spec).price_t0
             assert after == pytest.approx(before, abs=1e-10)
 
-    def test_default_fit_skips_maximizer(self, monkeypatch):
+    def test_default_fit_skips_maximizer(self):
         # Reference: the fitted-Q recursion evaluated at the recorded
         # actions, written out step by step.
         paths, states, spec, cube, risk, dp = small_run(n_paths=500)
@@ -302,13 +301,8 @@ class TestRunFqi:
             u = features @ w.reshape(3, -1).T
             q = u[:, 0] + a[:, 0] * u[:, 1] + 0.5 * a[:, 0]**2 * u[:, 2]
 
-        def never(*args):
-            raise AssertionError("the maximizer ran without greedy_update")
-
-        monkeypatch.setattr(fqi_module, "_greedy_batch", never)
         fit = run_fqi(dataset, spec, features=cube)
         assert fit.price_t0 == float(-q.mean())
-        assert fit.greedy_fallbacks == 0
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -350,10 +344,20 @@ class TestLoadDatasetRejectsMalformedFiles:
         with pytest.raises(ValueError, match=r"bad\.csv: duplicate row for \(t=5, k=4\)"):
             load_dataset(dest)
 
-    def test_missing_metadata_key(self, tmp_path, lines):
-        lines = [line for line in lines if not line.startswith("# gamma=")]
+    @pytest.mark.parametrize("key", ["state_kind", "strike", "risk_aversion",
+                                     "gamma", "pure_risk", "dt", "mu", "sigma",
+                                     "n_paths", "n_steps"])
+    def test_missing_metadata_key(self, tmp_path, lines, key):
+        lines = [line for line in lines if not line.startswith(f"# {key}=")]
         dest = self.write(tmp_path, lines)
-        with pytest.raises(ValueError, match=r"bad\.csv: missing metadata key 'gamma'"):
+        with pytest.raises(ValueError, match=rf"bad\.csv: missing metadata key '{key}'"):
+            load_dataset(dest)
+
+    def test_pure_risk_must_be_true_or_false(self, tmp_path, lines):
+        lines = [line.replace("# pure_risk=True", "# pure_risk=yes") for line in lines]
+        dest = self.write(tmp_path, lines)
+        with pytest.raises(ValueError, match=r"bad\.csv: metadata key 'pure_risk' "
+                                             r"must be True or False, got 'yes'"):
             load_dataset(dest)
 
 

@@ -50,10 +50,9 @@ class TestMarketParams:
         a = simulate_gbm(table4_market(n_paths=5, seed=np.int64(9)))
         assert np.array_equal(a.prices, simulate_gbm(table4_market(n_paths=5, seed=9)).prices)
 
-    def test_dt_and_discount(self):
+    def test_dt(self):
         params = table4_market()
         assert params.dt == pytest.approx(1.0 / 24.0)
-        assert params.discount == pytest.approx(math.exp(-0.03 / 24.0))
 
 
 def spawn_loop_prices(params):
