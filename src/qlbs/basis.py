@@ -8,7 +8,6 @@ partition of unity.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,63 +112,30 @@ def _band_pays(n_basis: int, width: int) -> bool:
 
 
 class StepFeatures:
-    """One time step's (K, n_basis) features, unchecked.
+    """One time step's dense (K, n_basis) float64 features, unchecked.
 
     The backward passes pass one per step where a FeatureMatrix would go,
-    so no slab is copied or scanned. It holds a dense slab, or only the
-    row band of compact features (see :meth:`SplineFeatures.step`); then
-    right-hand sides and fitted values are formed band-wise, and
-    :attr:`values` densifies the slab only for a caller that asks for it.
-
-    A nonfinite feature is caught by :meth:`gram`: the diagonal entry
-    sum_k r_k^2 f_kj^2 is nonfinite exactly when column j holds one (or a
-    square overflows). Both Grams of a step share the row band; a dense
-    slab's is extracted on first use.
+    so the slab is neither copied nor checked. :func:`step_features` gives
+    a step in this form or as its :class:`RowBand`, which has the same
+    three products.
     """
 
-    def __init__(self, values: np.ndarray | None, band: RowBand | None = None):
-        self._dense = values
-        self._band = band
-
-    @functools.cached_property
-    def band(self) -> RowBand | None:
-        """The row band when banded Gram assembly is cheaper, else None."""
-        if self._dense is None:
-            return self._band
-        n_basis = self._dense.shape[1]
-        if n_basis < _BANDED_MIN_BASIS:
-            return None
-        band = row_band(self._dense)
-        return band if _band_pays(n_basis, band.width) else None
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        """The dense (K, n_basis) slab."""
-        return self._band.dense() if self._dense is None else self._dense
+    def __init__(self, values: np.ndarray):
+        self.values = values
 
     def gram(self, root_weights: np.ndarray | None = None) -> np.ndarray:
-        """sum_k r_k^2 f_k f_k^T over the rows f_k, by band or by BLAS."""
-        if self.band is not None:
-            gram = self.band.gram(root_weights)
-        else:
-            weighted = (self.values if root_weights is None
-                        else self.values * root_weights[:, np.newaxis])
-            gram = weighted.T @ weighted
-        if not np.all(np.isfinite(np.diagonal(gram))):
-            raise ValueError("feature matrix must be finite")
-        return gram
+        """sum_k r_k^2 f_k f_k^T over the rows f_k."""
+        weighted = (self.values if root_weights is None
+                    else self.values * root_weights[:, np.newaxis])
+        return weighted.T @ weighted
 
     def rhs(self, targets: np.ndarray) -> np.ndarray:
         """targets @ F: (K,) targets give (n_basis,), (C, K) give (C, n_basis)."""
-        if self._dense is None:
-            return self._band.rhs(targets)
-        return targets @ self._dense
+        return targets @ self.values
 
     def fitted(self, coefficients: np.ndarray) -> np.ndarray:
         """coefficients @ F^T: (n_basis,) give (K,), (C, n_basis) give (C, K)."""
-        if self._dense is None:
-            return self._band.fitted(coefficients)
-        return coefficients @ self._dense.T
+        return coefficients @ self.values.T
 
 
 @dataclass(frozen=True)
@@ -199,19 +165,27 @@ class SplineFeatures:
         return RowBand(columns=self.first[t] + np.arange(order)[:, np.newaxis],
                        values=self.values[t], n_cols=self.n_basis)
 
-    def step(self, t: int) -> StepFeatures:
-        """Time step t: its row band if banded assembly pays, else its dense slab."""
-        band = self.band(t)
-        if _band_pays(self.n_basis, band.width):
-            return StepFeatures(None, band)
-        return StepFeatures(band.dense())
 
+def step_features(features, t: int) -> StepFeatures | RowBand:
+    """Time step t of a dense (T+1, K, N) cube or of SplineFeatures, in the
+    one form all its products take: its row band when banded assembly
+    pays, else its dense slab, read as float64.
 
-def step_features(features, t: int) -> StepFeatures:
-    """Time step t of a dense (T+1, K, N) cube or of SplineFeatures."""
+    A dense slab is scanned for its band only from ``_BANDED_MIN_BASIS``
+    columns on. Its band equals that of SplineFeatures of the same
+    numbers, and so do all the sums, unless every row of the step has
+    fewer than ``order`` nonzeros (every point exactly on a knot), which
+    narrows the scanned band.
+    """
     if isinstance(features, SplineFeatures):
-        return features.step(t)
-    return StepFeatures(features[t])
+        band = features.band(t)
+        return band if _band_pays(band.n_cols, band.width) else StepFeatures(band.dense())
+    slab = np.asarray(features[t], dtype=float)
+    if slab.shape[1] >= _BANDED_MIN_BASIS:
+        band = row_band(slab)
+        if _band_pays(band.n_cols, band.width):
+            return band
+    return StepFeatures(slab)
 
 
 def make_spec(data_lo: float, data_hi: float, n_basis: int = DEFAULT_N_BASIS,

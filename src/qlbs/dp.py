@@ -24,7 +24,7 @@ from .basis import (
     step_features,
 )
 from .market import PathSet, StateKind, compute_states, price_increments
-from .numerics import effective_ridge, solve_normal_equations
+from .numerics import RowBand, effective_ridge, solve_normal_equations
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,20 @@ def _solve_rows(gram: np.ndarray, rhs: np.ndarray,
     """Coefficients for each row of ``rhs`` from one factorization of ``gram``.
 
     A (C, N) right-hand side gives (C, N) coefficients, a (N,) one gives (N,).
+    Features are read unchecked, so a nonfinite one is caught here: the
+    Gram's diagonal entry sum_k r_k^2 f_kj^2 is nonfinite exactly when
+    column j holds one (or a square overflows).
     """
+    if not np.all(np.isfinite(np.diagonal(gram))):
+        raise ValueError("feature matrix must be finite")
     return solve_normal_equations(gram, rhs.T, effective_ridge(gram, regularizer)).T
 
 
-def _step(phi_t: FeatureMatrix | StepFeatures) -> StepFeatures:
-    """The step's features as StepFeatures; a pass's own are kept, with their band."""
-    return phi_t if isinstance(phi_t, StepFeatures) else StepFeatures(phi_t.values)
+def _step(phi_t: FeatureMatrix | StepFeatures | RowBand) -> StepFeatures | RowBand:
+    """The step's features in the form step_features chooses; a pass's own are kept."""
+    if isinstance(phi_t, FeatureMatrix):
+        return step_features(phi_t.values[np.newaxis], 0)
+    return phi_t
 
 
 def fit_hedge_coefficients(phi_t: FeatureMatrix, delta_s: np.ndarray,
@@ -213,20 +220,20 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
     right-hand side. Work arrays are time-major, (T+1, C, K), so a step
     reads and writes contiguous (C, K) slabs.
 
-    Each step's features are read unchecked (see StepFeatures). A large
-    basis whose rows are narrow bands, such as N = 100 splines, assembles
-    both Grams from each row's band; smaller ones use one dense product
-    each. Given SplineFeatures, such a step reads the bands directly and
-    forms right-hand sides and fitted values band-wise too, without a
-    (K, N) slab. Other steps densify their slab; below 50 functions their
-    numbers equal a dense cube's.
+    Each step's features are read unchecked, in the one form
+    :func:`~qlbs.basis.step_features` chooses: a large basis whose rows
+    are narrow bands, such as N = 100 splines, forms its Grams,
+    right-hand sides and fitted values from each row's band, without a
+    (K, N) slab; every other step uses dense products. So a dense cube
+    and SplineFeatures of the same numbers give the same solution.
 
     Without ``features`` the pass builds SplineFeatures of the chosen
     state on ``basis_spec``, or, when no basis spec is given either, on
     the default clamped basis over the state's global range. Precomputed
     features, a dense (T+1, K, N) cube or SplineFeatures, may be passed
     to reuse work across runs that share paths and basis; a dense cube is
-    read as float64. Returns one solution per contract, in order.
+    read as float64 one step at a time. Returns one solution per contract,
+    in order.
     """
     strikes = np.array([float(strike) for strike, _ in contracts])
     risks = tuple(risk for _, risk in contracts)
@@ -236,8 +243,6 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
         if basis_spec is None:
             basis_spec = spec_for_states(states.values)
         features = spline_features(basis_spec, states.values)
-    if not isinstance(features, SplineFeatures):
-        features = np.asarray(features, dtype=float)
     # The rate implied by the discount factor, so increments and
     # discounting always agree even for loaded path fixtures.
     rate = -math.log(gamma) / paths.dt

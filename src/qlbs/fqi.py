@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FeatureMatrix, SplineFeatures, spline_features, step_features
+from .basis import BasisSpec, FeatureMatrix, SplineFeatures, StepFeatures, spline_features
 from .market import PathSet, StateKind, StateSeries
 from .numerics import effective_ridge, solve_normal_equations
 from .dp import RiskParams, compute_rewards, rollback_portfolio
@@ -212,8 +212,8 @@ def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
 
     Returns (WMatrix, q_t). A nonfinite feature raises ValueError: the
     phi block of the Gram matrix has diagonal sum_k phi_kj^2, nonfinite
-    exactly when column j holds one, so unchecked StepFeatures are
-    caught there.
+    exactly when column j holds one, so the unchecked StepFeatures of
+    :func:`run_fqi` are caught there.
     """
     features = phi_t.values
     design = _psi_matrix(actions_t, features)
@@ -234,6 +234,13 @@ def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
     return WMatrix(values=w), q_t
 
 
+def _dense_step(features, t: int) -> StepFeatures:
+    """Time step t of a dense cube or SplineFeatures as a dense float64 slab."""
+    if isinstance(features, SplineFeatures):
+        return StepFeatures(features.band(t).dense())
+    return StepFeatures(np.asarray(features[t], dtype=float))
+
+
 def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
             regularizer: float | None = None,
             features: np.ndarray | SplineFeatures | None = None) -> FQISolution:
@@ -243,8 +250,8 @@ def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
     column is fitted from the recorded tuples, discounted by the
     dataset's ``risk.gamma``. The time-0 price is the negative average of
     the initial values. ``features`` is a dense (T+1, K, N) cube or
-    SplineFeatures, whose steps are densified one slab at a time; without
-    it the pass builds SplineFeatures of the recorded states on
+    SplineFeatures, read as one dense float64 slab per step; without it
+    the pass builds SplineFeatures of the recorded states on
     ``basis_spec``.
     """
     if features is None:
@@ -257,7 +264,7 @@ def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
     for t in range(n_steps - 1, -1, -1):
         w_list[t], q_values[:, t] = fqi_backward_step(
             dataset.actions[:, t], dataset.rewards[:, t],
-            step_features(features, t), q_values[:, t + 1], dataset.risk.gamma,
+            _dense_step(features, t), q_values[:, t + 1], dataset.risk.gamma,
             regularizer,
         )
 
@@ -337,9 +344,10 @@ def load_dataset(source) -> OfflineDataset:
     """Load a dataset written by :func:`save_dataset`.
 
     Every (t, k) must appear exactly once; a missing or duplicate row, an
-    index outside the stated shape, a missing metadata key, or a
-    ``pure_risk`` other than ``True`` or ``False`` raises ValueError naming
-    the file and the row or key.
+    index outside the stated shape, a missing metadata key, a value that
+    does not parse or that RiskParams rejects, or a ``pure_risk`` other
+    than ``True`` or ``False`` raises ValueError naming the file and the
+    row or key.
     """
     meta: dict[str, str] = {}
     rows = []
@@ -363,8 +371,19 @@ def load_dataset(source) -> OfflineDataset:
         raise ValueError(f"{source}: metadata key 'pure_risk' must be True or "
                          f"False, got {meta['pure_risk']!r}")
 
-    n_paths = int(meta["n_paths"])
-    n_steps = int(meta["n_steps"])
+    def parse(key, convert):
+        try:
+            return convert(meta[key])
+        except ValueError as err:
+            raise ValueError(f"{source}: metadata key {key!r}: {err}") from err
+
+    n_paths = parse("n_paths", int)
+    n_steps = parse("n_steps", int)
+    risk_aversion, gamma = parse("risk_aversion", float), parse("gamma", float)
+    try:
+        risk = RiskParams(risk_aversion, gamma, pure_risk=meta["pure_risk"] == "True")
+    except ValueError as err:
+        raise ValueError(f"{source}: metadata: {err}") from err
     try:
         table = np.loadtxt(rows[1:], delimiter=",", ndmin=2)
     except ValueError as err:
@@ -406,14 +425,10 @@ def load_dataset(source) -> OfflineDataset:
         actions=actions,
         rewards=rewards,
         terminal_portfolio=terminal_portfolio,
-        state_kind=StateKind.parse(meta["state_kind"]),
-        strike=float(meta["strike"]),
-        risk=RiskParams(
-            risk_aversion=float(meta["risk_aversion"]),
-            gamma=float(meta["gamma"]),
-            pure_risk=meta["pure_risk"] == "True",
-        ),
-        dt=float(meta["dt"]),
-        mu=float(meta["mu"]),
-        sigma=float(meta["sigma"]),
+        state_kind=parse("state_kind", StateKind.parse),
+        strike=parse("strike", float),
+        risk=risk,
+        dt=parse("dt", float),
+        mu=parse("mu", float),
+        sigma=parse("sigma", float),
     )

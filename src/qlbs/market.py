@@ -341,19 +341,7 @@ def load_paths(source, params: MarketParams | None = None) -> PathSet:
     prices = np.array(data)
     if np.any(prices <= 0):
         raise ValueError(f"{source}: prices must be strictly positive")
-
-    if params is None:
-        params = MarketParams(
-            s0=float(prices[0, 0]),
-            mu=0.0,
-            sigma=0.0,
-            r=0.0,
-            maturity=dt * (times.size - 1),
-            n_steps=times.size - 1,
-            n_paths=prices.shape[0],
-            seed=0,
-        )
-    return PathSet(prices=prices, dt=dt, params=params)
+    return table_to_pathset(prices, dt, params)
 
 
 def table_to_pathset(prices: Sequence[Sequence[float]], dt: float,

@@ -6,6 +6,15 @@ every seeded result shows that it does. Regenerate the fixture only for
 a change that is meant to move numbers, and state the largest move:
 
     PYTHONPATH=src python tests/seeded_numbers.py
+
+The numbers depend on the host's BLAS and its thread count: regenerated
+on another host or thread count, the N = 100 basis-sensitivity rows
+drift from the committed file by up to 1.6e-11, within the test's 1e-10
+tolerance. So regenerating does not show that no number moved. To claim
+that, run :func:`compute` at the parent commit and at the change on the
+same host with the same BLAS thread count, and compare the two outputs
+exactly, for instance as files written with ``json.dumps(compute(),
+indent=1)``.
 """
 from __future__ import annotations
 

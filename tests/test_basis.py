@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlbs import basis
+from qlbs import basis, dp
 from qlbs.basis import (
     BasisSpec,
+    FeatureMatrix,
     SplineFeatures,
     StepFeatures,
     basis_values,
     feature_cube,
     make_spec,
     spline_features,
+    step_features,
 )
+from qlbs.numerics import RowBand
 
 from conftest import GOLDEN_DOMAIN, GOLDEN_PHI2, GOLDEN_PRICES
 
@@ -397,80 +400,79 @@ class TestFeatureCube:
 
 
 class TestStepFeatures:
+    """One rule picks each step's form, whichever form the caller holds."""
+
     @pytest.mark.parametrize("n_basis, order, banded", [
-        (12, 4, False),   # desk scale stays on the dense product
+        (12, 4, False),   # desk scale stays on the dense products
         (49, 1, False),   # too few columns to look for a band
         (50, 3, True),
+        (50, 5, True),
         (50, 6, False),   # the band is wider than a tenth of the columns
         (50, 10, False),
         (100, 1, True),
         (100, 10, True),
-    ])
-    def test_assembly_rule(self, n_basis, order, banded):
-        rng = np.random.default_rng(order)
-        values = basis_values(make_spec(-3.0, 3.0, n_basis, order), rng.normal(size=2000))
-        step = StepFeatures(values)
-        assert (step.band is not None) == banded
-        weights = rng.normal(size=2000)
-        want = (values * (weights**2)[:, np.newaxis]).T @ values
-        got = step.gram(weights)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-    def test_full_matrix_takes_the_dense_product(self):
-        values = np.random.default_rng(5).normal(size=(300, 60))
-        step = StepFeatures(values)
-        assert step.band is None
-        assert np.array_equal(step.gram(), values.T @ values)
-
-    @pytest.mark.parametrize("n_basis", [12, 100])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_feature_rejected(self, n_basis, bad):
-        values = basis_values(make_spec(-3.0, 3.0, n_basis, 3),
-                              np.random.default_rng(6).normal(size=1000))
-        values[17, np.flatnonzero(values[17])[0]] = bad
-        with pytest.raises(ValueError, match="feature matrix must be finite"):
-            StepFeatures(values).gram(np.ones(1000))
-
-    @pytest.mark.parametrize("n_basis, order, banded", [
-        (12, 4, False),
-        (49, 1, False),   # too few columns for the band
-        (50, 5, True),
-        (50, 6, False),   # order 6 is more than a tenth of 50 columns
-        (100, 1, True),
-        (100, 10, True),
         (100, 11, False),
     ])
-    def test_compact_steps(self, n_basis, order, banded):
+    def test_assembly_rule(self, n_basis, order, banded):
         rng = np.random.default_rng(n_basis + order)
         states = rng.normal(size=(2000, 3))
         spec = make_spec(states.min(), states.max(), n_basis, order)
-        step = spline_features(spec, states).step(1)
-        dense = feature_cube(spec, states)[1]
+        cube = feature_cube(spec, states)
+        dense = cube[1]
+        # Step 1 from a dense cube, from SplineFeatures, and as the per-step
+        # solver functions read a FeatureMatrix.
+        steps = {"cube": step_features(cube, 1),
+                 "compact": step_features(spline_features(spec, states), 1),
+                 "matrix": dp._step(FeatureMatrix(dense))}
         weights, targets = rng.normal(size=2000), rng.normal(size=(3, 2000))
         coefficients = rng.normal(size=(3, n_basis))
-        assert (step.band is not None) == banded
-        if banded:
-            assert step.band.width == order
-            reference, tol = StepFeatures(dense), 1e-13
-            reference.band = None  # plain dense products
-        else:
-            # A densified slab takes a dense cube's products: bit-identical.
-            assert np.array_equal(step.values, dense)
-            reference, tol = StepFeatures(dense), 0.0
-        for method, argument in [("gram", weights), ("rhs", targets),
-                                 ("rhs", targets[0]), ("fitted", coefficients),
-                                 ("fitted", coefficients[0])]:
-            got = getattr(step, method)(argument)
-            want = getattr(reference, method)(argument)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), method
-        assert np.array_equal(step.values, dense)
+        weighted = dense * weights[:, np.newaxis]
+        want = [weighted.T @ weighted, targets @ dense, targets[0] @ dense,
+                coefficients @ dense.T, coefficients[0] @ dense.T]
+        # A band sums in another order than BLAS; a dense slab is BLAS.
+        tol = 1e-13 if banded else 0.0
+        products = {}
+        for name, step in steps.items():
+            if banded:
+                assert isinstance(step, RowBand) and step.width == order, name
+            else:
+                assert isinstance(step, StepFeatures), name
+                assert step.values.dtype == np.float64
+                assert np.array_equal(step.values, dense), name
+            products[name] = [step.gram(weights), step.rhs(targets), step.rhs(targets[0]),
+                              step.fitted(coefficients), step.fitted(coefficients[0])]
+            for got, ref in zip(products[name], want):
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref)), name
+        for name in ("compact", "matrix"):
+            for got, ref in zip(products[name], products["cube"]):
+                assert np.array_equal(got, ref), name
 
+    def test_full_matrix_takes_the_dense_product(self):
+        values = np.random.default_rng(5).normal(size=(300, 60))
+        step = step_features(values[np.newaxis], 0)
+        assert isinstance(step, StepFeatures)
+        assert np.array_equal(step.gram(), values.T @ values)
+
+    # The solvers read features unchecked; the DP's normal equations catch
+    # a nonfinite one on the Gram diagonal, from a dense slab at N = 12 and
+    # from a row band at N = 100, whichever form held it.
     @pytest.mark.parametrize("n_basis", [12, 100])
-    def test_nonfinite_compact_feature_rejected(self, n_basis):
-        states = np.random.default_rng(7).normal(size=(1000, 3))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_feature_rejected(self, n_basis, bad):
+        rng = np.random.default_rng(6)
+        states = rng.normal(size=(1000, 3))
         spec = make_spec(states.min(), states.max(), n_basis, 3)
+        cube = feature_cube(spec, states)
         compact = spline_features(spec, states)
-        compact.values[2, 1, 17] = np.nan
-        with pytest.raises(ValueError, match="feature matrix must be finite"):
-            compact.step(2).gram(np.ones(1000))
+        cube[2, 17, compact.first[2, 17]] = bad
+        compact.values[2, 0, 17] = bad
+        risk = dp.RiskParams(risk_aversion=1e-3, gamma=0.99)
+        targets = rng.normal(size=(3, 1000))
+        for features in (cube, compact):
+            step = step_features(features, 2)
+            assert isinstance(step, StepFeatures if n_basis == 12 else RowBand)
+            with pytest.raises(ValueError, match="feature matrix must be finite"):
+                dp.fit_hedge_coefficients(step, targets[0], targets[1], targets[2], risk)
+            with pytest.raises(ValueError, match="feature matrix must be finite"):
+                dp.fit_q_coefficients(step, targets[0], targets[1], risk.gamma)

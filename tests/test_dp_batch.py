@@ -191,9 +191,8 @@ def dense_gram_reference(paths, cube, strike, risk):
 
 
 class TestLargeBasisMatchesDenseGrams:
-    # N = 100 takes the banded Gram assembly at every one of these orders;
-    # from SplineFeatures it also forms right-hand sides and fitted values
-    # band-wise.
+    # N = 100 reads every step of either form as its row band, at every
+    # one of these orders: Grams, right-hand sides and fitted values.
     @pytest.mark.parametrize("compact", [False, True], ids=["dense", "compact"])
     @pytest.mark.parametrize("order", [1, 3, 10])
     @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
@@ -240,32 +239,25 @@ class TestSplineFeatures:
         for got_w, want_w in zip(got.w, want.w):
             assert np.array_equal(got_w.values, want_w.values)
 
-    # Four contracts at N = 100: Grams, right-hand sides and fitted values
-    # all come from the bands. At order 10 on 2000 paths the Grams are so
-    # ill-conditioned that any change in summation order moves the
-    # per-path matrices by up to about 3e-8 (cash); batching the dense
-    # cube's contracts moves them as much. So the matrices are held to a
-    # few times that spread of the dense solver against itself.
-    @pytest.mark.parametrize("order", [1, 10])
-    def test_large_basis_batch_matches_dense_cube(self, order):
-        kind, paths = StateKind.LOG_RETURN, simulate_gbm(replace(MARKET, n_paths=2000))
+    # From 50 functions on, where the band pays, both forms give each step
+    # the same row band, so a pass forms the same sums from either.
+    @pytest.mark.parametrize("n_basis, order", [(50, 5), (60, 4), (100, 1),
+                                                (100, 3), (100, 10)])
+    @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
+    def test_large_basis_is_bit_identical(self, kind, n_basis, order):
+        paths = simulate_gbm(replace(MARKET, n_paths=2000))
         states = compute_states(paths, kind).values
-        spec = spec_for_states(states, n_basis=100, order=order)
-        cube = feature_cube(spec, states)
+        spec = spec_for_states(states, n_basis=n_basis, order=order)
         contracts = [(z, RiskParams.from_rate(1e-3, MARKET.r, MARKET.dt))
                      for z in (60.0, 90.0, 100.0, 125.0)]
         runs = [run_model_based_batch(paths, kind, contracts, basis_spec=spec,
                                       features=features)
-                for features in (cube, spline_features(spec, states))]
-        singles = [run_model_based(paths, kind, z, risk, basis_spec=spec, features=cube)
-                   for z, risk in contracts]
-        for want, got, single in zip(*runs, singles):
-            assert abs(got.price_t0 - want.price_t0) <= TOL
-            assert abs(got.hedge_t0 - want.hedge_t0) <= TOL
-            for name in MATRICES:
-                want_m, got_m = getattr(want, name), getattr(got, name)
-                spread = np.max(np.abs(getattr(single, name) - want_m))
-                assert np.max(np.abs(got_m - want_m)) <= max(TOL, 4 * spread), name
+                for features in (feature_cube(spec, states), spline_features(spec, states))]
+        for want, got in zip(*runs):
+            assert got.price_t0 == want.price_t0
+            assert got.hedge_t0 == want.hedge_t0
+            for name in MATRICES + ("phi", "omega"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestDefaultFeatures:
@@ -274,8 +266,8 @@ class TestDefaultFeatures:
 
     @staticmethod
     def solve(kind, n_basis, order):
-        """Inputs, then (DP, fitted Q) without features and on the dense
-        cube, on 2000 paths; both fitted-Q runs read one dataset."""
+        """(DP, fitted Q) without features and on the dense cube, on 2000
+        paths; both fitted-Q runs read one dataset."""
         paths = simulate_gbm(replace(MARKET, n_paths=2000))
         states = compute_states(paths, kind)
         spec = spec_for_states(states.values, n_basis=n_basis, order=order)
@@ -288,47 +280,29 @@ class TestDefaultFeatures:
         dataset = build_offline_dataset(paths, states, noisy, 100.0, risk)
         fqi, fqi_cube = (run_fqi(dataset, spec, features=features)
                          for features in (None, cube))
-        return (paths, states, spec, cube, risk), (dp, fqi), (dp_cube, fqi_cube)
+        return (dp, fqi), (dp_cube, fqi_cube)
 
-    @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
-    def test_small_basis_is_bit_identical(self, kind):
-        _, (dp, fqi), (dp_cube, fqi_cube) = self.solve(kind, 12, 4)
+    def assert_bit_identical(self, kind, n_basis, order):
+        (dp, fqi), (dp_cube, fqi_cube) = self.solve(kind, n_basis, order)
         assert dp.price_t0 == dp_cube.price_t0
         assert dp.hedge_t0 == dp_cube.hedge_t0
-        for name in ("hedges", "q_values", "phi", "omega"):
+        for name in MATRICES + ("phi", "omega"):
             assert np.array_equal(getattr(dp, name), getattr(dp_cube, name)), name
         assert fqi.price_t0 == fqi_cube.price_t0
         assert np.array_equal(fqi.q_values, fqi_cube.q_values)
         for w, w_cube in zip(fqi.w, fqi_cube.w):
             assert np.array_equal(w.values, w_cube.values)
 
-    # At N = 100 the DP reads bands, so its sums run in another order than
-    # on the dense cube. Prices, time-0 hedges and fitted Q (which
-    # densifies each step) hold to 1e-10. At order 10 on 2000 paths the
-    # Grams are so ill-conditioned that the DP's per-path matrices move by
-    # up to about 1e-10 (cash 1e-8) and its coefficients by up to about
-    # 1e-3 (omega), as far as batching the dense cube's contract with a
-    # second one moves them; so those are held to four times that spread.
+    @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
+    def test_small_basis_is_bit_identical(self, kind):
+        self.assert_bit_identical(kind, 12, 4)
+
+    # At N = 100 the DP reads each step of either form as the same row
+    # band, and fitted Q densifies each step of either.
     @pytest.mark.parametrize("order", [1, 10])
     @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
     def test_large_basis_matches_dense_cube(self, kind, order):
-        (paths, states, spec, cube, risk), (dp, fqi), (dp_cube, fqi_cube) = \
-            self.solve(kind, 100, order)
-        assert abs(dp.price_t0 - dp_cube.price_t0) <= TOL
-        assert abs(dp.hedge_t0 - dp_cube.hedge_t0) <= TOL
-        twin = run_model_based_batch(paths, kind, [(100.0, risk), (90.0, risk)],
-                                     basis_spec=spec, features=cube)[0]
-        compact = run_model_based(paths, kind, 100.0, risk, basis_spec=spec,
-                                  features=spline_features(spec, states.values))
-        for name in MATRICES + ("phi", "omega"):
-            got, want = getattr(dp, name), getattr(dp_cube, name)
-            spread = np.max(np.abs(getattr(twin, name) - want))
-            assert np.max(np.abs(got - want)) <= max(TOL, 4 * spread), name
-            assert np.array_equal(got, getattr(compact, name)), name
-        assert abs(fqi.price_t0 - fqi_cube.price_t0) <= TOL
-        assert np.max(np.abs(fqi.q_values - fqi_cube.q_values)) <= TOL
-        for w, w_cube in zip(fqi.w, fqi_cube.w):
-            assert np.max(np.abs(w.values - w_cube.values)) <= TOL
+        self.assert_bit_identical(kind, 100, order)
 
 
 class TestBatchValidation:

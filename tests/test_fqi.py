@@ -360,6 +360,28 @@ class TestLoadDatasetRejectsMalformedFiles:
                                              r"must be True or False, got 'yes'"):
             load_dataset(dest)
 
+    def replace_value(self, tmp_path, lines, key, value):
+        return self.write(tmp_path, [f"# {key}={value}\n" if line.startswith(f"# {key}=")
+                                     else line for line in lines])
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_paths", "abc"), ("n_steps", "1.5"), ("state_kind", "momentum"),
+        ("strike", ""), ("risk_aversion", "low"), ("gamma", "0,99"),
+        ("dt", "1/12"), ("mu", "5%"), ("sigma", "x")])
+    def test_unparsable_metadata_value(self, tmp_path, lines, key, value):
+        dest = self.replace_value(tmp_path, lines, key, value)
+        with pytest.raises(ValueError, match=rf"bad\.csv: metadata key '{key}': "):
+            load_dataset(dest)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("gamma", "1.5", r"gamma must lie in \(0, 1\]"),
+        ("gamma", "0.0", r"gamma must lie in \(0, 1\]"),
+        ("risk_aversion", "-0.001", "risk_aversion must be nonnegative")])
+    def test_metadata_risk_params_reject(self, tmp_path, lines, key, value, message):
+        dest = self.replace_value(tmp_path, lines, key, value)
+        with pytest.raises(ValueError, match=rf"bad\.csv: metadata: {message}"):
+            load_dataset(dest)
+
 
 def csv_writer_dataset(dataset, dest):
     """The original writer: one ``csv.writer`` row per (t, k), reading
