@@ -9,6 +9,7 @@ share each step's Gram matrices and their factorizations.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,24 +58,36 @@ class RiskParams:
 
 @dataclass(frozen=True)
 class DPSolution:
-    """Full output of the backward pass.
+    """Output of the backward pass for one contract on ``paths``.
 
-    Matrices are (n_paths, n_steps + 1); ``phi`` and ``omega`` hold the
-    hedge and value coefficients for t = 0 .. T-1 (shape (T, n_basis)).
-    Cash is the bank-account leg portfolio - hedge * price. The arrays are
-    views into the time-major work arrays of the pass that solved them,
-    so every solution of a batch shares, and keeps alive, those arrays.
+    Matrices are (n_paths, n_steps + 1); ``hedges`` and ``q_values`` are
+    views into the time-major arrays of the pass, shared by every solution
+    of a batch. ``phi`` and ``omega`` hold the hedge and value coefficients
+    for t = 0 .. T-1. ``portfolio``, ``rewards`` and ``cash`` (portfolio -
+    hedge * price) are rolled back under ``hedges`` on first read, bit for
+    bit as the pass formed them.
     """
 
     hedges: np.ndarray
-    portfolio: np.ndarray
-    rewards: np.ndarray
     q_values: np.ndarray
-    cash: np.ndarray
     phi: np.ndarray
     omega: np.ndarray
     price_t0: float
     hedge_t0: float
+    paths: PathSet
+    strike: float
+    risk: RiskParams
+
+    @functools.cached_property
+    def _rolled(self) -> tuple[np.ndarray, np.ndarray]:
+        return portfolio_and_rewards(self.paths, self.strike, self.hedges, self.risk)
+
+    portfolio = property(lambda self: self._rolled[0])
+    rewards = property(lambda self: self._rolled[1])
+
+    @functools.cached_property
+    def cash(self) -> np.ndarray:
+        return self.portfolio - self.hedges * self.paths.prices
 
 
 def _contract_risk(risk) -> tuple[float, bool, float | np.ndarray]:
@@ -182,6 +195,28 @@ def compute_rewards(pi_next: np.ndarray, pi_t: np.ndarray, gamma: float,
     return gamma * pi_next - pi_t - risk_aversion * var
 
 
+def _increments(paths: PathSet, gamma: float):
+    # The rate implied by gamma, so increments and discounting always agree.
+    return price_increments(paths, -math.log(gamma) / paths.dt)
+
+
+def portfolio_and_rewards(paths: PathSet, strike: float, actions: np.ndarray,
+                          risk: RiskParams) -> tuple[np.ndarray, np.ndarray]:
+    """Portfolio and rewards, each (n_paths, n_steps + 1), of holding ``actions``:
+    the payoff rolled back step by step with the backward pass's arithmetic."""
+    payoff, _, _, terminal_reward, _ = terminal_conditions(paths, strike, risk)
+    delta_s = _increments(paths, risk.gamma).delta_s
+    portfolio = np.empty((paths.n_steps + 1, paths.n_paths))
+    rewards = np.empty_like(portfolio)
+    portfolio[-1], rewards[-1] = payoff, terminal_reward
+    for t in range(paths.n_steps - 1, -1, -1):
+        portfolio[t] = rollback_portfolio(portfolio[t + 1], actions[:, t],
+                                          delta_s[:, t], risk.gamma)
+        rewards[t] = compute_rewards(portfolio[t + 1], portfolio[t], risk.gamma,
+                                     risk.risk_aversion)
+    return portfolio.T, rewards.T
+
+
 def fit_q_coefficients(phi_t: FeatureMatrix, rewards_t: np.ndarray,
                        q_next: np.ndarray, gamma: float,
                        regularizer: float | None = None) -> np.ndarray:
@@ -217,8 +252,9 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
     and pure_risk; mixed ones raise ValueError. Neither Gram matrix of a
     step depends on the strike or the risk aversion, so each step builds
     and factors them once and solves every contract as one more
-    right-hand side. Work arrays are time-major, (T+1, C, K), so a step
-    reads and writes contiguous (C, K) slabs.
+    right-hand side. The pass stores only hedges and action values, in
+    time-major (T+1, C, K) arrays, so a step reads and writes contiguous
+    (C, K) slabs; solutions derive the rest on demand (see DPSolution).
 
     Each step's features are read unchecked, in the one form
     :func:`~qlbs.basis.step_features` chooses: a large basis whose rows
@@ -243,24 +279,18 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
         if basis_spec is None:
             basis_spec = spec_for_states(states.values)
         features = spline_features(basis_spec, states.values)
-    # The rate implied by the discount factor, so increments and
-    # discounting always agree even for loaded path fixtures.
-    rate = -math.log(gamma) / paths.dt
-    increments = price_increments(paths, rate)
+    increments = _increments(paths, gamma)
 
     n_steps = paths.n_steps
     shape = (n_steps + 1, strikes.size, paths.n_paths)
     hedges = np.zeros(shape)
-    portfolio = np.zeros(shape)
-    rewards = np.zeros(shape)
     q_values = np.zeros(shape)
     n_basis = features.shape[2]
     phi = np.zeros((n_steps, strikes.size, n_basis))
     omega = np.zeros_like(phi)
 
-    (portfolio[-1], pi_hat_next, hedges[-1], rewards[-1],
-     q_values[-1]) = terminal_conditions(paths, strikes, risks)
-
+    # The portfolio is needed only one step back, so it rolls as a (C, K) slab.
+    pi_next, pi_hat_next, _, _, q_values[-1] = terminal_conditions(paths, strikes, risks)
     for t in range(n_steps - 1, -1, -1):
         phi_t = step_features(features, t)
         ds = increments.delta_s[:, t]
@@ -269,27 +299,23 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
         phi[t] = fit_hedge_coefficients(phi_t, ds, ds_hat, pi_hat_next, risks,
                                         regularizer)
         hedges[t] = optimal_hedge_values(phi_t, phi[t])
-        portfolio[t] = rollback_portfolio(portfolio[t + 1], hedges[t], ds, gamma)
-        rewards[t] = compute_rewards(portfolio[t + 1], portfolio[t], gamma,
-                                     risk_aversion)
-        omega[t] = fit_q_coefficients(phi_t, rewards[t], q_values[t + 1], gamma,
+        pi_t = rollback_portfolio(pi_next, hedges[t], ds, gamma)
+        rewards = compute_rewards(pi_next, pi_t, gamma, risk_aversion)
+        omega[t] = fit_q_coefficients(phi_t, rewards, q_values[t + 1], gamma,
                                       regularizer)
         q_values[t] = phi_t.fitted(omega[t])
-        pi_hat_next = portfolio[t] - portfolio[t].mean(axis=-1, keepdims=True)
+        pi_hat_next = pi_t - pi_t.mean(axis=-1, keepdims=True)
+        pi_next = pi_t
 
-    cash = hedges * paths.prices.T[:, np.newaxis, :]
-    np.subtract(portfolio, cash, out=cash)
     return [
         DPSolution(
             hedges=hedges[:, c].T,
-            portfolio=portfolio[:, c].T,
-            rewards=rewards[:, c].T,
             q_values=q_values[:, c].T,
-            cash=cash[:, c].T,
             phi=phi[:, c],
             omega=omega[:, c],
             price_t0=float(-q_values[0, c].mean()),
             hedge_t0=float(hedges[0, c].mean()),
+            paths=paths, strike=float(strikes[c]), risk=risks[c],
         )
         for c in range(strikes.size)
     ]

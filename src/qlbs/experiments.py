@@ -4,7 +4,7 @@ Each scenario sweeps one axis (volatility, sample size and action noise,
 hedging frequency, strike, transaction costs, or basis shape), runs the
 solvers per state kind and seed, and collects one row per cell. Paths
 are simulated once per market; cells on the same paths and basis share
-one set of features and solve their contracts in batched backward passes,
+one set of features and solve their contracts in one batched backward pass,
 so sweeps stay fast at desk scale.
 """
 from __future__ import annotations
@@ -214,16 +214,6 @@ _COLUMNS = [
 ]
 
 
-def _pass_size(n_basis: int) -> int:
-    """Most contracts one batched backward pass solves.
-
-    A pass keeps five (T+1, K) work arrays per contract, so a pass of
-    6 * n_basis / 5 contracts holds at most 6 * n_basis of them: a larger
-    basis, whose fits cost more per contract, allows a longer pass.
-    """
-    return 6 * n_basis // 5
-
-
 @dataclass
 class _Job:
     """One (cell, state kind) of a sweep and the report rows it produced.
@@ -267,31 +257,30 @@ def _fail(config: ScenarioConfig, job: _Job, err: Exception) -> None:
 def _finish_job(config: ScenarioConfig, job: _Job, dp: DPSolution,
                 dp_seconds: float, paths: PathSet, states, spec, features,
                 risk: RiskParams) -> None:
-    """Run the job's fitted-Q pass if asked, then build its report rows."""
-    solved = {"dp": (dp, dp_seconds)}
-    if "fqi" in job.methods:
-        try:
-            started = time.perf_counter()
-            _, fqi = fqi_from_hedges(paths, states, dp.hedges, job.base["noise"],
-                                     job.base["strike"], risk, spec, features=features,
-                                     regularizer=config.regularizer)
-            solved["fqi"] = (fqi, time.perf_counter() - started)
-        except Exception as err:  # record and continue with the sweep
-            _fail(config, job, err)
-            return
+    """Build the job's report rows; a fitted-Q failure marks only its own row."""
     for method in job.methods:
-        solution, elapsed = solved[method]
-        row = _row_base(config, job.market, method=method,
-                        runtime_s=round(elapsed, 6), **job.base)
-        row["price"] = solution.price_t0
+        row = _row_base(config, job.market, method=method, **job.base)
         if method == "dp":
-            row["hedge"] = solution.hedge_t0
-        if job.cost_rate is not None and method == "dp":
-            tw = terminal_wealth(paths, solution.hedges, job.base["strike"],
-                                 job.cost_rate, solution.price_t0)
-            row["cost_rate"] = job.cost_rate
-            row["tw_mean"] = float(tw.mean())
-            row["tw_median"] = float(np.median(tw))
+            row.update(price=dp.price_t0, hedge=dp.hedge_t0,
+                       runtime_s=round(dp_seconds, 6))
+            if job.cost_rate is not None:
+                tw = terminal_wealth(paths, dp.hedges, job.base["strike"],
+                                     job.cost_rate, dp.price_t0)
+                row["cost_rate"] = job.cost_rate
+                row["tw_mean"] = float(tw.mean())
+                row["tw_median"] = float(np.median(tw))
+        else:
+            try:
+                started = time.perf_counter()
+                _, fqi = fqi_from_hedges(paths, states, dp.hedges, job.base["noise"],
+                                         job.base["strike"], risk, spec,
+                                         features=features,
+                                         regularizer=config.regularizer)
+                row["price"] = fqi.price_t0
+                row["runtime_s"] = round(time.perf_counter() - started, 6)
+            except Exception as err:  # record and continue with the sweep
+                log.warning("cell failed: %s", err)
+                row["error"] = str(err)
         job.rows.append(row)
 
 
@@ -301,12 +290,12 @@ def _solve_group(get_paths, config: ScenarioConfig, market: MarketParams,
     """Solve every job on one set of paths, state kind and basis.
 
     The features are built once, in compact form (SplineFeatures), and
-    shared by every pass and fitted-Q run. Jobs with the same (strike, risk)
-    share one contract, and the contracts are solved in batched passes
-    of at most ``_pass_size(n_basis)``; each DP row's runtime is its
-    pass's wall time divided by the pass's contracts. A failure inside a
-    pass marks every job of that pass. Returns the group's BasisSpec, or
-    None when the paths, states or basis could not be built.
+    shared by the backward pass and every fitted-Q run. Jobs with the same
+    (strike, risk) share one contract, and all contracts are solved in one
+    batched backward pass; each DP row's runtime is the pass's wall time
+    divided by its contracts. A failure inside the pass marks every job
+    of the group. Returns the group's BasisSpec, or None when the paths,
+    states or basis could not be built.
     """
     try:
         paths = get_paths(market)
@@ -326,31 +315,25 @@ def _solve_group(get_paths, config: ScenarioConfig, market: MarketParams,
             _fail(config, job, err)
             continue
         contracts.setdefault((job.base["strike"], risk), []).append(job)
-    keys = list(contracts)
-    size = _pass_size(n_basis)
-    for start in range(0, len(keys), size):
-        batch = keys[start:start + size]
-        try:
-            started = time.perf_counter()
-            solutions = run_model_based_batch(paths, kind, batch, basis_spec=spec,
-                                              regularizer=config.regularizer,
-                                              features=features)
-            per_contract = (time.perf_counter() - started) / len(batch)
-        except Exception as err:  # record and continue with the sweep
-            for key in batch:
-                for job in contracts[key]:
-                    _fail(config, job, err)
-            continue
-        for (strike, risk), solution in zip(batch, solutions):
-            for job in contracts[strike, risk]:
-                _finish_job(config, job, solution, per_contract, paths, states,
-                            spec, features, risk)
-        # Free this pass's arrays before the next pass allocates its own.
-        del solutions, solution
+    try:
+        started = time.perf_counter()
+        solutions = run_model_based_batch(paths, kind, list(contracts), basis_spec=spec,
+                                          regularizer=config.regularizer,
+                                          features=features)
+        per_contract = (time.perf_counter() - started) / len(contracts)
+    except Exception as err:  # record and continue with the sweep
+        for members in contracts.values():
+            for job in members:
+                _fail(config, job, err)
+        return spec
+    for (strike, risk), solution in zip(contracts, solutions):
+        for job in contracts[strike, risk]:
+            _finish_job(config, job, solution, per_contract, paths, states,
+                        spec, features, risk)
     return spec
 
 
-def _run_cells(config: ScenarioConfig, cells, methods=("dp", "fqi")) -> ResultTable:
+def _run_cells(config: ScenarioConfig, cells) -> ResultTable:
     """Shared sweep loop: cells yield per-cell overrides.
 
     Each (cell, state kind) is a job. Jobs that share paths, state kind
@@ -383,7 +366,7 @@ def _run_cells(config: ScenarioConfig, cells, methods=("dp", "fqi")) -> ResultTa
         for kind in config.state_kinds:
             job = _Job(
                 market=market, kind=kind,
-                methods=tuple(cell.get("methods", methods)),
+                methods=tuple(cell.get("methods", ("dp", "fqi"))),
                 cost_rate=cell.get("cost_rate"),
                 base=dict(strike=strike, risk_aversion=risk_aversion,
                           noise=noise, n_basis=n_basis, order=order,
@@ -446,7 +429,7 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
                  for lam in lambdas
                  for z in strikes
                  for m in _seeded_markets(config)]
-        return _run_cells(config, cells, methods=("dp",))
+        return _run_cells(config, cells)
 
     if scenario is Scenario.TRANSACTION_COSTS:
         cost = config.sweep.get("cost_rate", TRANSACTION_COST_RATE)
@@ -454,7 +437,7 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
         cells = [{"market": m, "cost_rate": cost, "risk_aversion": lam,
                   "methods": ("dp",)}
                  for m in _seeded_markets(config)]
-        return _run_cells(config, cells, methods=("dp",))
+        return _run_cells(config, cells)
 
     if scenario is Scenario.BASIS_SENSITIVITY:
         sizes = config.sweep.get("basis_sizes", BASIS_SENSITIVITY_N)
@@ -464,7 +447,7 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
                  for n in sizes
                  for p in orders
                  for m in _seeded_markets(config)]
-        return _run_cells(config, cells, methods=("dp",))
+        return _run_cells(config, cells)
 
     if scenario is Scenario.SINGLE:
         cells = [{"market": m} for m in _seeded_markets(config)]

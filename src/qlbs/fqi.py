@@ -18,7 +18,7 @@ import numpy as np
 from .basis import BasisSpec, FeatureMatrix, SplineFeatures, StepFeatures, spline_features
 from .market import PathSet, StateKind, StateSeries
 from .numerics import effective_ridge, solve_normal_equations
-from .dp import RiskParams, compute_rewards, rollback_portfolio
+from .dp import RiskParams, portfolio_and_rewards
 
 log = logging.getLogger(__name__)
 
@@ -144,26 +144,11 @@ def build_offline_dataset(paths: PathSet, states: StateSeries,
     if np.any(actions[:, -1] != 0):
         raise ValueError("the terminal action must be zero")
 
-    # Growth implied by the discount factor, matching the solver's rollback.
-    growth = 1.0 / risk.gamma
-    delta_s = paths.prices[:, 1:] - growth * paths.prices[:, :-1]
-
-    payoff = np.maximum(strike - paths.prices[:, -1], 0.0)
-    portfolio = np.zeros((n_paths, n_cols))
-    rewards = np.zeros_like(portfolio)
-    portfolio[:, -1] = payoff
-    rewards[:, -1] = -risk.risk_aversion * payoff.var()
-    for t in range(n_cols - 2, -1, -1):
-        portfolio[:, t] = rollback_portfolio(portfolio[:, t + 1], actions[:, t],
-                                             delta_s[:, t], risk.gamma)
-        rewards[:, t] = compute_rewards(portfolio[:, t + 1], portfolio[:, t],
-                                        risk.gamma, risk.risk_aversion)
-
     return OfflineDataset(
         states=states.values,
         actions=actions,
-        rewards=rewards,
-        terminal_portfolio=payoff,
+        rewards=portfolio_and_rewards(paths, strike, actions, risk)[1],
+        terminal_portfolio=np.maximum(strike - paths.prices[:, -1], 0.0),
         state_kind=states.kind,
         strike=strike,
         risk=risk,

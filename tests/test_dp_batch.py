@@ -4,14 +4,21 @@ The reference is the one-contract solver, called once per contract, and
 the per-cell sweep loop the scenario runner used before it batched.
 """
 import functools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlbs.basis import feature_cube, spec_for_states, spline_features
-from qlbs.dp import RiskParams, run_model_based, run_model_based_batch
+from qlbs.basis import feature_cube, spec_for_states, spline_features, step_features
+from qlbs.dp import (
+    RiskParams,
+    fit_hedge_coefficients,
+    fit_q_coefficients,
+    run_model_based,
+    run_model_based_batch,
+)
 from qlbs.experiments import Scenario, ScenarioConfig, run_scenario
 from qlbs.fqi import build_offline_dataset, perturb_actions, run_fqi
 from qlbs.market import (
@@ -303,6 +310,59 @@ class TestDefaultFeatures:
     @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
     def test_large_basis_matches_dense_cube(self, kind, order):
         self.assert_bit_identical(kind, 100, order)
+
+
+class TestDerivedMatrices:
+    """Solutions store hedges and values; portfolio, rewards and cash are
+    rolled back from the payoff under the hedges when first read."""
+
+    def test_solutions_hold_two_matrices_per_contract(self):
+        market = replace(MARKET, n_paths=2000, n_steps=12)
+        paths = simulate_gbm(market)
+        states = compute_states(paths, StateKind.PRICE).values
+        spec = spec_for_states(states, n_basis=12, order=4)
+        features = spline_features(spec, states)
+        contracts = [(z, RiskParams.from_rate(1e-3, market.r, market.dt))
+                     for z in np.linspace(70.0, 130.0, 10)]
+        matrix = paths.prices.nbytes
+        coefficients = 2 * market.n_steps * len(contracts) * spec.n_basis * 8
+        tracemalloc.start()
+        try:
+            solutions = run_model_based_batch(paths, StateKind.PRICE, contracts,
+                                              basis_spec=spec, features=features)
+            held = tracemalloc.get_traced_memory()[0]
+            solutions[0].portfolio
+            after_read = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # One matrix of slack covers the solution objects themselves.
+        assert held <= (2 * len(contracts) + 1) * matrix + coefficients
+        assert after_read - held >= 2 * matrix  # portfolio and rewards
+
+    @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
+    def test_fits_on_derived_matrices_reproduce_coefficients(self, kind):
+        paths = simulate_gbm(MARKET)
+        states = compute_states(paths, kind).values
+        spec = spec_for_states(states, n_basis=12, order=4)
+        features = spline_features(spec, states)
+        risk = RiskParams.from_rate(1e-3, MARKET.r, MARKET.dt)
+        solution = run_model_based(paths, kind, 100.0, risk, basis_spec=spec,
+                                   features=features)
+        inc = price_increments(paths, -np.log(risk.gamma) / paths.dt)
+        pi, rewards = solution.portfolio.T, solution.rewards.T
+        q = solution.q_values.T
+        for t in range(MARKET.n_steps):
+            phi_t = step_features(features, t)
+            pi_hat = pi[t + 1] - pi[t + 1].mean()
+            phi = fit_hedge_coefficients(phi_t, inc.delta_s[:, t],
+                                         inc.delta_s_hat[:, t], pi_hat[np.newaxis],
+                                         [risk])
+            omega = fit_q_coefficients(phi_t, rewards[t][np.newaxis],
+                                       q[t + 1][np.newaxis], risk.gamma)
+            assert np.array_equal(phi[0], solution.phi[t]), t
+            assert np.array_equal(omega[0], solution.omega[t]), t
+        assert np.array_equal(solution.cash,
+                              solution.portfolio - solution.hedges * paths.prices)
 
 
 class TestBatchValidation:

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qlbs import experiments
 from qlbs.basis import spec_for_states
-from qlbs.dp import RiskParams, run_model_based
+from qlbs.dp import RiskParams, run_model_based, run_model_based_batch
 from qlbs.experiments import (
     FREQUENCY_STEPS,
     ResultTable,
@@ -243,6 +243,37 @@ class TestRunScenario:
                  for value in values for seed in config.seeds}
         assert len(calls) == len(cells) and set(calls) == cells
         assert table.meta["knots"] == {}
+
+    def test_moneyness_group_is_one_backward_pass(self, monkeypatch):
+        # 17 strikes x 2 risk aversions: 34 contracts per (market, kind).
+        calls = []
+
+        def counted(paths, kind, contracts, **kwargs):
+            calls.append((paths.params, kind, len(contracts)))
+            return run_model_based_batch(paths, kind, contracts, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_model_based_batch", counted)
+        config = small_config(scenario=Scenario.MONEYNESS, seeds=(0, 1))
+        table = run_scenario(config)
+        assert not table.errors
+        groups = {(replace(config.market, seed=seed), kind)
+                  for seed in config.seeds for kind in config.state_kinds}
+        assert len(calls) == len(groups)
+        assert {(market, kind) for market, kind, _ in calls} == groups
+        assert {n for _, _, n in calls} == {34}
+
+    def test_fitted_q_failure_keeps_dp_row(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("fitted Q diverged")
+
+        monkeypatch.setattr(experiments, "fqi_from_hedges", failing)
+        table = run_scenario(small_config(scenario=Scenario.SINGLE))
+        dp, fqi = table.select(method="dp"), table.select(method="fqi")
+        assert len(dp.rows) == len(fqi.rows) == 2
+        assert dp.errors == []
+        assert all(price is not None and price > 0 for price in dp.column("price"))
+        assert fqi.errors == ["fitted Q diverged"] * 2
+        assert fqi.column("price") == [None, None]
 
     def test_basis_sensitivity_shape(self):
         config = small_config(scenario=Scenario.BASIS_SENSITIVITY,
