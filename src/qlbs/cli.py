@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 
@@ -206,6 +207,9 @@ def main(argv=None) -> int:
     cannot be opened (``OSError``) are reported like argparse's usage
     errors, ``qlbs: error: <message>`` with status 2, but returned rather
     than raised so in-process callers get a status, not ``SystemExit``.
+    Each command ends in glibc's ``malloc_trim``: glibc keeps freed heap
+    resident up to twice the largest block freed so far, so an in-process
+    caller would otherwise hold more or less of what a quote freed.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -213,6 +217,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"qlbs: error: {err}", file=sys.stderr)
         return 2
+    finally:
+        libc = ctypes.CDLL(None) if sys.platform == "linux" else None
+        if hasattr(libc, "malloc_trim"):
+            libc.malloc_trim(0)
 
 
 if __name__ == "__main__":

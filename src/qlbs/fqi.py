@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FeatureMatrix, SplineFeatures, StepFeatures, spline_features
+from .basis import (BasisSpec, FeatureMatrix, SplineFeatures, StepFeatures,
+                    spline_features, step_features)
+from .dp import RiskParams, _solve_rows, _step, portfolio_and_rewards
 from .market import PathSet, StateKind, StateSeries
-from .numerics import effective_ridge, solve_normal_equations
-from .dp import RiskParams, portfolio_and_rewards
+from .numerics import RowBand
 
 log = logging.getLogger(__name__)
 
@@ -158,12 +159,6 @@ def build_offline_dataset(paths: PathSet, states: StateSeries,
     )
 
 
-def _psi_matrix(actions_t: np.ndarray, features_t: np.ndarray) -> np.ndarray:
-    """Action-state features, row k = [phi_k, a_k phi_k, (a_k^2 / 2) phi_k]."""
-    a = actions_t[:, np.newaxis]
-    return np.hstack([features_t, a * features_t, 0.5 * a**2 * features_t])
-
-
 def greedy_action(w_t: WMatrix, phi_x: np.ndarray, observed_action: float = 0.0) -> float:
     """Action maximizing the fitted quadratic at one state.
 
@@ -181,6 +176,19 @@ def greedy_action(w_t: WMatrix, phi_x: np.ndarray, observed_action: float = 0.0)
     return float(observed_action)
 
 
+def _psi(step: StepFeatures | RowBand, actions_t: np.ndarray) -> StepFeatures | RowBand:
+    """Action-state features in the step's form: column 3j + m is feature j
+    times (1, a, a^2/2)[m], so a band of width w over N columns stays one
+    band, of width 3w over 3N columns, and a (K, N) slab becomes (K, 3N)."""
+    if isinstance(step, RowBand):
+        f, a = step.values, actions_t
+        psi = np.stack([f, a * f, 0.5 * a**2 * f], axis=1).reshape(-1, a.size)
+        return RowBand(columns=3 * step.columns[0] + np.arange(len(psi))[:, np.newaxis],
+                       values=psi, n_cols=3 * step.n_cols)
+    f, a = step.values, actions_t[:, np.newaxis]
+    return StepFeatures(np.stack([f, a * f, 0.5 * a**2 * f], axis=2).reshape(a.size, -1))
+
+
 def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
                       phi_t: FeatureMatrix, q_next: np.ndarray, gamma: float,
                       regularizer: float | None = None):
@@ -188,6 +196,8 @@ def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
 
     Regresses reward + gamma * next value on the action-state features;
     ``q_next`` must already hold final values (terminal column included).
+    Like the DP's fits, it takes a FeatureMatrix or a step in the form
+    :func:`~qlbs.basis.step_features` chose, and builds psi in that form.
 
     The fitted surface is evaluated at the recorded actions. The variance
     penalty in the rewards is a cross-sectional scalar, so the regression
@@ -195,35 +205,18 @@ def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
     sampling noise, and chasing its analytic maximizer diverges within a
     few backward steps (measured on the benchmark configuration).
 
-    Returns (WMatrix, q_t). A nonfinite feature raises ValueError: the
-    phi block of the Gram matrix has diagonal sum_k phi_kj^2, nonfinite
-    exactly when column j holds one, so the unchecked StepFeatures of
-    :func:`run_fqi` are caught there.
+    Returns (WMatrix, q_t). A nonfinite feature or action raises
+    ValueError("feature matrix must be finite") from the Gram diagonal.
     """
-    features = phi_t.values
-    design = _psi_matrix(actions_t, features)
-    n_coef = design.shape[1]
-    if design.shape[0] < n_coef:
+    psi = _psi(_step(phi_t), actions_t)
+    gram = psi.gram()
+    if actions_t.size < gram.shape[0]:
         log.warning(
             "fitted-Q step has %d samples for %d coefficients; "
-            "relying on the ridge penalty", design.shape[0], n_coef,
+            "relying on the ridge penalty", actions_t.size, gram.shape[0],
         )
-    gram = design.T @ design
-    if not np.all(np.isfinite(np.diagonal(gram)[:features.shape[1]])):
-        raise ValueError("feature matrix must be finite")
-    rhs = design.T @ (rewards_t + gamma * q_next)
-    w_vec = solve_normal_equations(gram, rhs, effective_ridge(gram, regularizer))
-    w = w_vec.reshape(3, features.shape[1])
-    u = features @ w.T  # (K, 3): constant, slope, curvature
-    q_t = u[:, 0] + actions_t * u[:, 1] + 0.5 * actions_t**2 * u[:, 2]
-    return WMatrix(values=w), q_t
-
-
-def _dense_step(features, t: int) -> StepFeatures:
-    """Time step t of a dense cube or SplineFeatures as a dense float64 slab."""
-    if isinstance(features, SplineFeatures):
-        return StepFeatures(features.band(t).dense())
-    return StepFeatures(np.asarray(features[t], dtype=float))
+    coef = _solve_rows(gram, psi.rhs(rewards_t + gamma * q_next), regularizer)
+    return WMatrix(values=coef.reshape(-1, 3).T), psi.fitted(coef)
 
 
 def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
@@ -234,11 +227,16 @@ def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
     The terminal value column comes from the known payoff; every earlier
     column is fitted from the recorded tuples, discounted by the
     dataset's ``risk.gamma``. The time-0 price is the negative average of
-    the initial values. ``features`` is a dense (T+1, K, N) cube or
-    SplineFeatures, read as one dense float64 slab per step; without it
-    the pass builds SplineFeatures of the recorded states on
+    the initial values. A nonfinite state, action, reward or terminal
+    portfolio raises ValueError naming the field. ``features`` is a dense
+    (T+1, K, N) cube or SplineFeatures, read one step at a time in the
+    form :func:`~qlbs.basis.step_features` chooses, as the DP reads it;
+    without it the pass builds SplineFeatures of the recorded states on
     ``basis_spec``.
     """
+    for name in ("states", "actions", "rewards", "terminal_portfolio"):
+        if not np.all(np.isfinite(getattr(dataset, name))):
+            raise ValueError(f"dataset {name} must be finite")
     if features is None:
         features = spline_features(basis_spec, dataset.states)
 
@@ -249,7 +247,7 @@ def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
     for t in range(n_steps - 1, -1, -1):
         w_list[t], q_values[:, t] = fqi_backward_step(
             dataset.actions[:, t], dataset.rewards[:, t],
-            _dense_step(features, t), q_values[:, t + 1], dataset.risk.gamma,
+            step_features(features, t), q_values[:, t + 1], dataset.risk.gamma,
             regularizer,
         )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlbs import basis, dp
+from qlbs import basis, dp, fqi
 from qlbs.basis import (
     BasisSpec,
     FeatureMatrix,
@@ -454,9 +454,10 @@ class TestStepFeatures:
         assert isinstance(step, StepFeatures)
         assert np.array_equal(step.gram(), values.T @ values)
 
-    # The solvers read features unchecked; the DP's normal equations catch
-    # a nonfinite one on the Gram diagonal, from a dense slab at N = 12 and
-    # from a row band at N = 100, whichever form held it.
+    # The solvers read features unchecked; the normal equations of the DP
+    # and of fitted Q catch a nonfinite one on the Gram diagonal, from a
+    # dense slab at N = 12 and from a row band at N = 100, whichever form
+    # held it.
     @pytest.mark.parametrize("n_basis", [12, 100])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_feature_rejected(self, n_basis, bad):
@@ -476,3 +477,6 @@ class TestStepFeatures:
                 dp.fit_hedge_coefficients(step, targets[0], targets[1], targets[2], risk)
             with pytest.raises(ValueError, match="feature matrix must be finite"):
                 dp.fit_q_coefficients(step, targets[0], targets[1], risk.gamma)
+            with pytest.raises(ValueError, match="feature matrix must be finite"):
+                fqi.fqi_backward_step(targets[0], targets[1], step, targets[2],
+                                      risk.gamma)

@@ -1,6 +1,8 @@
 import json
 import re
+import sys
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -214,6 +216,20 @@ class TestUsageErrors:
         assert err.startswith("qlbs: error: ")
         assert "absent.csv" in err
 
+    def test_nonfinite_dataset_field_named(self, tmp_path, capsys):
+        dest = tmp_path / "dataset.csv"
+        assert main(["price-qlbs-fqi", "--paths", "50", "--steps", "4",
+                     "--dataset-out", str(dest)]) == 0
+        lines = dest.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("1,3,"))
+        cells = lines[row].split(",")
+        cells[3] = "nan"  # the action
+        lines[row] = ",".join(cells)
+        dest.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["price-qlbs-fqi", "--dataset-in", str(dest)]) == 2
+        assert capsys.readouterr().err == "qlbs: error: dataset actions must be finite\n"
+
     def test_other_errors_still_raise(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("solver bug")
@@ -221,6 +237,34 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "run_model_based", broken)
         with pytest.raises(RuntimeError, match="solver bug"):
             main(["price-qlbs-dp", "--paths", "50"])
+
+
+class TestFreeHeapReleased:
+    """Every command ends by returning the C heap's free pages to the OS."""
+
+    @staticmethod
+    def use_libc(monkeypatch, libc):
+        monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=lambda name: libc))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="glibc only")
+    def test_trimmed_after_success_usage_error_and_raise(self, monkeypatch, capsys):
+        calls = []
+        self.use_libc(monkeypatch, SimpleNamespace(malloc_trim=calls.append))
+        assert main(["price-bs"]) == 0
+        assert main(["price-qlbs-dp", "--paths", "0"]) == 2
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver bug")
+
+        monkeypatch.setattr(cli, "run_model_based", broken)
+        with pytest.raises(RuntimeError, match="solver bug"):
+            main(["price-qlbs-dp", "--paths", "50"])
+        assert calls == [0, 0, 0]
+
+    def test_libc_without_malloc_trim(self, monkeypatch, capsys):
+        self.use_libc(monkeypatch, SimpleNamespace())
+        assert main(["price-bs"]) == 0
+        assert json.loads(capsys.readouterr().out)["price"] > 0
 
 
 class TestExperiment:

@@ -304,8 +304,8 @@ class TestDefaultFeatures:
     def test_small_basis_is_bit_identical(self, kind):
         self.assert_bit_identical(kind, 12, 4)
 
-    # At N = 100 the DP reads each step of either form as the same row
-    # band, and fitted Q densifies each step of either.
+    # At N = 100 the DP and fitted Q read each step of either form as the
+    # same row band.
     @pytest.mark.parametrize("order", [1, 10])
     @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
     def test_large_basis_matches_dense_cube(self, kind, order):

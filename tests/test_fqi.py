@@ -1,18 +1,20 @@
 import csv
 import logging
 import math
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qlbs.basis import FeatureMatrix, basis_values, make_spec, spec_for_states, feature_cube
+from qlbs.basis import (FeatureMatrix, StepFeatures, basis_values, feature_cube,
+                         make_spec, spec_for_states, spline_features, step_features)
 from qlbs.dp import RiskParams, run_model_based
 from qlbs.fqi import (
     OfflineDataset,
     WMatrix,
-    _psi_matrix,
+    _psi,
     build_offline_dataset,
     fqi_backward_step,
     greedy_action,
@@ -22,7 +24,7 @@ from qlbs.fqi import (
     save_dataset,
 )
 from qlbs.market import MarketParams, StateKind, compute_states, simulate_gbm
-from qlbs.numerics import scaled_regularizer, solve_normal_equations
+from qlbs.numerics import RowBand, row_band, scaled_regularizer, solve_normal_equations
 
 from conftest import (
     GOLDEN_PI_T,
@@ -130,36 +132,71 @@ class TestBuildOfflineDataset:
         assert np.allclose(dataset.terminal_q(), dp.q_values[:, -1], atol=1e-12)
 
 
+def written_psi(a, phi):
+    """psi written out entry by entry: column 3j + m is phi_j (1, a, a^2/2)[m]."""
+    psi = np.zeros((phi.shape[0], 3 * phi.shape[1]))
+    for k in range(phi.shape[0]):
+        for j in range(phi.shape[1]):
+            psi[k, 3 * j] = phi[k, j]
+            psi[k, 3 * j + 1] = a[k] * phi[k, j]
+            psi[k, 3 * j + 2] = 0.5 * a[k] ** 2 * phi[k, j]
+    return psi
+
+
+def psi_forms(a, phi):
+    """psi of a (K, N) feature matrix built from its dense slab and from its
+    row band, each with its (K, 3N) matrix."""
+    dense, band = _psi(StepFeatures(phi), a), _psi(row_band(phi), a)
+    assert isinstance(dense, StepFeatures) and isinstance(band, RowBand)
+    return [(dense, dense.values), (band, band.dense())]
+
+
 class TestPsiMatrix:
     def test_zero_action(self):
         phi = np.array([[0.2, 0.5, 0.3]])
-        psi = _psi_matrix(np.zeros(1), phi)
-        assert np.array_equal(psi[0, :3], phi[0])
-        assert np.all(psi[0, 3:] == 0.0)
+        for _, psi in psi_forms(np.zeros(1), phi):
+            assert np.array_equal(psi[0, ::3], phi[0])
+            assert np.all(psi[0, 1::3] == 0.0) and np.all(psi[0, 2::3] == 0.0)
 
     def test_unit_basis_pattern(self):
         phi = np.array([[1.0, 0.0, 0.0, 0.0]])
-        psi = _psi_matrix(np.ones(1), phi)
         expected = np.zeros(12)
-        expected[0] = 1.0
-        expected[4] = 1.0
-        expected[8] = 0.5
-        assert np.array_equal(psi[0], expected)
+        expected[:3] = [1.0, 1.0, 0.5]
+        for _, psi in psi_forms(np.ones(1), phi):
+            assert np.array_equal(psi[0], expected)
 
     def test_bilinear_identity(self):
-        # Flattened-coefficient dot product equals the bilinear form
-        # [1, a, a^2/2] W phi, row by row.
+        # psi's products with interleaved coefficients equal the bilinear
+        # form [1, a, a^2/2] W phi, row by row, and its Gram and right-hand
+        # side match the written-out psi.
         rng = np.random.default_rng(8)
         for _ in range(30):
             n = rng.integers(2, 9)
             w = rng.normal(size=(3, n))
             phi = rng.normal(size=(4, n))
             a = rng.normal(size=4) * 3
+            y = rng.normal(size=4)
             direct = np.einsum("ki,ij,kj->k", np.stack([np.ones(4), a, 0.5 * a * a], 1),
                                w, phi)
-            flattened = _psi_matrix(a, phi) @ w.reshape(-1)
-            assert np.all(np.abs(direct - flattened)
-                          <= 1e-12 * np.maximum(1.0, np.abs(direct)))
+            written = written_psi(a, phi)
+            for step, psi in psi_forms(a, phi):
+                assert np.array_equal(psi, written)
+                for got, want in ((step.fitted(w.T.reshape(-1)), direct),
+                                  (step.gram(), written.T @ written),
+                                  (step.rhs(y), y @ written)):
+                    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("order", [1, 3, 10])
+    def test_band_psi_densifies_to_dense_psi(self, order):
+        rng = np.random.default_rng(9)
+        states = rng.normal(size=(500, 2))
+        spec = make_spec(states.min(), states.max(), 100, order)
+        band = spline_features(spec, states).band(1)
+        a = rng.normal(size=500)
+        psi = _psi(band, a)
+        assert psi.width == 3 * order and psi.n_cols == 300
+        assert np.array_equal(psi.dense(), _psi(StepFeatures(band.dense()), a).values)
+        assert np.array_equal(psi.dense(), written_psi(a, band.dense()))
 
 
 class TestGreedyAction:
@@ -222,6 +259,25 @@ class TestBackwardStep:
         assert np.all(np.isfinite(q_t))
         assert any("ridge" in message for message in caplog.messages)
 
+    def test_band_step_stays_a_band(self):
+        # One step on an N = 100 band of 2000 rows never forms the dense
+        # (K, 3N) psi of 4.8 MB: its peak is the (3N, 3N) Gram, the two
+        # copies of it that the solve makes, and a few band-sized arrays.
+        rng = np.random.default_rng(7)
+        states = rng.normal(size=(2000, 2))
+        spec = make_spec(states.min(), states.max(), 100, 3)
+        step = step_features(spline_features(spec, states), 1)
+        assert isinstance(step, RowBand)
+        actions, rewards, q_next = rng.normal(size=(3, 2000))
+        tracemalloc.start()
+        try:
+            fqi_backward_step(actions, rewards, step, q_next, 0.99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gram, band = 300 * 300 * 8, 9 * 2000 * 8
+        assert peak <= 3 * gram + 4 * band  # 2.7 MB
+
 
 class TestRunFqi:
     def test_nonfinite_cube_rejected(self):
@@ -230,6 +286,17 @@ class TestRunFqi:
                                         strike=100.0, risk=risk)
         with pytest.raises(ValueError, match="feature matrix must be finite"):
             run_fqi(dataset, spec, features=spoil(cube))
+
+    @pytest.mark.parametrize("field", ["states", "actions", "rewards",
+                                       "terminal_portfolio"])
+    def test_nonfinite_dataset_field_named(self, field):
+        paths, states, spec, cube, risk, dp = small_run(n_paths=200)
+        dataset = build_offline_dataset(paths, states, dp.hedges,
+                                        strike=100.0, risk=risk)
+        values = getattr(dataset, field).copy()
+        values.flat[7] = np.nan
+        with pytest.raises(ValueError, match=f"^dataset {field} must be finite$"):
+            run_fqi(replace(dataset, **{field: values}), spec, features=cube)
 
     def test_float32_cube_solved_in_float64(self):
         paths, states, spec, cube, risk, dp = small_run(n_paths=500)
@@ -294,12 +361,11 @@ class TestRunFqi:
         q = dataset.terminal_q()
         for t in range(dataset.n_steps - 1, -1, -1):
             features, a = cube[t], dataset.actions[:, t][:, np.newaxis]
-            design = np.hstack([features, a * features, 0.5 * a**2 * features])
+            design = np.stack([features, a * features, 0.5 * a**2 * features],
+                              axis=2).reshape(len(a), -1)
             gram = design.T @ design
-            rhs = design.T @ (dataset.rewards[:, t] + risk.gamma * q)
-            w = solve_normal_equations(gram, rhs, scaled_regularizer(gram))
-            u = features @ w.reshape(3, -1).T
-            q = u[:, 0] + a[:, 0] * u[:, 1] + 0.5 * a[:, 0]**2 * u[:, 2]
+            rhs = dataset.rewards[:, t] + risk.gamma * q
+            q = solve_normal_equations(gram, rhs @ design, scaled_regularizer(gram)) @ design.T
 
         fit = run_fqi(dataset, spec, features=cube)
         assert fit.price_t0 == float(-q.mean())
