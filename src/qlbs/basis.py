@@ -124,10 +124,15 @@ class StepFeatures:
         self.values = values
 
     def gram(self, root_weights: np.ndarray | None = None) -> np.ndarray:
-        """sum_k r_k^2 f_k f_k^T over the rows f_k."""
-        weighted = (self.values if root_weights is None
-                    else self.values * root_weights[:, np.newaxis])
-        return weighted.T @ weighted
+        """sum_k r_k^2 f_k f_k^T over the rows f_k.
+
+        A nonfinite feature makes its diagonal entry nonfinite, without a
+        numpy warning: the solvers' check reports it.
+        """
+        with np.errstate(invalid="ignore", over="ignore"):
+            weighted = (self.values if root_weights is None
+                        else self.values * root_weights[:, np.newaxis])
+            return weighted.T @ weighted
 
     def rhs(self, targets: np.ndarray) -> np.ndarray:
         """targets @ F: (K,) targets give (n_basis,), (C, K) give (C, n_basis)."""

@@ -106,6 +106,7 @@ def _cmd_price_dp(args) -> int:
 def _cmd_price_fqi(args) -> int:
     if args.dataset_in:
         dataset = load_dataset(args.dataset_in)
+        dataset.check_finite()  # before the knots, which need finite states
         spec = spec_for_states(dataset.states, n_basis=args.n_splines,
                                order=args.spline_order)
         solution = run_fqi(dataset, spec, regularizer=args.ridge)

@@ -73,6 +73,13 @@ class OfflineDataset:
     def n_steps(self) -> int:
         return self.states.shape[1] - 1
 
+    def check_finite(self) -> None:
+        """Raise ValueError naming the first nonfinite field among the
+        states, actions, rewards and terminal portfolio."""
+        for name in ("states", "actions", "rewards", "terminal_portfolio"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"dataset {name} must be finite")
+
     def terminal_q(self) -> np.ndarray:
         """Known terminal action value: -payoff - lambda * Var(payoff)."""
         var = self.terminal_portfolio.var()
@@ -234,9 +241,7 @@ def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
     without it the pass builds SplineFeatures of the recorded states on
     ``basis_spec``.
     """
-    for name in ("states", "actions", "rewards", "terminal_portfolio"):
-        if not np.all(np.isfinite(getattr(dataset, name))):
-            raise ValueError(f"dataset {name} must be finite")
+    dataset.check_finite()
     if features is None:
         features = spline_features(basis_spec, dataset.states)
 

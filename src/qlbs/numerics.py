@@ -122,17 +122,19 @@ class RowBand:
 
         Diagonal d of the Gram sums the products of band positions i and
         i + d over rows, binned by the column of position i; diagonals at
-        or beyond the width are zero.
+        or beyond the width are zero. A nonfinite entry makes its diagonal
+        entry nonfinite, without a numpy warning.
         """
         width, n = self.width, self.n_cols
-        values = self.values if root_weights is None else self.values * root_weights
         gram = np.zeros((n, n))
-        for d in range(width):
-            sums = np.bincount(self.columns[:width - d].ravel(),
-                               (values[:width - d] * values[d:]).ravel(), n - d)
-            i = np.arange(n - d)
-            gram[i, i + d] = sums
-            gram[i + d, i] = sums
+        with np.errstate(invalid="ignore", over="ignore"):
+            values = self.values if root_weights is None else self.values * root_weights
+            for d in range(width):
+                sums = np.bincount(self.columns[:width - d].ravel(),
+                                   (values[:width - d] * values[d:]).ravel(), n - d)
+                i = np.arange(n - d)
+                gram[i, i + d] = sums
+                gram[i + d, i] = sums
         return gram
 
     def rhs(self, targets: np.ndarray) -> np.ndarray:

@@ -460,6 +460,7 @@ class TestStepFeatures:
     # held it.
     @pytest.mark.parametrize("n_basis", [12, 100])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
     def test_nonfinite_feature_rejected(self, n_basis, bad):
         rng = np.random.default_rng(6)
         states = rng.normal(size=(1000, 3))

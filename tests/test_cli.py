@@ -216,19 +216,31 @@ class TestUsageErrors:
         assert err.startswith("qlbs: error: ")
         assert "absent.csv" in err
 
-    def test_nonfinite_dataset_field_named(self, tmp_path, capsys):
+    @staticmethod
+    def replay_with_nan(tmp_path, capsys, column):
+        """Export 50 paths, set one cell of ``column`` (t=1, path 3) to nan
+        and replay the file; returns the exit status and stderr."""
         dest = tmp_path / "dataset.csv"
         assert main(["price-qlbs-fqi", "--paths", "50", "--steps", "4",
                      "--dataset-out", str(dest)]) == 0
         lines = dest.read_text().splitlines(keepends=True)
         row = next(i for i, line in enumerate(lines) if line.startswith("1,3,"))
         cells = lines[row].split(",")
-        cells[3] = "nan"  # the action
+        cells[column] = "nan"
         lines[row] = ",".join(cells)
         dest.write_text("".join(lines))
         capsys.readouterr()
-        assert main(["price-qlbs-fqi", "--dataset-in", str(dest)]) == 2
-        assert capsys.readouterr().err == "qlbs: error: dataset actions must be finite\n"
+        return main(["price-qlbs-fqi", "--dataset-in", str(dest)]), capsys.readouterr().err
+
+    def test_nonfinite_dataset_field_named(self, tmp_path, capsys):
+        status, err = self.replay_with_nan(tmp_path, capsys, column=3)  # the action
+        assert status == 2
+        assert err == "qlbs: error: dataset actions must be finite\n"
+
+    def test_nonfinite_dataset_state_named(self, tmp_path, capsys):
+        status, err = self.replay_with_nan(tmp_path, capsys, column=2)  # the state
+        assert status == 2
+        assert err == "qlbs: error: dataset states must be finite\n"
 
     def test_other_errors_still_raise(self, monkeypatch):
         def broken(*args, **kwargs):

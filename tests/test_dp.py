@@ -329,6 +329,7 @@ def cube_run(n_basis):
 class TestNonfiniteFeatures:
     # N = 100 puts every step on banded Gram assembly, N = 12 on the dense one.
     @pytest.mark.parametrize("n_basis", [12, 100])
+    @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
     def test_run_model_based_rejects_nonfinite_cube(self, n_basis):
         paths, spec, cube, risk = cube_run(n_basis)
         with pytest.raises(ValueError, match="feature matrix must be finite"):

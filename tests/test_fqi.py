@@ -280,6 +280,7 @@ class TestBackwardStep:
 
 
 class TestRunFqi:
+    @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
     def test_nonfinite_cube_rejected(self):
         paths, states, spec, cube, risk, dp = small_run(n_paths=500)
         dataset = build_offline_dataset(paths, states, dp.hedges,

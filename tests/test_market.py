@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from qlbs import market
 from qlbs.market import (
     MarketParams,
     StateKind,
@@ -88,6 +89,64 @@ class TestSimulateGbmMatchesSpawnLoop:
         for k in (1, 7, 999):
             head = simulate_gbm(table4_market(seed=seed, n_paths=k)).prices
             assert np.array_equal(full[:k], head)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 + 5])
+    def test_bit_identical_at_52_steps(self, seed):
+        params = table4_market(seed=seed, n_paths=1000, n_steps=52)
+        assert np.array_equal(simulate_gbm(params).prices, spawn_loop_prices(params))
+
+
+def pcg64_at(state):
+    """A PCG64 whose next step lands on ``state``, with increment 1."""
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": 1},
+                           "has_uint32": 0, "uinteger": 0}
+    bit_generator.advance(-1)
+    return bit_generator
+
+
+def settles_in_one_word(streams, widths, bounds):
+    """For each stream, whether all its words lie in the ziggurat fast path."""
+    words = np.array([s.random_raw(24) for s in streams])
+    strips = (words & np.uint64(0xFF)).astype(np.intp)
+    magnitudes = words >> np.uint64(9) & np.uint64(2**52 - 1)
+    return np.all(magnitudes < bounds[strips], axis=1)
+
+
+class TestZigguratFastPath:
+    """simulate_gbm's model of numpy's standard_normal, against numpy."""
+
+    def test_top_settled_magnitude_matches_numpy(self):
+        widths, bounds = market._ziggurat_fast_path()
+        rng = np.random.default_rng(19)
+        strips = np.flatnonzero(bounds)
+        assert strips.size > 250  # all but a few strips have a fast path
+        for strip in strips.tolist():
+            magnitude = int(bounds[strip]) - 1
+            negative, top = rng.integers(2), int(rng.integers(8))
+            # A state whose high half is 0 outputs its low half unrotated.
+            word = top << 61 | magnitude << 9 | int(negative) << 8 | strip
+            bit_generator = pcg64_at(word)
+            value = np.random.Generator(bit_generator).standard_normal()
+            assert bit_generator.state["state"]["state"] == word  # one word taken
+            expected = magnitude * widths[strip]
+            assert value == (-expected if negative else expected)
+
+    @pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+    def test_reference_cases_have_fast_and_fallback_paths(self, seed):
+        children = np.random.SeedSequence(seed).spawn(1000)
+        fast = settles_in_one_word(map(np.random.PCG64, children),
+                                   *market._ziggurat_fast_path())
+        assert 0 < fast.sum() < fast.size
+
+    @pytest.mark.parametrize("seed", [0, 2**70 + 3])
+    def test_every_path_on_the_fallback_matches(self, monkeypatch, seed):
+        params = table4_market(seed=seed, n_paths=1000)
+        expected = simulate_gbm(params).prices
+        widths, bounds = market._ziggurat_fast_path()
+        monkeypatch.setattr(market, "_ziggurat_fast_path",
+                            lambda: (widths, np.zeros_like(bounds)))
+        assert np.array_equal(simulate_gbm(params).prices, expected)
 
 
 class TestSimulateGbm:

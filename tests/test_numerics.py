@@ -172,6 +172,7 @@ class TestRowBandGram:
         band = assert_gram_matches(matrix, rng.normal(size=200))
         assert band.width == 30
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning from the Gram
     def test_nonfinite_entries_count_as_nonzero(self):
         matrix = np.zeros((4, 20))
         matrix[:, 3] = 1.0
