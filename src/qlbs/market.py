@@ -332,7 +332,7 @@ def simulate_gbm(params: MarketParams) -> PathSet:
     at a time: the PCG64 advance and output, then numpy's ziggurat fast
     path with the tables :func:`_ziggurat_fast_path` reads from numpy on
     the first call. About 1.5% of draws miss the fast path (about 30% of
-    paths at 24 steps, 50% at 52); each such path is drawn again, whole,
+    paths at 24 steps, 54% at 52); each such path is drawn again, whole,
     by a Generator set to its stream, so every path is bit-identical to
     ``Generator(PCG64(child)).standard_normal(n_steps)``.
     """

@@ -216,10 +216,8 @@ class TestUsageErrors:
         assert err.startswith("qlbs: error: ")
         assert "absent.csv" in err
 
-    @staticmethod
-    def replay_with_nan(tmp_path, capsys, column):
-        """Export 50 paths, set one cell of ``column`` (t=1, path 3) to nan
-        and replay the file; returns the exit status and stderr."""
+    @pytest.mark.parametrize("column, field", [(2, "states"), (3, "actions")])
+    def test_nonfinite_dataset_field_named(self, tmp_path, capsys, column, field):
         dest = tmp_path / "dataset.csv"
         assert main(["price-qlbs-fqi", "--paths", "50", "--steps", "4",
                      "--dataset-out", str(dest)]) == 0
@@ -230,17 +228,8 @@ class TestUsageErrors:
         lines[row] = ",".join(cells)
         dest.write_text("".join(lines))
         capsys.readouterr()
-        return main(["price-qlbs-fqi", "--dataset-in", str(dest)]), capsys.readouterr().err
-
-    def test_nonfinite_dataset_field_named(self, tmp_path, capsys):
-        status, err = self.replay_with_nan(tmp_path, capsys, column=3)  # the action
-        assert status == 2
-        assert err == "qlbs: error: dataset actions must be finite\n"
-
-    def test_nonfinite_dataset_state_named(self, tmp_path, capsys):
-        status, err = self.replay_with_nan(tmp_path, capsys, column=2)  # the state
-        assert status == 2
-        assert err == "qlbs: error: dataset states must be finite\n"
+        assert main(["price-qlbs-fqi", "--dataset-in", str(dest)]) == 2
+        assert capsys.readouterr().err == f"qlbs: error: dataset {field} must be finite\n"
 
     def test_other_errors_still_raise(self, monkeypatch):
         def broken(*args, **kwargs):
