@@ -105,9 +105,9 @@ def pcg64_at(state):
     return bit_generator
 
 
-def settles_in_one_word(streams, widths, bounds):
-    """For each stream, whether all its words lie in the ziggurat fast path."""
-    words = np.array([s.random_raw(24) for s in streams])
+def on_fast_path(streams, bounds, n_words=24):
+    """For each stream, whether its first words all lie in the ziggurat fast path."""
+    words = np.array([s.random_raw(n_words) for s in streams])
     strips = (words & np.uint64(0xFF)).astype(np.intp)
     magnitudes = words >> np.uint64(9) & np.uint64(2**52 - 1)
     return np.all(magnitudes < bounds[strips], axis=1)
@@ -135,8 +135,7 @@ class TestZigguratFastPath:
     @pytest.mark.parametrize("seed", REFERENCE_SEEDS)
     def test_reference_cases_have_fast_and_fallback_paths(self, seed):
         children = np.random.SeedSequence(seed).spawn(1000)
-        fast = settles_in_one_word(map(np.random.PCG64, children),
-                                   *market._ziggurat_fast_path())
+        fast = on_fast_path(map(np.random.PCG64, children), market._ziggurat_fast_path()[1])
         assert 0 < fast.sum() < fast.size
 
     @pytest.mark.parametrize("seed", [0, 2**70 + 3])
