@@ -113,8 +113,8 @@ def _cmd_price_fqi(args) -> int:
     else:
         check_noise(args.noise)
         _, paths, kind, states, spec, features, risk = _prepared_run(args)
-        # Only the hedges outlive the DP: its action values are freed
-        # before fitted Q allocates its own arrays.
+        # Only the hedges outlive the DP. The pass keeps coefficients, so
+        # reading the hedges evaluates them and no action values.
         hedges = run_model_based(paths, kind, strike=args.strike, risk=risk,
                                  basis_spec=spec, features=features,
                                  regularizer=args.ridge).hedges

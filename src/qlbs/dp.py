@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,20 +56,53 @@ class RiskParams:
                    pure_risk=pure_risk)
 
 
+@dataclass(frozen=True, eq=False)
+class _PassOutput:
+    """What one backward pass leaves its solutions: the features it was
+    solved on, its contracts and its (T, C, N) hedge and value
+    coefficients. The (T+1, C, K) hedges and action values are evaluated
+    from them for the whole batch on first read, each on its own, with the
+    products the pass formed, and are read-only."""
+
+    paths: PathSet
+    features: np.ndarray | SplineFeatures
+    strikes: np.ndarray
+    risks: tuple[RiskParams, ...]
+    phi: np.ndarray
+    omega: np.ndarray
+
+    def _evaluated(self, coefficients: np.ndarray, terminal: np.ndarray) -> np.ndarray:
+        out = np.empty((self.paths.n_steps + 1,) + terminal.shape)
+        for t in range(self.paths.n_steps):
+            out[t] = step_features(self.features, t).fitted(coefficients[t])
+        out[-1] = terminal
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def hedges(self) -> np.ndarray:
+        return self._evaluated(self.phi, np.zeros((self.strikes.size, self.paths.n_paths)))
+
+    @functools.cached_property
+    def q_values(self) -> np.ndarray:
+        terminal_q = terminal_conditions(self.paths, self.strikes, self.risks)[4]
+        return self._evaluated(self.omega, terminal_q)
+
+
 @dataclass(frozen=True)
 class DPSolution:
     """Output of the backward pass for one contract on ``paths``.
 
-    Matrices are (n_paths, n_steps + 1); ``hedges`` and ``q_values`` are
-    views into the time-major arrays of the pass, shared by every solution
-    of a batch. ``phi`` and ``omega`` hold the hedge and value coefficients
-    for t = 0 .. T-1. ``portfolio``, ``rewards`` and ``cash`` (portfolio -
-    hedge * price) are rolled back under ``hedges`` on first read, bit for
-    bit as the pass formed them.
+    ``phi`` and ``omega`` hold the hedge and value coefficients for
+    t = 0 .. T-1; the solution also holds the ``features`` it was solved
+    on, shared by every solution of its batch. The per-path matrices are
+    (n_paths, n_steps + 1), read-only, and evaluated from these on first
+    read: ``hedges`` and ``q_values`` for the whole batch at once (the
+    terminal hedge is 0), bit for bit as the pass formed them, and
+    ``portfolio``, ``rewards`` and ``cash`` (portfolio - hedge * price)
+    rolled back under ``hedges``.
     """
 
-    hedges: np.ndarray
-    q_values: np.ndarray
     phi: np.ndarray
     omega: np.ndarray
     price_t0: float
@@ -77,17 +110,28 @@ class DPSolution:
     paths: PathSet
     strike: float
     risk: RiskParams
+    _output: _PassOutput = field(repr=False)
+    _contract: int = field(repr=False)
+
+    features = property(lambda self: self._output.features)
+    hedges = property(lambda self: self._output.hedges[:, self._contract].T)
+    q_values = property(lambda self: self._output.q_values[:, self._contract].T)
 
     @functools.cached_property
     def _rolled(self) -> tuple[np.ndarray, np.ndarray]:
-        return portfolio_and_rewards(self.paths, self.strike, self.hedges, self.risk)
+        rolled = portfolio_and_rewards(self.paths, self.strike, self.hedges, self.risk)
+        for matrix in rolled:
+            matrix.setflags(write=False)
+        return rolled
 
     portfolio = property(lambda self: self._rolled[0])
     rewards = property(lambda self: self._rolled[1])
 
     @functools.cached_property
     def cash(self) -> np.ndarray:
-        return self.portfolio - self.hedges * self.paths.prices
+        cash = self.portfolio - self.hedges * self.paths.prices
+        cash.setflags(write=False)
+        return cash
 
 
 def _contract_risk(risk) -> tuple[float, bool, float | np.ndarray]:
@@ -252,9 +296,11 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
     and pure_risk; mixed ones raise ValueError. Neither Gram matrix of a
     step depends on the strike or the risk aversion, so each step builds
     and factors them once and solves every contract as one more
-    right-hand side. The pass stores only hedges and action values, in
-    time-major (T+1, C, K) arrays, so a step reads and writes contiguous
-    (C, K) slabs; solutions derive the rest on demand (see DPSolution).
+    right-hand side. A step's hedges, action values and portfolio are
+    (C, K) slabs that live one step; the pass stores only the (T, C, N)
+    coefficients and takes the time-0 price and hedge from the last
+    slabs. Solutions hold the features and evaluate every per-path
+    matrix on first read (see DPSolution).
 
     Each step's features are read unchecked, in the one form
     :func:`~qlbs.basis.step_features` chooses: a large basis whose rows
@@ -282,15 +328,12 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
     increments = _increments(paths, gamma)
 
     n_steps = paths.n_steps
-    shape = (n_steps + 1, strikes.size, paths.n_paths)
-    hedges = np.zeros(shape)
-    q_values = np.zeros(shape)
-    n_basis = features.shape[2]
-    phi = np.zeros((n_steps, strikes.size, n_basis))
+    phi = np.zeros((n_steps, strikes.size, features.shape[2]))
     omega = np.zeros_like(phi)
 
-    # The portfolio is needed only one step back, so it rolls as a (C, K) slab.
-    pi_next, pi_hat_next, _, _, q_values[-1] = terminal_conditions(paths, strikes, risks)
+    # Hedges, values and the portfolio are needed only one step back, so
+    # each rolls as a (C, K) slab.
+    pi_next, pi_hat_next, _, _, q_next = terminal_conditions(paths, strikes, risks)
     for t in range(n_steps - 1, -1, -1):
         phi_t = step_features(features, t)
         ds = increments.delta_s[:, t]
@@ -298,24 +341,23 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
 
         phi[t] = fit_hedge_coefficients(phi_t, ds, ds_hat, pi_hat_next, risks,
                                         regularizer)
-        hedges[t] = optimal_hedge_values(phi_t, phi[t])
-        pi_t = rollback_portfolio(pi_next, hedges[t], ds, gamma)
+        hedge = optimal_hedge_values(phi_t, phi[t])
+        pi_t = rollback_portfolio(pi_next, hedge, ds, gamma)
         rewards = compute_rewards(pi_next, pi_t, gamma, risk_aversion)
-        omega[t] = fit_q_coefficients(phi_t, rewards, q_values[t + 1], gamma,
-                                      regularizer)
-        q_values[t] = phi_t.fitted(omega[t])
+        omega[t] = fit_q_coefficients(phi_t, rewards, q_next, gamma, regularizer)
+        q_next = phi_t.fitted(omega[t])
         pi_hat_next = pi_t - pi_t.mean(axis=-1, keepdims=True)
         pi_next = pi_t
 
+    output = _PassOutput(paths, features, strikes, risks, phi, omega)
     return [
         DPSolution(
-            hedges=hedges[:, c].T,
-            q_values=q_values[:, c].T,
             phi=phi[:, c],
             omega=omega[:, c],
-            price_t0=float(-q_values[0, c].mean()),
-            hedge_t0=float(hedges[0, c].mean()),
+            price_t0=float(-q_next[c].mean()),
+            hedge_t0=float(hedge[c].mean()),
             paths=paths, strike=float(strikes[c]), risk=risks[c],
+            _output=output, _contract=c,
         )
         for c in range(strikes.size)
     ]

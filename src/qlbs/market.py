@@ -84,6 +84,16 @@ class MarketParams:
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
+    """``array`` as a read-only float64 array, copied unless nothing can
+    write through it: a float64 array that is read-only down to the array
+    owning its memory, as this module's producers hand over, is kept."""
+    owner = array
+    while (isinstance(owner, np.ndarray) and not owner.flags.writeable
+           and owner.base is not None):
+        owner = owner.base
+    if (isinstance(owner, np.ndarray) and not owner.flags.writeable
+            and array.dtype == np.float64):
+        return array
     out = np.array(array, dtype=float)
     out.setflags(write=False)
     return out
@@ -368,6 +378,7 @@ def simulate_gbm(params: MarketParams) -> PathSet:
     np.cumsum(shocks, axis=1, out=shocks)
     prices = np.exp(log_paths, out=log_paths)
     prices *= params.s0
+    prices.setflags(write=False)
     return PathSet(prices=prices, dt=dt, params=params)
 
 
@@ -384,15 +395,16 @@ def compute_states(paths: PathSet, kind: StateKind) -> StateSeries:
         values = np.log(paths.prices)
     elif kind is StateKind.LOG_RETURN:
         log_prices = np.log(paths.prices)
-        values = np.concatenate(
-            [np.zeros((paths.n_paths, 1)), np.diff(log_prices, axis=1)], axis=1
-        )
+        values = np.zeros_like(log_prices)
+        np.subtract(log_prices[:, 1:], log_prices[:, :-1], out=values[:, 1:])
     elif kind is StateKind.DRIFT_ADJUSTED:
         p = paths.params
         trend = (p.mu - 0.5 * p.sigma**2) * paths.times
-        values = np.log(paths.prices) - trend[np.newaxis, :]
+        values = np.log(paths.prices)
+        values -= trend
     else:
         raise ValueError(f"unsupported state kind {kind!r}")
+    values.setflags(write=False)
     return StateSeries(values=values, kind=kind)
 
 
@@ -401,6 +413,8 @@ def price_increments(paths: PathSet, r: float) -> Increments:
     growth = math.exp(r * paths.dt)
     delta_s = paths.prices[:, 1:] - growth * paths.prices[:, :-1]
     delta_s_hat = delta_s - delta_s.mean(axis=0, keepdims=True)
+    delta_s.setflags(write=False)
+    delta_s_hat.setflags(write=False)
     return Increments(delta_s=delta_s, delta_s_hat=delta_s_hat)
 
 
@@ -456,6 +470,7 @@ def load_paths(source, params: MarketParams | None = None) -> PathSet:
     prices = np.array(data)
     if np.any(prices <= 0):
         raise ValueError(f"{source}: prices must be strictly positive")
+    prices.setflags(write=False)
     return table_to_pathset(prices, dt, params)
 
 

@@ -160,11 +160,14 @@ class RowBand:
         return out
 
     def dense(self) -> np.ndarray:
-        """The (K, n_cols) matrix the band holds."""
+        """The (K, n_cols) matrix the band holds, written one band position
+        at a time at flat indices offset from each row's first column."""
         n_rows = self.values.shape[1]
         out = np.zeros((n_rows, self.n_cols))
-        np.put(out, self.columns + np.arange(0, n_rows * self.n_cols, self.n_cols),
-               self.values)
+        flat = out.reshape(-1)
+        first = self.columns[0] + np.arange(0, n_rows * self.n_cols, self.n_cols)
+        for position, row in enumerate(self.values):
+            flat[first + position] = row
         return out
 
 

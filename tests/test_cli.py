@@ -67,8 +67,19 @@ class TestSolverCommands:
         assert 0.0 < payload["price"] < 100.0
         assert payload["hedge"] < 0.0
         lines = coeffs.read_text().strip().splitlines()
-        assert lines[0].startswith("t,kind,")
-        assert len(lines) == 1 + 2 * 24
+        assert lines[0] == "t,kind," + ",".join(f"c{i}" for i in range(12))
+
+        market = replace(DEFAULT_MARKET, n_paths=500, seed=2)
+        paths = simulate_gbm(market)
+        kind = StateKind.DRIFT_ADJUSTED
+        spec = spec_for_states(compute_states(paths, kind).values)
+        risk = RiskParams.from_rate(DEFAULT_RISK_AVERSION, market.r, market.dt)
+        dp = run_model_based(paths, kind, DEFAULT_STRIKE, risk, basis_spec=spec)
+        assert payload == {"price": dp.price_t0, "hedge": dp.hedge_t0}
+        want = [f"{t},{name}," + ",".join(repr(float(v)) for v in coef[t])
+                for t in range(market.n_steps)
+                for name, coef in (("hedge", dp.phi), ("value", dp.omega))]
+        assert lines[1:] == want
 
     def test_price_fqi_with_dataset_round_trip(self, tmp_path, capsys):
         dataset = tmp_path / "dataset.csv"

@@ -14,10 +14,15 @@ from hypothesis import given, settings, strategies as st
 from qlbs.basis import feature_cube, spec_for_states, spline_features, step_features
 from qlbs.dp import (
     RiskParams,
+    compute_rewards,
     fit_hedge_coefficients,
     fit_q_coefficients,
+    optimal_hedge_values,
+    portfolio_and_rewards,
+    rollback_portfolio,
     run_model_based,
     run_model_based_batch,
+    terminal_conditions,
 )
 from qlbs.experiments import Scenario, ScenarioConfig, run_scenario
 from qlbs.fqi import build_offline_dataset, perturb_actions, run_fqi
@@ -312,32 +317,123 @@ class TestDefaultFeatures:
         self.assert_bit_identical(kind, 100, order)
 
 
-class TestDerivedMatrices:
-    """Solutions store hedges and values; portfolio, rewards and cash are
-    rolled back from the payoff under the hedges when first read."""
+def eager_pass(paths, contracts, features):
+    """(hedges, q_values, phi, omega) of a backward pass that keeps every
+    step's (C, K) hedge and value slabs in (T+1, C, K) arrays as it forms
+    them; phi and omega are (T, C, N)."""
+    strikes = np.array([strike for strike, _ in contracts])
+    risks = [risk for _, risk in contracts]
+    gamma = risks[0].gamma
+    aversions = np.array([risk.risk_aversion for risk in risks])[:, np.newaxis]
+    inc = price_increments(paths, -np.log(gamma) / paths.dt)
+    shape = (paths.n_steps + 1, len(contracts), paths.n_paths)
+    hedges, q_values = np.zeros(shape), np.zeros(shape)
+    phi = np.zeros((paths.n_steps, len(contracts), features.shape[2]))
+    omega = np.zeros_like(phi)
+    pi_next, pi_hat_next, _, _, q_values[-1] = terminal_conditions(paths, strikes, risks)
+    for t in range(paths.n_steps - 1, -1, -1):
+        phi_t = step_features(features, t)
+        ds, ds_hat = inc.delta_s[:, t], inc.delta_s_hat[:, t]
+        phi[t] = fit_hedge_coefficients(phi_t, ds, ds_hat, pi_hat_next, risks)
+        hedges[t] = optimal_hedge_values(phi_t, phi[t])
+        pi_t = rollback_portfolio(pi_next, hedges[t], ds, gamma)
+        rewards = compute_rewards(pi_next, pi_t, gamma, aversions)
+        omega[t] = fit_q_coefficients(phi_t, rewards, q_values[t + 1], gamma)
+        q_values[t] = phi_t.fitted(omega[t])
+        pi_hat_next = pi_t - pi_t.mean(axis=-1, keepdims=True)
+        pi_next = pi_t
+    return hedges, q_values, phi, omega
 
-    def test_solutions_hold_two_matrices_per_contract(self):
-        market = replace(MARKET, n_paths=2000, n_steps=12)
-        paths = simulate_gbm(market)
-        states = compute_states(paths, StateKind.PRICE).values
-        spec = spec_for_states(states, n_basis=12, order=4)
-        features = spline_features(spec, states)
-        contracts = [(z, RiskParams.from_rate(1e-3, market.r, market.dt))
-                     for z in np.linspace(70.0, 130.0, 10)]
-        matrix = paths.prices.nbytes
-        coefficients = 2 * market.n_steps * len(contracts) * spec.n_basis * 8
+
+class TestDerivedMatrices:
+    """Solutions store coefficients; hedges and action values are evaluated
+    for the whole batch when first read, and portfolio, rewards and cash
+    are rolled back from the payoff under the hedges."""
+
+    @staticmethod
+    def inputs(n_steps=6, n_paths=400, n_basis=12, order=4, compact=True):
+        """Paths, spec and features of drift-adjusted states."""
+        paths = simulate_gbm(replace(MARKET, n_paths=n_paths, n_steps=n_steps))
+        states = compute_states(paths, StateKind.DRIFT_ADJUSTED).values
+        spec = spec_for_states(states, n_basis=n_basis, order=order)
+        return paths, spec, (spline_features if compact else feature_cube)(spec, states)
+
+    @staticmethod
+    def solve(paths, spec, features, n_contracts):
+        """Contracts struck from 70 to 130 and their solutions; one
+        contract is solved by run_model_based."""
+        contracts = [(z, RiskParams.from_rate(1e-3 * (1 + c % 3), MARKET.r, paths.dt))
+                     for c, z in enumerate(np.linspace(70.0, 130.0, n_contracts))]
+        if n_contracts == 1:
+            return contracts, [run_model_based(paths, StateKind.DRIFT_ADJUSTED,
+                                               *contracts[0], basis_spec=spec,
+                                               features=features)]
+        return contracts, run_model_based_batch(paths, StateKind.DRIFT_ADJUSTED,
+                                                contracts, basis_spec=spec,
+                                                features=features)
+
+    def test_solutions_hold_coefficients_only(self):
+        paths, spec, features = self.inputs(n_steps=12, n_paths=2000)
+        n_contracts = 10
+        coefficients = 2 * paths.n_steps * n_contracts * spec.n_basis * 8
         tracemalloc.start()
         try:
-            solutions = run_model_based_batch(paths, StateKind.PRICE, contracts,
-                                              basis_spec=spec, features=features)
+            _, solutions = self.solve(paths, spec, features, n_contracts)
             held = tracemalloc.get_traced_memory()[0]
             solutions[0].portfolio
             after_read = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # One matrix of slack covers the solution objects themselves.
-        assert held <= (2 * len(contracts) + 1) * matrix + coefficients
-        assert after_read - held >= 2 * matrix  # portfolio and rewards
+        # One (K,) vector of slack covers the solution objects; one stored
+        # (C, K) slab would not fit in it.
+        assert held <= coefficients + 8 * paths.n_paths
+        # The batch's hedges, then this contract's portfolio and rewards.
+        assert after_read - held >= (n_contracts + 2) * paths.prices.nbytes
+
+    @pytest.mark.parametrize("n_basis, order", [(12, 4), (12, 10), (100, 10)])
+    @pytest.mark.parametrize("compact", [False, True], ids=["dense", "compact"])
+    @pytest.mark.parametrize("n_contracts", [1, 10])
+    def test_matrices_match_an_eager_pass(self, n_contracts, compact, n_basis, order):
+        paths, spec, features = self.inputs(n_basis=n_basis, order=order, compact=compact)
+        contracts, solutions = self.solve(paths, spec, features, n_contracts)
+        hedges, q_values, phi, omega = eager_pass(paths, contracts, features)
+        for c, ((strike, risk), got) in enumerate(zip(contracts, solutions)):
+            portfolio, rewards = portfolio_and_rewards(paths, strike, hedges[:, c].T, risk)
+            want = {"hedges": hedges[:, c].T, "q_values": q_values[:, c].T,
+                    "phi": phi[:, c], "omega": omega[:, c],
+                    "portfolio": portfolio, "rewards": rewards,
+                    "cash": portfolio - hedges[:, c].T * paths.prices}
+            for name, matrix in want.items():
+                assert np.array_equal(getattr(got, name), matrix), name
+            assert got.price_t0 == float(-q_values[0, c].mean())
+            assert got.hedge_t0 == float(hedges[0, c].mean())
+            assert got.features is features
+
+    def test_one_read_evaluates_the_batch_once(self, monkeypatch):
+        paths, spec, features = self.inputs()
+        _, solutions = self.solve(paths, spec, features, 10)
+        steps = []
+        monkeypatch.setattr("qlbs.dp.step_features",
+                            lambda features, t: steps.append(t) or step_features(features, t))
+        solutions[3].hedges
+        assert sorted(steps) == list(range(paths.n_steps))
+        for solution in solutions:
+            solution.hedges, solution.portfolio, solution.rewards, solution.cash
+        assert len(steps) == paths.n_steps
+        # Reading the hedges evaluated no values: the first values read does.
+        solutions[0].q_values
+        assert len(steps) == 2 * paths.n_steps
+        for solution in solutions:
+            solution.q_values
+        assert len(steps) == 2 * paths.n_steps
+
+    def test_matrices_are_read_only(self):
+        _, solutions = self.solve(*self.inputs(), 2)
+        for name in MATRICES:
+            matrix = getattr(solutions[1], name)
+            assert not matrix.flags.writeable, name
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
 
     @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
     def test_fits_on_derived_matrices_reproduce_coefficients(self, kind):

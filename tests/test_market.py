@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,46 @@ class TestPriceIncrements:
         paths = simulate_gbm(table4_market(mu=0.0, sigma=0.0, n_paths=3, n_steps=5))
         inc = price_increments(paths, 0.0)
         assert np.allclose(inc.delta_s, 0.0, atol=1e-12)
+
+
+class TestArraysAreFrozenWithoutCopies:
+    """PathSet, StateSeries and Increments copy a caller's writable array
+    but keep the read-only arrays their producers hand over."""
+
+    def test_callers_writable_array_is_copied(self):
+        paths = simulate_gbm(table4_market(n_paths=50, n_steps=4))
+        prices = paths.prices.copy()
+        copied = (market.PathSet(prices=prices, dt=paths.dt, params=paths.params),
+                  market.StateSeries(values=prices, kind=StateKind.PRICE),
+                  market.Increments(delta_s=prices, delta_s_hat=prices))
+        # A read-only view of the writable array is no protection either.
+        view = prices[:, :]
+        view.setflags(write=False)
+        copied_view = market.StateSeries(values=view, kind=StateKind.PRICE)
+        prices *= 2.0
+        for array in (copied[0].prices, copied[1].values, copied[2].delta_s,
+                      copied[2].delta_s_hat, copied_view.values):
+            assert np.array_equal(array, paths.prices)
+            assert not array.flags.writeable
+
+    def test_producers_arrays_are_kept(self):
+        paths = simulate_gbm(table4_market(n_paths=50, n_steps=4))
+        assert compute_states(paths, StateKind.PRICE).values is paths.prices
+        kept = market.StateSeries(values=paths.prices[:, 1:], kind=StateKind.PRICE)
+        assert np.shares_memory(kept.values, paths.prices)
+
+    def test_simulate_gbm_peak_is_its_output_plus_per_path_scratch(self):
+        # 96 steps make the output 97 doubles a path, so a second copy of
+        # it would break the bound of 48 doubles of scratch a path.
+        params = table4_market(n_paths=2000, n_steps=96)
+        simulate_gbm(params)  # numpy's ziggurat tables are read once
+        tracemalloc.start()
+        try:
+            prices = simulate_gbm(params).prices
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= prices.nbytes + 48 * 8 * params.n_paths
 
 
 def csv_writer_paths(paths, dest):
