@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RowBand, row_band
+from .numerics import RowBand, row_band, scatter_band
 
 DEFAULT_N_BASIS = 12
 DEFAULT_ORDER = 4
@@ -214,21 +214,6 @@ def make_spec(data_lo: float, data_hi: float, n_basis: int = DEFAULT_N_BASIS,
     return BasisSpec(knots=knots, n_basis=n_basis, order=order)
 
 
-# Each scratch array of the blocked Cox-de Boor evaluation holds at most
-# this many doubles (512 KiB), so a block is 2**16 // order points. Best
-# of 5 and tracemalloc peak, ms / MB, on 10k paths x 25 times (2 cores,
-# numpy 2.4; the outputs are bit-equal at every budget):
-#   budget (doubles)                     2**20      2**18      2**16      2**14
-#   spline_features, N = 12, order 4    47 / 48    36 / 24    22 / 15    25 / 13
-#   feature_cube, N = 12, order 4       61 / 62    33 / 38    30 / 29    32 / 27
-#   spline_features, N = 100, order 10  122 / 63   104 / 34   92 / 27    137 / 25
-#   feature_cube, N = 100, order 10     186 / 241  165 / 212  150 / 205  216 / 203
-# The outputs take 10, 24, 22 and 200 MB. Smaller blocks are also faster
-# while each block's scratch stays in cache; at 2**14 the per-block
-# overhead shows at order 10.
-_BLOCK_DOUBLES = 2**16
-
-
 def _cox_de_boor(spec: BasisSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, values) of the points: point i is clamped to [lo, hi], its
     nonzero splines are columns first[i] .. first[i] + order - 1 and
@@ -261,32 +246,16 @@ def _cox_de_boor(spec: BasisSpec, points: np.ndarray) -> tuple[np.ndarray, np.nd
     return span - p, values
 
 
-def _spline_blocks(spec: BasisSpec, points: np.ndarray):
-    """(start, first, values) of consecutive blocks of the flat ``points``,
-    each of at most ``_BLOCK_DOUBLES // order`` points from index
-    ``start`` (see :func:`_cox_de_boor`)."""
-    size = max(1, _BLOCK_DOUBLES // spec.order)
-    for start in range(0, points.size, size):
-        yield (start, *_cox_de_boor(spec, points[start:start + size]))
-
-
 def basis_values(spec: BasisSpec, points) -> np.ndarray:
     """Evaluate all basis functions at many points, vectorized.
 
     Points are clamped to [lo, hi] first. Returns shape (len(points),
     n_basis); each row is nonnegative, sums to one, and has at most
-    ``order`` consecutive nonzero entries. Points are evaluated in blocks
-    of bounded scratch, each scattered straight into the output.
+    ``order`` consecutive nonzero entries. All points are evaluated in
+    one pass, with scratch of about 5 * order doubles per point.
     """
     x = np.asarray(points, dtype=float).ravel()
-    n = spec.n_basis
-    out = np.zeros((x.size, n))
-    for start, first, values in _spline_blocks(spec, x):
-        # Flat index of each point's first nonzero in the output.
-        first += np.arange(start * n, (start + first.size) * n, n)
-        for position, row in enumerate(values):
-            np.put(out, first + position, row)
-    return out
+    return scatter_band(np.zeros((x.size, spec.n_basis)), *_cox_de_boor(spec, x))
 
 
 def feature_cube(spec: BasisSpec, state_values: np.ndarray) -> np.ndarray:
@@ -294,34 +263,31 @@ def feature_cube(spec: BasisSpec, state_values: np.ndarray) -> np.ndarray:
     callers that want the whole cube.
 
     ``state_values`` has shape (K, T+1); the result has shape
-    (T+1, K, n_basis). The solvers build :func:`spline_features` instead,
-    which holds the same numbers in order / n_basis of the memory.
+    (T+1, K, n_basis), evaluated one time step at a time. The solvers
+    build :func:`spline_features` instead, which holds the same numbers
+    in order / n_basis of the memory.
     """
     state_values = np.asarray(state_values, dtype=float)
     n_paths, n_times = state_values.shape
-    flat = basis_values(spec, state_values.T.ravel())
-    return flat.reshape(n_times, n_paths, spec.n_basis)
+    out = np.zeros((n_times, n_paths, spec.n_basis))
+    for t in range(n_times):
+        scatter_band(out[t], *_cox_de_boor(spec, state_values[:, t]))
+    return out
 
 
 def spline_features(spec: BasisSpec, state_values: np.ndarray) -> SplineFeatures:
     """The feature cube of a (K, T+1) state matrix in compact form.
 
-    Holds the same numbers as :func:`feature_cube`, evaluated in the same
-    blocks, without the zeros.
+    Holds the same numbers as :func:`feature_cube` without the zeros.
+    Each time step is evaluated on its own K states, so a build needs
+    scratch of about 5 * order * K doubles beside its output.
     """
     state_values = np.asarray(state_values, dtype=float)
     n_paths, n_times = state_values.shape
     first = np.empty((n_times, n_paths), dtype=np.int64)
     values = np.empty((n_times, spec.order, n_paths))
-    flat_first = first.reshape(-1)
-    for start, block_first, block_values in _spline_blocks(spec, state_values.T.ravel()):
-        stop = start + block_first.size
-        flat_first[start:stop] = block_first
-        # Copy the block into each time step it covers.
-        for t in range(start // n_paths, (stop - 1) // n_paths + 1):
-            lo, hi = max(start, t * n_paths), min(stop, (t + 1) * n_paths)
-            values[t, :, lo - t * n_paths:hi - t * n_paths] = \
-                block_values[:, lo - start:hi - start]
+    for t in range(n_times):
+        first[t], values[t] = _cox_de_boor(spec, state_values[:, t])
     return SplineFeatures(first=first, values=values, n_basis=spec.n_basis)
 
 

@@ -33,12 +33,6 @@ class BsmQuote:
     d2: float
 
 
-def _d1_d2(s0: float, strike: float, r: float, sigma: float, maturity: float):
-    root_t = math.sqrt(maturity)
-    d1 = (math.log(s0 / strike) + (r + 0.5 * sigma**2) * maturity) / (sigma * root_t)
-    return d1, d1 - sigma * root_t
-
-
 def _validate(s0, strike, sigma, maturity):
     if s0 <= 0 or strike <= 0:
         raise ValueError("spot and strike must be positive")
@@ -46,8 +40,25 @@ def _validate(s0, strike, sigma, maturity):
         raise ValueError("sigma and maturity must be nonnegative")
 
 
-def _is_degenerate(sigma: float, maturity: float) -> bool:
-    return sigma == 0.0 or maturity == 0.0
+def _quote(s0: float, strike: float, r: float, sigma: float,
+           maturity: float) -> BsmQuote:
+    """The checked inputs' price, delta, d1 and d2, forming d1 and d2 once.
+
+    sigma = 0 or maturity = 0 are treated as their analytic limits: the
+    discounted intrinsic value, a delta of -1 or 0, and d1 = d2 = +inf
+    where s0 >= strike * exp(-r * maturity), -inf elsewhere.
+    """
+    _validate(s0, strike, sigma, maturity)
+    discounted = strike * math.exp(-r * maturity)
+    if sigma == 0.0 or maturity == 0.0:
+        d = math.inf if s0 >= discounted else -math.inf
+        return BsmQuote(price=max(discounted - s0, 0.0),
+                        delta=-1.0 if discounted > s0 else 0.0, d1=d, d2=d)
+    root_t = math.sqrt(maturity)
+    d1 = (math.log(s0 / strike) + (r + 0.5 * sigma**2) * maturity) / (sigma * root_t)
+    d2 = d1 - sigma * root_t
+    return BsmQuote(price=float(discounted * norm_cdf(-d2) - s0 * norm_cdf(-d1)),
+                    delta=float(norm_cdf(d1) - 1.0), d1=d1, d2=d2)
 
 
 def bsm_put_price(s0: float, strike: float, r: float, sigma: float,
@@ -57,40 +68,16 @@ def bsm_put_price(s0: float, strike: float, r: float, sigma: float,
     sigma = 0 or maturity = 0 are treated as their analytic limits
     (discounted intrinsic value) so parameter sweeps can touch the edges.
     """
-    _validate(s0, strike, sigma, maturity)
-    if _is_degenerate(sigma, maturity):
-        return max(strike * math.exp(-r * maturity) - s0, 0.0)
-    d1, d2 = _d1_d2(s0, strike, r, sigma, maturity)
-    return float(strike * math.exp(-r * maturity) * norm_cdf(-d2)
-                 - s0 * norm_cdf(-d1))
+    return _quote(s0, strike, r, sigma, maturity).price
 
 
 def bsm_put_delta(s0: float, strike: float, r: float, sigma: float,
                   maturity: float) -> float:
     """Put hedge ratio N(d1) - 1, in [-1, 0]."""
-    _validate(s0, strike, sigma, maturity)
-    if _is_degenerate(sigma, maturity):
-        return -1.0 if strike * math.exp(-r * maturity) > s0 else 0.0
-    d1, _ = _d1_d2(s0, strike, r, sigma, maturity)
-    return float(norm_cdf(d1) - 1.0)
+    return _quote(s0, strike, r, sigma, maturity).delta
 
 
 def bsm_put_quote(s0: float, strike: float, r: float, sigma: float,
                   maturity: float) -> BsmQuote:
     """Price, delta and the d1/d2 coefficients in one call."""
-    _validate(s0, strike, sigma, maturity)
-    if _is_degenerate(sigma, maturity):
-        sign = 1.0 if s0 >= strike * math.exp(-r * maturity) else -1.0
-        return BsmQuote(
-            price=bsm_put_price(s0, strike, r, sigma, maturity),
-            delta=bsm_put_delta(s0, strike, r, sigma, maturity),
-            d1=sign * math.inf,
-            d2=sign * math.inf,
-        )
-    d1, d2 = _d1_d2(s0, strike, r, sigma, maturity)
-    return BsmQuote(
-        price=bsm_put_price(s0, strike, r, sigma, maturity),
-        delta=bsm_put_delta(s0, strike, r, sigma, maturity),
-        d1=d1,
-        d2=d2,
-    )
+    return _quote(s0, strike, r, sigma, maturity)

@@ -131,7 +131,10 @@ def _cmd_price_fqi(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.config:
         with open(args.config) as handle:
-            config = ScenarioConfig.from_json_dict(json.load(handle))
+            try:
+                config = ScenarioConfig.from_json_dict(json.load(handle))
+            except ValueError as err:
+                raise ValueError(f"{args.config}: {err}") from err
         if config.scenario is not Scenario.parse(args.name):
             config = ScenarioConfig.from_json_dict(
                 {**config.to_json_dict(), "scenario": args.name})

@@ -14,7 +14,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -130,11 +130,15 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScenarioConfig":
-        kwargs = dict(data)
+        """The config :meth:`to_json_dict` wrote. Input that is not a JSON
+        object, an unknown key or a missing market field raises ValueError
+        naming it."""
+        kwargs = _json_fields(data, cls, "config")
         if "scenario" in kwargs:
             kwargs["scenario"] = Scenario.parse(kwargs["scenario"])
         if "market" in kwargs:
-            kwargs["market"] = MarketParams(**kwargs["market"])
+            kwargs["market"] = MarketParams(**_json_fields(kwargs["market"],
+                                                           MarketParams, "market"))
         if "state_kinds" in kwargs:
             kwargs["state_kinds"] = tuple(StateKind.parse(k) for k in kwargs["state_kinds"])
         for key in ("seeds",):
@@ -145,6 +149,22 @@ class ScenarioConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
+
+
+def _json_fields(data, cls, what: str) -> dict:
+    """``data`` as keyword arguments of the dataclass ``cls``, checked to
+    be a JSON object holding only its fields and every required one."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    known = fields(cls)
+    unknown = [key for key in data if key not in {f.name for f in known}]
+    if unknown:
+        raise ValueError(f"{what}: unknown key {unknown[0]!r}")
+    missing = [f.name for f in known if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{what}: missing key {missing[0]!r}")
+    return dict(data)
 
 
 def terminal_wealth(paths: PathSet, hedges: np.ndarray, strike: float,

@@ -333,9 +333,10 @@ def load_dataset(source) -> OfflineDataset:
 
     Every (t, k) must appear exactly once; a missing or duplicate row, an
     index outside the stated shape, a missing metadata key, a value that
-    does not parse or that RiskParams rejects, or a ``pure_risk`` other
-    than ``True`` or ``False`` raises ValueError naming the file and the
-    row or key.
+    does not parse or that RiskParams rejects, ``n_paths`` or ``n_steps``
+    below 1, a ``strike`` or ``dt`` that is not positive, or a
+    ``pure_risk`` other than ``True`` or ``False`` raises ValueError
+    naming the file and the row or key.
     """
     meta: dict[str, str] = {}
     rows = []
@@ -365,8 +366,15 @@ def load_dataset(source) -> OfflineDataset:
         except ValueError as err:
             raise ValueError(f"{source}: metadata key {key!r}: {err}") from err
 
-    n_paths = parse("n_paths", int)
-    n_steps = parse("n_steps", int)
+    n_paths, n_steps = parse("n_paths", int), parse("n_steps", int)
+    strike, dt = parse("strike", float), parse("dt", float)
+    for key, value, rule, holds in [("n_paths", n_paths, "at least 1", n_paths >= 1),
+                                    ("n_steps", n_steps, "at least 1", n_steps >= 1),
+                                    ("strike", strike, "positive", strike > 0),
+                                    ("dt", dt, "positive", dt > 0)]:
+        if not holds:
+            raise ValueError(f"{source}: metadata key {key!r} must be {rule}, "
+                             f"got {value!r}")
     risk_aversion, gamma = parse("risk_aversion", float), parse("gamma", float)
     try:
         risk = RiskParams(risk_aversion, gamma, pure_risk=meta["pure_risk"] == "True")
@@ -414,9 +422,9 @@ def load_dataset(source) -> OfflineDataset:
         rewards=rewards,
         terminal_portfolio=terminal_portfolio,
         state_kind=parse("state_kind", StateKind.parse),
-        strike=parse("strike", float),
+        strike=strike,
         risk=risk,
-        dt=parse("dt", float),
+        dt=dt,
         mu=parse("mu", float),
         sigma=parse("sigma", float),
     )

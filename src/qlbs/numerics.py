@@ -160,15 +160,22 @@ class RowBand:
         return out
 
     def dense(self) -> np.ndarray:
-        """The (K, n_cols) matrix the band holds, written one band position
-        at a time at flat indices offset from each row's first column."""
-        n_rows = self.values.shape[1]
-        out = np.zeros((n_rows, self.n_cols))
-        flat = out.reshape(-1)
-        first = self.columns[0] + np.arange(0, n_rows * self.n_cols, self.n_cols)
-        for position, row in enumerate(self.values):
-            flat[first + position] = row
-        return out
+        """The (K, n_cols) matrix the band holds."""
+        return scatter_band(np.zeros((self.values.shape[1], self.n_cols)),
+                            self.columns[0], self.values)
+
+
+def scatter_band(out: np.ndarray, first: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Write (w, K) ``values`` into the zero, C-contiguous (K, N) ``out``,
+    row k in columns first[k] .. first[k] + w - 1, and return ``out``."""
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    n_rows, n_cols = out.shape
+    flat = out.reshape(-1)
+    first = first + np.arange(0, n_rows * n_cols, n_cols)
+    for position, row in enumerate(values):
+        flat[first + position] = row
+    return out
 
 
 def row_band(matrix: np.ndarray) -> RowBand:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlbs import basis, dp, fqi
+from qlbs import dp, fqi
 from qlbs.basis import (
     BasisSpec,
     FeatureMatrix,
@@ -77,8 +77,8 @@ def guarded_basis_values(spec, points):
 
 
 def whole_array_basis_values(spec, points):
-    """Cox-de Boor over all points at once with one 2-D scatter: the
-    evaluation before it was split into blocks of bounded scratch."""
+    """Cox-de Boor over all points at once with one 2-D scatter, sharing
+    no code with the library's per-step evaluation."""
     x = np.clip(np.asarray(points, dtype=float).ravel(), spec.lo, spec.hi)
     t = spec.knots
     p = spec.degree
@@ -121,42 +121,26 @@ def probe_points(spec, rng, n_draws=200):
     ])
 
 
-class TestBlockedEvaluation:
-    # 13 paths x 5 times = 65 points in blocks of 16: blocks end inside a
-    # time step, and the last block holds the single point 64.
-    N_PATHS, N_TIMES, BLOCK = 13, 5, 16
-
-    @pytest.fixture
-    def small_blocks(self, monkeypatch):
-        def set_order(order):
-            monkeypatch.setattr(basis, "_BLOCK_DOUBLES", self.BLOCK * order)
-        return set_order
-
+class TestStepwiseEvaluation:
+    # 65 points of knots, edges, out-of-domain points and uniform draws,
+    # as 13 paths x 5 times, a single path and a single time step.
+    @pytest.mark.parametrize("n_paths, n_times", [(13, 5), (1, 65), (65, 1)])
     @pytest.mark.parametrize("order", range(1, 11))
-    def test_blocks_match_whole_array_evaluation(self, order, small_blocks):
+    def test_matches_whole_array_evaluation(self, order, n_paths, n_times):
         spec = make_spec(-1.5, 2.5, n_basis=order + 9, order=order)
         rng = np.random.default_rng(order)
         # The knots and edge points take n_basis + order + 6 of the 65.
         points = probe_points(spec, rng, 65 - (spec.n_basis + order + 6))
-        states = rng.permutation(points).reshape(self.N_PATHS, self.N_TIMES)
+        states = rng.permutation(points).reshape(n_paths, n_times)
         want = whole_array_basis_values(spec, states.T.ravel())
-        small_blocks(order)
-        sizes = [b.size for _, b, _ in basis._spline_blocks(spec, states.T.ravel())]
-        assert sizes == [16, 16, 16, 16, 1]
         assert np.array_equal(basis_values(spec, states.T.ravel()), want)
-        cube = want.reshape(self.N_TIMES, self.N_PATHS, spec.n_basis)
+        cube = want.reshape(n_times, n_paths, spec.n_basis)
         assert np.array_equal(feature_cube(spec, states), cube)
         compact = spline_features(spec, states)
-        assert compact.first.shape == (self.N_TIMES, self.N_PATHS)
-        assert compact.values.shape == (self.N_TIMES, order, self.N_PATHS)
+        assert compact.first.shape == (n_times, n_paths)
+        assert compact.values.shape == (n_times, order, n_paths)
         assert compact.shape == cube.shape
         assert np.array_equal(dense_cube(compact), cube)
-
-    @pytest.mark.parametrize("order", range(1, 11))
-    def test_default_budget_matches_whole_array_evaluation(self, order):
-        spec = make_spec(-1.5, 2.5, n_basis=order + 9, order=order)
-        x = probe_points(spec, np.random.default_rng(order))
-        assert np.array_equal(basis_values(spec, x), whole_array_basis_values(spec, x))
 
     @pytest.mark.parametrize("n_basis, order", [(12, 4), (100, 1), (100, 10)])
     def test_compact_densifies_to_the_feature_cube(self, n_basis, order):
@@ -168,14 +152,14 @@ class TestBlockedEvaluation:
         for t in range(7):
             assert np.array_equal(compact.band(t).dense(), cube[t])
 
-    # Blocked evaluation bounds the scratch of a build: besides its output
-    # and one flat copy of the states, no more than eight arrays of the
-    # default budget, 2**16 doubles (4 MiB in all).
+    # A build evaluates one time step at a time, so besides its output and
+    # the states its scratch is about 5 * order * K doubles, one step's
+    # Cox-de Boor arrays: 1.6 MB for either build below, within 4 MiB.
     SCRATCH_BYTES = 8 * 8 * 2**16
 
     def test_feature_cube_peak_is_its_output_plus_bounded_scratch(self):
-        # 40k points at N = 100, order 10: a 32 MB cube. Whole-array
-        # scratch would add about 13 MB.
+        # 4000 paths x 10 times at N = 100, order 10: a 32 MB cube. One
+        # Cox-de Boor pass over all 40k points would add about 13 MB.
         states = np.random.default_rng(9).normal(size=(4000, 10))
         spec = make_spec(states.min(), states.max(), n_basis=100, order=10)
         tracemalloc.start()
@@ -189,8 +173,8 @@ class TestBlockedEvaluation:
 
     def test_spline_features_peak_is_its_output_plus_bounded_scratch(self):
         # The desk shape: 10k paths x 25 times, 12 cubic splines, a 10 MB
-        # result from 2 MB of states; it peaks near 15 MB. With blocks of
-        # 2**20 doubles the whole build is one block and peaks near 48 MB.
+        # result from 2 MB of states; it peaks near 11.5 MB. One Cox-de
+        # Boor pass over all 250k points would peak near 48 MB.
         states = np.random.default_rng(10).normal(size=(10_000, 25)).cumsum(axis=1)
         spec = make_spec(states.min(), states.max(), n_basis=12, order=4)
         tracemalloc.start()

@@ -1,6 +1,9 @@
 """tools/bench_record.py: summaries and flags from synthetic runs."""
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
 _SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
@@ -112,3 +115,38 @@ class TestRunOnce:
         got = bench_record.run_once(checkout, "desk-quote", 1, 1.0)
         assert got["timed_out"] and got["exit_code"] is None
         assert bench_record.problem(got) == "timed out after 0.5 s"
+
+
+class TestMain:
+    @pytest.mark.parametrize("claim, pairs", [
+        (None, {"a": bench_record.CLAIM_PAIRS, "b": bench_record.CLAIM_PAIRS}),
+        ("b", {"a": bench_record.OTHER_PAIRS, "b": bench_record.CLAIM_PAIRS})])
+    def test_pairs_per_workload_and_recorded_claim(self, tmp_path, monkeypatch,
+                                                  claim, pairs):
+        change = tmp_path / "change"
+        change.mkdir()
+        (change / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 1, "workloads": [{"name": "a"}, {"name": "b"}],
+            "end_to_end": [{"name": "op_s", "better": "lower"},
+                           {"name": "peak_rss_mb", "better": "lower"}]}))
+        calls = []
+
+        def run_once(checkout, workload, seed, seconds):
+            calls.append(workload)
+            return {"exit_code": 0, "result": run("", 0, 1.0, 100.0)["result"]}
+
+        monkeypatch.setattr(bench_record, "ROOT", change)
+        monkeypatch.setattr(bench_record, "run_once", run_once)
+        monkeypatch.setattr(bench_record, "tier1", lambda checkout: {})
+        monkeypatch.setattr(bench_record, "revision", lambda checkout: "rev")
+        argv = ["--number", "7", "--parent", str(tmp_path), "--seed", "3"]
+        assert bench_record.main(argv + (["--claim", claim] if claim else [])) == 0
+        record = json.loads((change / "BENCH_7.json").read_text())
+        assert record["claim"] == claim
+        for workload, n in pairs.items():
+            runs = record["end_to_end"][workload]
+            assert [(r["pair"], r["side"]) for r in runs] == [
+                (p, side) for p in range(1, n + 1)
+                for side in (("change", "parent") if p % 2 else ("parent", "change"))]
+            assert record["summary"][workload]["op_s"]["change_better_pairs"] == f"0/{n}"
+        assert calls == [w for w, n in pairs.items() for _ in range(2 * n)]

@@ -313,3 +313,19 @@ class TestExperiment:
         code, _ = run_cli(capsys, "experiment", "single", "--config", str(config),
                           "--out", str(dest), "--strict")
         assert code == 1
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"scenario": "single", "seedz": [0]}, "config: unknown key 'seedz'"),
+        ({"market": {"s0": 100, "mu": 0.05, "sigma": 0.15}},
+         "market: missing key 'r'"),
+        ([{"scenario": "single"}], "config must be a JSON object, got list"),
+    ], ids=["misspelt-key", "market-missing-fields", "top-level-array"])
+    def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, payload,
+                                               message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        code = main(["experiment", "single", "--config", str(config),
+                     "--out", str(tmp_path / "report.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"qlbs: error: {config}: {message}\n"
+        assert not (tmp_path / "report.csv").exists()

@@ -449,6 +449,23 @@ class TestLoadDatasetRejectsMalformedFiles:
         with pytest.raises(ValueError, match=rf"bad\.csv: metadata: {message}"):
             load_dataset(dest)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_paths", "0", "must be at least 1, got 0"),
+        ("n_steps", "0", "must be at least 1, got 0"),
+        ("strike", "-5.0", "must be positive, got -5.0"),
+        ("strike", "nan", "must be positive, got nan"),
+        ("dt", "-0.5", "must be positive, got -0.5")],
+        ids=["n_paths-0", "n_steps-0", "strike-negative", "strike-nan", "dt-negative"])
+    def test_metadata_outside_the_writers_domain(self, tmp_path, lines, key, value,
+                                                 message):
+        if key.startswith("n_"):
+            # The header of an empty dataset: metadata and columns, no rows.
+            lines = lines[:next(i for i, line in enumerate(lines)
+                                if not line.startswith("#")) + 1]
+        dest = self.replace_value(tmp_path, lines, key, value)
+        with pytest.raises(ValueError, match=rf"bad\.csv: metadata key '{key}' {message}"):
+            load_dataset(dest)
+
 
 def csv_writer_dataset(dataset, dest):
     """The original writer: one ``csv.writer`` row per (t, k), reading
@@ -573,10 +590,11 @@ def offline_datasets(draw):
         states=table(), actions=table(), rewards=table(),
         terminal_portfolio=draw(st.lists(cells, min_size=n_paths, max_size=n_paths)),
         state_kind=draw(st.sampled_from(StateKind)),
-        strike=draw(st.floats(allow_nan=False)),
+        # The loader rejects a strike or dt that is not positive.
+        strike=draw(st.floats(0.0, exclude_min=True)),
         risk=RiskParams(risk_aversion, draw(st.floats(1e-6, 1.0)),
                         pure_risk=risk_aversion == 0 or draw(st.booleans())),
-        dt=draw(st.floats(allow_nan=False)),
+        dt=draw(st.floats(0.0, exclude_min=True)),
         mu=draw(st.floats(allow_nan=False)),
         sigma=draw(st.floats(allow_nan=False)),
     )

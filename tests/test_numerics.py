@@ -7,6 +7,7 @@ from qlbs.numerics import (
     ridge_solve,
     row_band,
     scaled_regularizer,
+    scatter_band,
     solve_normal_equations,
 )
 
@@ -198,3 +199,10 @@ class TestRowBandProducts:
                           (band.fitted(coefficients[1]), coefficients[1] @ matrix.T)]:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_scatter_refuses_an_output_it_would_copy(self):
+        band = row_band(banded_matrix(np.random.default_rng(1), 5, 8, 2))
+        out = np.zeros((8, 5)).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            scatter_band(out, band.columns[0], band.values)
+        assert not out.any()

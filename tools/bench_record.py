@@ -1,13 +1,14 @@
 """Write a BENCH_<n>.json record: benchmark runs, machine and suite timings.
 
     python3 tools/bench_record.py --number 10 --parent ../parent-checkout \
-        --claim basis-stress --seed 7301
+        [--claim basis-stress] --seed 7301
 
 Run from the repository root. For every workload in ``BENCHMARK.json``
 the record keeps the last JSON line of ``perfbench/run.py`` (end-to-end,
 ``--trace 0``, the file's ``run_seconds``), run from this checkout and
 from the parent's, in pairs that alternate which side runs first. The
-claim workload runs ten pairs and the others three. Each workload gets,
+claim workload runs ten pairs and the others three; without ``--claim``
+every workload runs ten and the record's claim is null. Each workload gets,
 per metric, the medians, each side's minimum and maximum, the parent's
 interquartile range and the pairs the change won. The record also holds
 each side's tier-1 wall time and every acceptance criterion's call time
@@ -159,9 +160,10 @@ def main(argv=None) -> int:
     parser.add_argument("--number", type=int, required=True, help="n of BENCH_<n>.json")
     parser.add_argument("--parent", type=Path, required=True,
                         help="checkout of the parent commit to pair against")
-    parser.add_argument("--claim", required=True,
+    parser.add_argument("--claim", default=None,
                         choices=[w["name"] for w in spec["workloads"]],
-                        help="workload the change claims")
+                        help="workload the change claims (default: none, and "
+                             "every workload runs the claim's pairs)")
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
 
@@ -179,7 +181,7 @@ def main(argv=None) -> int:
         "summary": {},
     }
     for workload in (w["name"] for w in spec["workloads"]):
-        pairs = CLAIM_PAIRS if workload == args.claim else OTHER_PAIRS
+        pairs = CLAIM_PAIRS if args.claim in (None, workload) else OTHER_PAIRS
         runs = []
         for pair in range(1, pairs + 1):
             order = list(checkouts) if pair % 2 else list(reversed(checkouts))
