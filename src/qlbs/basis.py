@@ -68,7 +68,9 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Basis values for the paths at one time step, shape (K, n_basis)."""
+    """Basis values for the paths at one time step, shape (K, n_basis), with
+    their dense products. ``FeatureMatrix(values)`` reads the values as
+    float64 and checks them finite; :meth:`_unchecked` does neither."""
 
     values: np.ndarray
 
@@ -80,6 +82,13 @@ class FeatureMatrix:
         if not np.all(np.isfinite(values)):
             raise ValueError("feature matrix must be finite")
 
+    @classmethod
+    def _unchecked(cls, values: np.ndarray) -> "FeatureMatrix":
+        """A (K, n_basis) float64 slab held as it is, without the checks."""
+        step = object.__new__(cls)
+        object.__setattr__(step, "values", values)
+        return step
+
     @property
     def n_paths(self) -> int:
         return self.values.shape[0]
@@ -87,6 +96,25 @@ class FeatureMatrix:
     @property
     def n_basis(self) -> int:
         return self.values.shape[1]
+
+    def gram(self, root_weights: np.ndarray | None = None) -> np.ndarray:
+        """sum_k r_k^2 f_k f_k^T over the rows f_k.
+
+        A nonfinite feature makes its diagonal entry nonfinite, without a
+        numpy warning: the solvers' check reports it.
+        """
+        with np.errstate(invalid="ignore", over="ignore"):
+            weighted = (self.values if root_weights is None
+                        else self.values * root_weights[:, np.newaxis])
+            return weighted.T @ weighted
+
+    def rhs(self, targets: np.ndarray) -> np.ndarray:
+        """targets @ F: (K,) targets give (n_basis,), (C, K) give (C, n_basis)."""
+        return targets @ self.values
+
+    def fitted(self, coefficients: np.ndarray) -> np.ndarray:
+        """coefficients @ F^T: (n_basis,) give (K,), (C, n_basis) give (C, K)."""
+        return coefficients @ self.values.T
 
 
 # Banded Gram assembly pays only when the basis is large and each row's
@@ -109,38 +137,6 @@ _BANDED_MAX_WIDTH_SHARE = 10
 
 def _band_pays(n_basis: int, width: int) -> bool:
     return n_basis >= _BANDED_MIN_BASIS and _BANDED_MAX_WIDTH_SHARE * width <= n_basis
-
-
-class StepFeatures:
-    """One time step's dense (K, n_basis) float64 features, unchecked.
-
-    The backward passes pass one per step where a FeatureMatrix would go,
-    so the slab is neither copied nor checked. :func:`step_features` gives
-    a step in this form or as its :class:`RowBand`, which has the same
-    three products.
-    """
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-
-    def gram(self, root_weights: np.ndarray | None = None) -> np.ndarray:
-        """sum_k r_k^2 f_k f_k^T over the rows f_k.
-
-        A nonfinite feature makes its diagonal entry nonfinite, without a
-        numpy warning: the solvers' check reports it.
-        """
-        with np.errstate(invalid="ignore", over="ignore"):
-            weighted = (self.values if root_weights is None
-                        else self.values * root_weights[:, np.newaxis])
-            return weighted.T @ weighted
-
-    def rhs(self, targets: np.ndarray) -> np.ndarray:
-        """targets @ F: (K,) targets give (n_basis,), (C, K) give (C, n_basis)."""
-        return targets @ self.values
-
-    def fitted(self, coefficients: np.ndarray) -> np.ndarray:
-        """coefficients @ F^T: (n_basis,) give (K,), (C, n_basis) give (C, K)."""
-        return coefficients @ self.values.T
 
 
 @dataclass(frozen=True)
@@ -171,10 +167,11 @@ class SplineFeatures:
                        values=self.values[t], n_cols=self.n_basis)
 
 
-def step_features(features, t: int) -> StepFeatures | RowBand:
+def step_features(features, t: int) -> FeatureMatrix | RowBand:
     """Time step t of a dense (T+1, K, N) cube or of SplineFeatures, in the
     one form all its products take: its row band when banded assembly
-    pays, else its dense slab, read as float64.
+    pays, else its dense slab, read as float64, as an unchecked
+    FeatureMatrix.
 
     A dense slab is scanned for its band only from ``_BANDED_MIN_BASIS``
     columns on. Its band equals that of SplineFeatures of the same
@@ -184,13 +181,15 @@ def step_features(features, t: int) -> StepFeatures | RowBand:
     """
     if isinstance(features, SplineFeatures):
         band = features.band(t)
-        return band if _band_pays(band.n_cols, band.width) else StepFeatures(band.dense())
+        if _band_pays(band.n_cols, band.width):
+            return band
+        return FeatureMatrix._unchecked(band.dense())
     slab = np.asarray(features[t], dtype=float)
     if slab.shape[1] >= _BANDED_MIN_BASIS:
         band = row_band(slab)
         if _band_pays(band.n_cols, band.width):
             return band
-    return StepFeatures(slab)
+    return FeatureMatrix._unchecked(slab)
 
 
 def make_spec(data_lo: float, data_hi: float, n_basis: int = DEFAULT_N_BASIS,

@@ -19,13 +19,12 @@ from .basis import (
     BasisSpec,
     FeatureMatrix,
     SplineFeatures,
-    StepFeatures,
     spec_for_states,
     spline_features,
     step_features,
 )
 from .market import PathSet, StateKind, compute_states, price_increments
-from .numerics import RowBand, effective_ridge, solve_normal_equations
+from .numerics import RowBand, _solve_rows
 
 
 @dataclass(frozen=True)
@@ -174,28 +173,7 @@ def terminal_conditions(paths: PathSet, strike, risk):
     return payoff, pi_hat, hedge, reward, q_value
 
 
-def _solve_rows(gram: np.ndarray, rhs: np.ndarray,
-                regularizer: float | None) -> np.ndarray:
-    """Coefficients for each row of ``rhs`` from one factorization of ``gram``.
-
-    A (C, N) right-hand side gives (C, N) coefficients, a (N,) one gives (N,).
-    Features are read unchecked, so a nonfinite one is caught here: the
-    Gram's diagonal entry sum_k r_k^2 f_kj^2 is nonfinite exactly when
-    column j holds one (or a square overflows).
-    """
-    if not np.all(np.isfinite(np.diagonal(gram))):
-        raise ValueError("feature matrix must be finite")
-    return solve_normal_equations(gram, rhs.T, effective_ridge(gram, regularizer)).T
-
-
-def _step(phi_t: FeatureMatrix | StepFeatures | RowBand) -> StepFeatures | RowBand:
-    """The step's features in the form step_features chooses; a pass's own are kept."""
-    if isinstance(phi_t, FeatureMatrix):
-        return step_features(phi_t.values[np.newaxis], 0)
-    return phi_t
-
-
-def fit_hedge_coefficients(phi_t: FeatureMatrix, delta_s: np.ndarray,
+def fit_hedge_coefficients(phi_t: FeatureMatrix | RowBand, delta_s: np.ndarray,
                            delta_s_hat: np.ndarray, pi_hat_next: np.ndarray,
                            risk, regularizer: float | None = None) -> np.ndarray:
     """Hedge coefficients from the increment-weighted normal equations.
@@ -206,19 +184,20 @@ def fit_hedge_coefficients(phi_t: FeatureMatrix, delta_s: np.ndarray,
     ``pi_hat_next`` is (K,) for one contract (``risk`` one RiskParams) or
     (C, K) for C contracts (``risk`` a sequence); the Gram matrix is
     shared, so the contracts cost one factorization.
+    Like the other per-step functions, it uses the products of the step
+    it is given: dense for a FeatureMatrix at any N, banded for a RowBand.
     """
     gamma, pure_risk, risk_aversion = _contract_risk(risk)
-    step = _step(phi_t)
-    gram = step.gram(delta_s_hat)
     target = pi_hat_next * delta_s_hat
     if not pure_risk:
         target = target + delta_s / (2.0 * risk_aversion * gamma)
-    return _solve_rows(gram, step.rhs(target), regularizer)
+    return _solve_rows(phi_t.gram(delta_s_hat), phi_t.rhs(target), regularizer)
 
 
-def optimal_hedge_values(phi_t: FeatureMatrix, coefficients: np.ndarray) -> np.ndarray:
+def optimal_hedge_values(phi_t: FeatureMatrix | RowBand,
+                         coefficients: np.ndarray) -> np.ndarray:
     """Per-path hedge: (N,) coefficients give (K,) hedges, (C, N) give (C, K)."""
-    return _step(phi_t).fitted(coefficients)
+    return phi_t.fitted(coefficients)
 
 
 def rollback_portfolio(pi_next: np.ndarray, hedge: np.ndarray,
@@ -261,7 +240,7 @@ def portfolio_and_rewards(paths: PathSet, strike: float, actions: np.ndarray,
     return portfolio.T, rewards.T
 
 
-def fit_q_coefficients(phi_t: FeatureMatrix, rewards_t: np.ndarray,
+def fit_q_coefficients(phi_t: FeatureMatrix | RowBand, rewards_t: np.ndarray,
                        q_next: np.ndarray, gamma: float,
                        regularizer: float | None = None) -> np.ndarray:
     """Value coefficients: regress reward + gamma * next value on the features.
@@ -269,8 +248,7 @@ def fit_q_coefficients(phi_t: FeatureMatrix, rewards_t: np.ndarray,
     (K,) inputs give (N,) coefficients; (C, K) inputs give (C, N) from one
     factorization of the shared Gram matrix.
     """
-    step = _step(phi_t)
-    return _solve_rows(step.gram(), step.rhs(rewards_t + gamma * q_next), regularizer)
+    return _solve_rows(phi_t.gram(), phi_t.rhs(rewards_t + gamma * q_next), regularizer)
 
 
 def run_model_based(paths: PathSet, state_kind: StateKind, strike: float,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import (DEFAULT_N_BASIS, DEFAULT_ORDER, BasisSpec, spec_for_states,
                     spline_features)
-from .bsm import bsm_put_delta, bsm_put_price
+from .bsm import bsm_put_quote
 from .dp import DPSolution, RiskParams, run_model_based_batch
 from .fqi import fqi_from_hedges
 from .market import (
@@ -131,8 +131,8 @@ class ScenarioConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScenarioConfig":
         """The config :meth:`to_json_dict` wrote. Input that is not a JSON
-        object, an unknown key or a missing market field raises ValueError
-        naming it."""
+        object, an unknown key, a missing market field or a value of the
+        wrong JSON type raises ValueError naming it."""
         kwargs = _json_fields(data, cls, "config")
         if "scenario" in kwargs:
             kwargs["scenario"] = Scenario.parse(kwargs["scenario"])
@@ -141,9 +141,8 @@ class ScenarioConfig:
                                                            MarketParams, "market"))
         if "state_kinds" in kwargs:
             kwargs["state_kinds"] = tuple(StateKind.parse(k) for k in kwargs["state_kinds"])
-        for key in ("seeds",):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+        if "seeds" in kwargs:
+            kwargs["seeds"] = tuple(kwargs["seeds"])
         return cls(**kwargs)
 
     def config_hash(self) -> str:
@@ -151,9 +150,44 @@ class ScenarioConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_NUMBER = ("a number", _is_number)
+_INTEGER = ("an integer", _is_integer)
+_OBJECT = ("a JSON object", lambda value: isinstance(value, dict))
+
+# The JSON value each key of a config and of its market holds, as a
+# description and a test.
+_JSON_TYPES = {
+    "scenario": ("a string", lambda value: isinstance(value, str)),
+    "market": _OBJECT,
+    "strike": _NUMBER,
+    "risk_aversion": _NUMBER,
+    "pure_risk": ("true or false", lambda value: isinstance(value, bool)),
+    "n_basis": _INTEGER,
+    "order": _INTEGER,
+    "state_kinds": ("a list of strings", lambda value: isinstance(value, list)
+                    and all(isinstance(v, str) for v in value)),
+    "noise": _NUMBER,
+    "seeds": ("a list of integers", lambda value: isinstance(value, list)
+              and all(map(_is_integer, value))),
+    "regularizer": ("a number or null", lambda value: value is None or _is_number(value)),
+    "sweep": _OBJECT,
+    "s0": _NUMBER, "mu": _NUMBER, "sigma": _NUMBER, "r": _NUMBER,
+    "maturity": _NUMBER, "n_steps": _INTEGER, "n_paths": _INTEGER, "seed": _INTEGER,
+}
+
+
 def _json_fields(data, cls, what: str) -> dict:
     """``data`` as keyword arguments of the dataclass ``cls``, checked to
-    be a JSON object holding only its fields and every required one."""
+    be a JSON object holding only its fields, every required one, and
+    each of the JSON type that :data:`_JSON_TYPES` names."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
     known = fields(cls)
@@ -164,6 +198,10 @@ def _json_fields(data, cls, what: str) -> dict:
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ValueError(f"{what}: missing key {missing[0]!r}")
+    for key, value in data.items():
+        description, holds = _JSON_TYPES[key]
+        if not holds(value):
+            raise ValueError(f"{what}: key {key!r} must be {description}, got {value!r}")
     return dict(data)
 
 
@@ -375,10 +413,9 @@ def _run_cells(config: ScenarioConfig, cells) -> ResultTable:
         n_basis = cell.get("n_basis", config.n_basis)
         order = cell.get("order", config.order)
         try:
-            bsm_price = bsm_put_price(market.s0, strike, market.r,
-                                      market.sigma, market.maturity)
-            bsm_delta = bsm_put_delta(market.s0, strike, market.r,
-                                      market.sigma, market.maturity)
+            quote = bsm_put_quote(market.s0, strike, market.r, market.sigma,
+                                  market.maturity)
+            bsm_price, bsm_delta = quote.price, quote.delta
             benchmark_error = None
         except Exception as err:
             bsm_price = bsm_delta = None
@@ -416,64 +453,65 @@ def _seeded_markets(config: ScenarioConfig, **changes):
 
 
 def run_scenario(config: ScenarioConfig) -> ResultTable:
-    """Dispatch one scenario sweep and return its result table."""
-    scenario = config.scenario
-    if scenario is Scenario.VOL_SWEEP:
-        sigmas = config.sweep.get("sigmas", VOL_SWEEP_SIGMAS)
-        cells = [{"market": m}
-                 for sigma in sigmas
-                 for m in _seeded_markets(config, sigma=sigma)]
-        return _run_cells(config, cells)
+    """Dispatch one scenario sweep and return its result table.
 
-    if scenario is Scenario.NOISE_GRID:
-        path_counts = config.sweep.get("path_counts", NOISE_GRID_PATHS)
-        etas = config.sweep.get("noise_levels", NOISE_GRID_ETAS)
+    A ``sweep`` key the scenario does not read raises ValueError naming
+    it and the keys the scenario reads, before any cell runs.
+    """
+    scenario = config.scenario
+    read = []
+
+    def sweep(key, default):
+        read.append(key)
+        return config.sweep.get(key, default)
+
+    if scenario is Scenario.VOL_SWEEP:
+        cells = [{"market": m}
+                 for sigma in sweep("sigmas", VOL_SWEEP_SIGMAS)
+                 for m in _seeded_markets(config, sigma=sigma)]
+    elif scenario is Scenario.NOISE_GRID:
+        path_counts = sweep("path_counts", NOISE_GRID_PATHS)
+        etas = sweep("noise_levels", NOISE_GRID_ETAS)
         cells = [{"market": m, "noise": eta, "methods": ("fqi",)}
                  for n in path_counts
                  for eta in etas
                  for m in _seeded_markets(config, n_paths=int(n))]
-        return _run_cells(config, cells)
-
-    if scenario is Scenario.HEDGE_FREQUENCY:
-        steps = config.sweep.get("step_counts", tuple(FREQUENCY_STEPS.values()))
+    elif scenario is Scenario.HEDGE_FREQUENCY:
         cells = [{"market": m}
-                 for n in steps
+                 for n in sweep("step_counts", tuple(FREQUENCY_STEPS.values()))
                  for m in _seeded_markets(config, n_steps=int(n))]
-        return _run_cells(config, cells)
-
-    if scenario is Scenario.MONEYNESS:
-        strikes = config.sweep.get("strikes", MONEYNESS_STRIKES)
-        lambdas = config.sweep.get("risk_aversions", MONEYNESS_RISK_AVERSIONS)
+    elif scenario is Scenario.MONEYNESS:
+        strikes = sweep("strikes", MONEYNESS_STRIKES)
+        lambdas = sweep("risk_aversions", MONEYNESS_RISK_AVERSIONS)
         cells = [{"market": m, "strike": float(z), "risk_aversion": lam,
                   "methods": ("dp",)}
                  for lam in lambdas
                  for z in strikes
                  for m in _seeded_markets(config)]
-        return _run_cells(config, cells)
-
-    if scenario is Scenario.TRANSACTION_COSTS:
-        cost = config.sweep.get("cost_rate", TRANSACTION_COST_RATE)
-        lam = config.sweep.get("risk_aversion", TRANSACTION_RISK_AVERSION)
+    elif scenario is Scenario.TRANSACTION_COSTS:
+        cost = sweep("cost_rate", TRANSACTION_COST_RATE)
+        lam = sweep("risk_aversion", TRANSACTION_RISK_AVERSION)
         cells = [{"market": m, "cost_rate": cost, "risk_aversion": lam,
                   "methods": ("dp",)}
                  for m in _seeded_markets(config)]
-        return _run_cells(config, cells)
-
-    if scenario is Scenario.BASIS_SENSITIVITY:
-        sizes = config.sweep.get("basis_sizes", BASIS_SENSITIVITY_N)
-        orders = config.sweep.get("orders", BASIS_SENSITIVITY_ORDERS)
+    elif scenario is Scenario.BASIS_SENSITIVITY:
+        sizes = sweep("basis_sizes", BASIS_SENSITIVITY_N)
+        orders = sweep("orders", BASIS_SENSITIVITY_ORDERS)
         cells = [{"market": m, "n_basis": int(n), "order": int(p),
                   "methods": ("dp",)}
                  for n in sizes
                  for p in orders
                  for m in _seeded_markets(config)]
-        return _run_cells(config, cells)
-
-    if scenario is Scenario.SINGLE:
+    elif scenario is Scenario.SINGLE:
         cells = [{"market": m} for m in _seeded_markets(config)]
-        return _run_cells(config, cells)
+    else:
+        raise ValueError(f"unsupported scenario {scenario!r}")
 
-    raise ValueError(f"unsupported scenario {scenario!r}")
+    unknown = [key for key in config.sweep if key not in read]
+    if unknown:
+        raise ValueError(f"sweep key {unknown[0]!r} is not read by {scenario.value}, "
+                         f"which reads {', '.join(map(repr, read)) or 'no sweep key'}")
+    return _run_cells(config, cells)
 
 
 def _format_cell(value) -> str:

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (BasisSpec, FeatureMatrix, SplineFeatures, StepFeatures,
-                    spline_features, step_features)
-from .dp import RiskParams, _solve_rows, _step, portfolio_and_rewards
+from .basis import BasisSpec, FeatureMatrix, SplineFeatures, spline_features, step_features
+from .dp import RiskParams, portfolio_and_rewards
 from .market import PathSet, StateKind, StateSeries
-from .numerics import RowBand
+from .numerics import RowBand, _solve_rows
 
 log = logging.getLogger(__name__)
 
@@ -183,7 +182,7 @@ def greedy_action(w_t: WMatrix, phi_x: np.ndarray, observed_action: float = 0.0)
     return float(observed_action)
 
 
-def _psi(step: StepFeatures | RowBand, actions_t: np.ndarray) -> StepFeatures | RowBand:
+def _psi(step: FeatureMatrix | RowBand, actions_t: np.ndarray) -> FeatureMatrix | RowBand:
     """Action-state features in the step's form: column 3j + m is feature j
     times (1, a, a^2/2)[m], so a band of width w over N columns stays one
     band, of width 3w over 3N columns, and a (K, N) slab becomes (K, 3N)."""
@@ -193,18 +192,20 @@ def _psi(step: StepFeatures | RowBand, actions_t: np.ndarray) -> StepFeatures | 
         return RowBand(columns=3 * step.columns[0] + np.arange(len(psi))[:, np.newaxis],
                        values=psi, n_cols=3 * step.n_cols)
     f, a = step.values, actions_t[:, np.newaxis]
-    return StepFeatures(np.stack([f, a * f, 0.5 * a**2 * f], axis=2).reshape(a.size, -1))
+    return FeatureMatrix._unchecked(
+        np.stack([f, a * f, 0.5 * a**2 * f], axis=2).reshape(a.size, -1))
 
 
 def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
-                      phi_t: FeatureMatrix, q_next: np.ndarray, gamma: float,
+                      phi_t: FeatureMatrix | RowBand, q_next: np.ndarray, gamma: float,
                       regularizer: float | None = None):
     """Fit one step's coefficients and evaluate the per-path values.
 
     Regresses reward + gamma * next value on the action-state features;
     ``q_next`` must already hold final values (terminal column included).
-    Like the DP's fits, it takes a FeatureMatrix or a step in the form
-    :func:`~qlbs.basis.step_features` chose, and builds psi in that form.
+    Like the DP's fits, it computes with the step it is given, a
+    FeatureMatrix (dense products at any N) or a RowBand, and builds psi
+    in that form.
 
     The fitted surface is evaluated at the recorded actions. The variance
     penalty in the rewards is a cross-sectional scalar, so the regression
@@ -215,7 +216,7 @@ def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
     Returns (WMatrix, q_t). A nonfinite feature or action raises
     ValueError("feature matrix must be finite") from the Gram diagonal.
     """
-    psi = _psi(_step(phi_t), actions_t)
+    psi = _psi(phi_t, actions_t)
     gram = psi.gram()
     if actions_t.size < gram.shape[0]:
         log.warning(
@@ -236,10 +237,10 @@ def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
     dataset's ``risk.gamma``. The time-0 price is the negative average of
     the initial values. A nonfinite state, action, reward or terminal
     portfolio raises ValueError naming the field. ``features`` is a dense
-    (T+1, K, N) cube or SplineFeatures, read one step at a time in the
-    form :func:`~qlbs.basis.step_features` chooses, as the DP reads it;
-    without it the pass builds SplineFeatures of the recorded states on
-    ``basis_spec``.
+    (T+1, K, N) cube or SplineFeatures, read one step at a time as the DP
+    reads it: :func:`~qlbs.basis.step_features` gives each step as a
+    FeatureMatrix or a RowBand. Without it the pass builds SplineFeatures
+    of the recorded states on ``basis_spec``.
     """
     dataset.check_finite()
     if features is None:

@@ -100,6 +100,20 @@ def effective_ridge(gram: np.ndarray, regularizer: float | None) -> float:
     return scaled_regularizer(gram)
 
 
+def _solve_rows(gram: np.ndarray, rhs: np.ndarray,
+                regularizer: float | None) -> np.ndarray:
+    """Coefficients for each row of ``rhs`` from one factorization of ``gram``.
+
+    A (C, N) right-hand side gives (C, N) coefficients, a (N,) one gives (N,).
+    Features are read unchecked, so a nonfinite one is caught here: the
+    Gram's diagonal entry sum_k r_k^2 f_kj^2 is nonfinite exactly when
+    column j holds one (or a square overflows).
+    """
+    if not np.all(np.isfinite(np.diagonal(gram))):
+        raise ValueError("feature matrix must be finite")
+    return solve_normal_equations(gram, rhs.T, effective_ridge(gram, regularizer)).T
+
+
 @dataclass(frozen=True)
 class RowBand:
     """The nonzeros of a (K, N) matrix, held as one band of w columns per row.

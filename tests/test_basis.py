@@ -9,7 +9,6 @@ from qlbs.basis import (
     BasisSpec,
     FeatureMatrix,
     SplineFeatures,
-    StepFeatures,
     basis_values,
     feature_cube,
     make_spec,
@@ -403,24 +402,26 @@ class TestStepFeatures:
         spec = make_spec(states.min(), states.max(), n_basis, order)
         cube = feature_cube(spec, states)
         dense = cube[1]
-        # Step 1 from a dense cube, from SplineFeatures, and as the per-step
-        # solver functions read a FeatureMatrix.
+        # Step 1 from a dense cube and from SplineFeatures, in the form
+        # step_features picks, and as a FeatureMatrix, which the per-step
+        # solver functions read with the dense products at every N.
         steps = {"cube": step_features(cube, 1),
                  "compact": step_features(spline_features(spec, states), 1),
-                 "matrix": dp._step(FeatureMatrix(dense))}
+                 "matrix": FeatureMatrix(dense)}
         weights, targets = rng.normal(size=2000), rng.normal(size=(3, 2000))
         coefficients = rng.normal(size=(3, n_basis))
         weighted = dense * weights[:, np.newaxis]
         want = [weighted.T @ weighted, targets @ dense, targets[0] @ dense,
                 coefficients @ dense.T, coefficients[0] @ dense.T]
-        # A band sums in another order than BLAS; a dense slab is BLAS.
-        tol = 1e-13 if banded else 0.0
         products = {}
         for name, step in steps.items():
-            if banded:
+            # A band sums in another order than BLAS; a dense slab is BLAS.
+            in_band = banded and name != "matrix"
+            tol = 1e-13 if in_band else 0.0
+            if in_band:
                 assert isinstance(step, RowBand) and step.width == order, name
             else:
-                assert isinstance(step, StepFeatures), name
+                assert isinstance(step, FeatureMatrix), name
                 assert step.values.dtype == np.float64
                 assert np.array_equal(step.values, dense), name
             products[name] = [step.gram(weights), step.rhs(targets), step.rhs(targets[0]),
@@ -428,14 +429,23 @@ class TestStepFeatures:
             for got, ref in zip(products[name], want):
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref)), name
-        for name in ("compact", "matrix"):
-            for got, ref in zip(products[name], products["cube"]):
-                assert np.array_equal(got, ref), name
+        for got, ref in zip(products["compact"], products["cube"]):
+            assert np.array_equal(got, ref)
+
+    def test_public_matrix_is_checked_and_a_pass_step_is_not(self):
+        with pytest.raises(ValueError, match="feature matrix must be finite"):
+            FeatureMatrix(np.array([[0.5, np.nan]]))
+        with pytest.raises(ValueError, match="2-D"):
+            FeatureMatrix(np.ones(3))
+        cube = np.ones((3, 5, 12))
+        cube[1, 2, 0] = np.inf
+        step = step_features(cube, 1)
+        assert isinstance(step, FeatureMatrix) and np.shares_memory(step.values, cube)
 
     def test_full_matrix_takes_the_dense_product(self):
         values = np.random.default_rng(5).normal(size=(300, 60))
         step = step_features(values[np.newaxis], 0)
-        assert isinstance(step, StepFeatures)
+        assert isinstance(step, FeatureMatrix)
         assert np.array_equal(step.gram(), values.T @ values)
 
     # The solvers read features unchecked; the normal equations of the DP
@@ -457,7 +467,7 @@ class TestStepFeatures:
         targets = rng.normal(size=(3, 1000))
         for features in (cube, compact):
             step = step_features(features, 2)
-            assert isinstance(step, StepFeatures if n_basis == 12 else RowBand)
+            assert isinstance(step, FeatureMatrix if n_basis == 12 else RowBand)
             with pytest.raises(ValueError, match="feature matrix must be finite"):
                 dp.fit_hedge_coefficients(step, targets[0], targets[1], targets[2], risk)
             with pytest.raises(ValueError, match="feature matrix must be finite"):

@@ -319,7 +319,10 @@ class TestExperiment:
         ({"market": {"s0": 100, "mu": 0.05, "sigma": 0.15}},
          "market: missing key 'r'"),
         ([{"scenario": "single"}], "config must be a JSON object, got list"),
-    ], ids=["misspelt-key", "market-missing-fields", "top-level-array"])
+        ({"seeds": 5}, "config: key 'seeds' must be a list of integers, got 5"),
+        ({"strike": "abc"}, "config: key 'strike' must be a number, got 'abc'"),
+    ], ids=["misspelt-key", "market-missing-fields", "top-level-array",
+            "seeds-not-a-list", "strike-not-a-number"])
     def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, payload,
                                                message):
         config = tmp_path / "config.json"
@@ -328,4 +331,21 @@ class TestExperiment:
                      "--out", str(tmp_path / "report.csv")])
         assert code == 2
         assert capsys.readouterr().err == f"qlbs: error: {config}: {message}\n"
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("name, sweep, message", [
+        ("vol-sweep", {"sigma": [0.2]},
+         "sweep key 'sigma' is not read by vol-sweep, which reads 'sigmas'"),
+        ("moneyness", {"sigmas": [0.2]},
+         "sweep key 'sigmas' is not read by moneyness, which reads 'strikes', "
+         "'risk_aversions'"),
+    ], ids=["misspelt", "scenario-overridden-by-name"])
+    def test_unknown_sweep_key_is_a_usage_error(self, tmp_path, capsys, name, sweep,
+                                                message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "vol-sweep", "sweep": sweep}))
+        code = main(["experiment", name, "--config", str(config),
+                     "--out", str(tmp_path / "report.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"qlbs: error: {message}\n"
         assert not (tmp_path / "report.csv").exists()

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -139,6 +139,31 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             small_config(state_kinds=())
 
+    def test_every_json_key_has_a_type(self):
+        keys = {f.name for cls in (ScenarioConfig, MarketParams) for f in fields(cls)}
+        assert set(experiments._JSON_TYPES) == keys
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seeds", 5, "config: key 'seeds' must be a list of integers, got 5"),
+        ("seeds", [0, 1.5], "config: key 'seeds' must be a list of integers, got [0, 1.5]"),
+        ("strike", "abc", "config: key 'strike' must be a number, got 'abc'"),
+        ("noise", True, "config: key 'noise' must be a number, got True"),
+        ("pure_risk", 1, "config: key 'pure_risk' must be true or false, got 1"),
+        ("regularizer", "1e-9", "config: key 'regularizer' must be a number or null, "
+                                "got '1e-9'"),
+        ("state_kinds", "price", "config: key 'state_kinds' must be a list of strings, "
+                                 "got 'price'"),
+        ("sweep", [], "config: key 'sweep' must be a JSON object, got []"),
+        ("market", {"n_steps": 4.0}, "market: key 'n_steps' must be an integer, got 4.0"),
+        ("market", {"s0": "100"}, "market: key 's0' must be a number, got '100'"),
+    ])
+    def test_value_of_the_wrong_json_type_rejected(self, key, value, message):
+        data = small_config().to_json_dict()
+        data[key] = {**data["market"], **value} if key == "market" else value
+        with pytest.raises(ValueError) as info:
+            ScenarioConfig.from_json_dict(data)
+        assert str(info.value) == message
+
 
 class TestRunScenario:
     def test_single_scenario_shape_and_determinism(self):
@@ -190,6 +215,22 @@ class TestRunScenario:
                                      "noise_levels": [0.4]})
         table = run_scenario(config)
         assert set(table.column("method")) == {"fqi"}
+
+    @pytest.mark.parametrize("scenario, sweep, message", [
+        (Scenario.VOL_SWEEP, {"sigma": [0.2]},
+         "sweep key 'sigma' is not read by vol-sweep, which reads 'sigmas'"),
+        (Scenario.MONEYNESS, {"strikes": [90.0], "sigmas": [0.2]},
+         "sweep key 'sigmas' is not read by moneyness, which reads 'strikes', "
+         "'risk_aversions'"),
+        (Scenario.SINGLE, {"sigmas": [0.2]},
+         "sweep key 'sigmas' is not read by single, which reads no sweep key"),
+    ], ids=["misspelt", "other-scenarios-key", "single"])
+    def test_unknown_sweep_key_rejected_before_any_cell(self, monkeypatch, scenario,
+                                                        sweep, message):
+        monkeypatch.setattr(experiments, "simulate_gbm", None)  # no cell may run
+        with pytest.raises(ValueError) as info:
+            run_scenario(small_config(scenario=scenario, sweep=sweep))
+        assert str(info.value) == message
 
     def test_cell_failure_recorded_and_run_continues(self):
         config = small_config(scenario=Scenario.VOL_SWEEP,

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qlbs.basis import (FeatureMatrix, StepFeatures, basis_values, feature_cube,
-                         make_spec, spec_for_states, spline_features, step_features)
+from qlbs.basis import (FeatureMatrix, basis_values, feature_cube, make_spec,
+                         spec_for_states, spline_features, step_features)
 from qlbs.dp import RiskParams, run_model_based
 from qlbs.fqi import (
     OfflineDataset,
@@ -146,8 +146,8 @@ def written_psi(a, phi):
 def psi_forms(a, phi):
     """psi of a (K, N) feature matrix built from its dense slab and from its
     row band, each with its (K, 3N) matrix."""
-    dense, band = _psi(StepFeatures(phi), a), _psi(row_band(phi), a)
-    assert isinstance(dense, StepFeatures) and isinstance(band, RowBand)
+    dense, band = _psi(FeatureMatrix(phi), a), _psi(row_band(phi), a)
+    assert isinstance(dense, FeatureMatrix) and isinstance(band, RowBand)
     return [(dense, dense.values), (band, band.dense())]
 
 
@@ -195,7 +195,7 @@ class TestPsiMatrix:
         a = rng.normal(size=500)
         psi = _psi(band, a)
         assert psi.width == 3 * order and psi.n_cols == 300
-        assert np.array_equal(psi.dense(), _psi(StepFeatures(band.dense()), a).values)
+        assert np.array_equal(psi.dense(), _psi(FeatureMatrix(band.dense()), a).values)
         assert np.array_equal(psi.dense(), written_psi(a, band.dense()))
 
 
