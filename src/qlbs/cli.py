@@ -113,15 +113,16 @@ def _cmd_price_fqi(args) -> int:
     else:
         check_noise(args.noise)
         _, paths, kind, states, spec, features, risk = _prepared_run(args)
-        # Only the hedges outlive the DP. The pass keeps coefficients, so
-        # reading the hedges evaluates them and no action values.
-        hedges = run_model_based(paths, kind, strike=args.strike, risk=risk,
-                                 basis_spec=spec, features=features,
-                                 regularizer=args.ridge).hedges
-        dataset, solution = fqi_from_hedges(paths, states, hedges, args.noise,
-                                            args.strike, risk, spec,
-                                            features=features,
-                                            regularizer=args.ridge)
+        # Only the hedges outlive the DP, and only until fitted Q has
+        # perturbed them. The pass keeps coefficients, so reading the
+        # hedges evaluates them and no action values.
+        dataset, solution = fqi_from_hedges(
+            paths, states,
+            run_model_based(paths, kind, strike=args.strike, risk=risk,
+                            basis_spec=spec, features=features,
+                            regularizer=args.ridge).hedges,
+            args.noise, args.strike, risk, spec, features=features,
+            regularizer=args.ridge)
         if args.dataset_out:
             save_dataset(dataset, args.dataset_out)
     print(json.dumps({"price": solution.price_t0}, indent=2))
@@ -141,7 +142,10 @@ def _cmd_experiment(args) -> int:
     else:
         config = ScenarioConfig(scenario=Scenario.parse(args.name),
                                 seeds=tuple(range(args.n_seeds)))
-    table = run_scenario(config)
+    try:
+        table = run_scenario(config)
+    except ValueError as err:  # a sweep value; only a config file sets one
+        raise ValueError(f"{args.config}: {err}") from err
     emit_report(table, args.out, args.format)
     n_err = len(table.errors)
     print(f"wrote {len(table.rows)} rows to {args.out} ({n_err} cell errors)")

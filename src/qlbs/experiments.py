@@ -9,7 +9,6 @@ so sweeps stay fast at desk scale.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -160,6 +159,8 @@ def _is_integer(value) -> bool:
 
 _NUMBER = ("a number", _is_number)
 _INTEGER = ("an integer", _is_integer)
+_NUMBERS = ("a list of numbers", lambda value: isinstance(value, (list, tuple))
+            and all(map(_is_number, value)))
 _OBJECT = ("a JSON object", lambda value: isinstance(value, dict))
 
 # The JSON value each key of a config and of its market holds, as a
@@ -313,9 +314,14 @@ def _fail(config: ScenarioConfig, job: _Job, err: Exception) -> None:
 
 
 def _finish_job(config: ScenarioConfig, job: _Job, dp: DPSolution,
-                dp_seconds: float, paths: PathSet, states, spec, features,
+                dp_seconds: float, paths: PathSet, spec, features,
                 risk: RiskParams) -> None:
-    """Build the job's report rows; a fitted-Q failure marks only its own row."""
+    """Build the job's report rows; a fitted-Q failure marks only its own row.
+
+    A fitted-Q row computes its states again, since the group drops them
+    before its pass; DP and transaction-cost rows read only the paths and
+    the hedges.
+    """
     for method in job.methods:
         row = _row_base(config, job.market, method=method, **job.base)
         if method == "dp":
@@ -330,7 +336,8 @@ def _finish_job(config: ScenarioConfig, job: _Job, dp: DPSolution,
         else:
             try:
                 started = time.perf_counter()
-                _, fqi = fqi_from_hedges(paths, states, dp.hedges, job.base["noise"],
+                _, fqi = fqi_from_hedges(paths, compute_states(paths, job.kind),
+                                         dp.hedges, job.base["noise"],
                                          job.base["strike"], risk, spec,
                                          features=features,
                                          regularizer=config.regularizer)
@@ -342,24 +349,25 @@ def _finish_job(config: ScenarioConfig, job: _Job, dp: DPSolution,
         job.rows.append(row)
 
 
-def _solve_group(get_paths, config: ScenarioConfig, market: MarketParams,
-                 kind: StateKind, n_basis: int, order: int,
-                 jobs: list) -> BasisSpec | None:
+def _solve_group(paths: PathSet, config: ScenarioConfig, kind: StateKind,
+                 n_basis: int, order: int, jobs: list) -> BasisSpec | None:
     """Solve every job on one set of paths, state kind and basis.
 
     The features are built once, in compact form (SplineFeatures), and
-    shared by the backward pass and every fitted-Q run. Jobs with the same
+    shared by the backward pass and every fitted-Q run. The state matrix
+    lives only until the spec and the features are built. Jobs with the same
     (strike, risk) share one contract, and all contracts are solved in one
     batched backward pass; each DP row's runtime is the pass's wall time
     divided by its contracts. A failure inside the pass marks every job
-    of the group. Returns the group's BasisSpec, or None when the paths,
-    states or basis could not be built.
+    of the group. Returns the group's BasisSpec, or None when the states
+    or basis could not be built.
     """
+    market = paths.params
     try:
-        paths = get_paths(market)
-        states = compute_states(paths, kind)
-        spec = spec_for_states(states.values, n_basis=n_basis, order=order)
-        features = spline_features(spec, states.values)
+        states = compute_states(paths, kind).values
+        spec = spec_for_states(states, n_basis=n_basis, order=order)
+        features = spline_features(spec, states)
+        del states
     except Exception as err:  # record and continue with the sweep
         for job in jobs:
             _fail(config, job, err)
@@ -386,8 +394,8 @@ def _solve_group(get_paths, config: ScenarioConfig, market: MarketParams,
         return spec
     for (strike, risk), solution in zip(contracts, solutions):
         for job in contracts[strike, risk]:
-            _finish_job(config, job, solution, per_contract, paths, states,
-                        spec, features, risk)
+            _finish_job(config, job, solution, per_contract, paths, spec,
+                        features, risk)
     return spec
 
 
@@ -396,15 +404,18 @@ def _run_cells(config: ScenarioConfig, cells) -> ResultTable:
 
     Each (cell, state kind) is a job. Jobs that share paths, state kind
     and basis are solved together (see :func:`_solve_group`); rows come
-    out in cell order whatever order the groups ran in. The header's
-    ``knots`` holds, per state kind, the knots of the group on the base
-    configuration (``config.market``, ``n_basis`` and ``order``); a kind
-    no cell solved there has no entry.
+    out in cell order whatever order the groups ran in. No paths are
+    cached across markets: the markets are solved in turn, in the order
+    of their first cell, and each market's paths are simulated when its
+    first group runs and dropped after its last, so a sweep holds one
+    market's paths at a time. The header's ``knots`` holds, per state
+    kind, the knots of the group on the base configuration
+    (``config.market``, ``n_basis`` and ``order``); a kind no cell solved
+    there has no entry.
     """
-    get_paths = functools.cache(simulate_gbm)  # paths shared by the run's cells
     base = (config.market, config.n_basis, config.order)
     jobs: list[_Job] = []
-    groups: dict[tuple, list[_Job]] = {}
+    markets: dict[MarketParams, dict[tuple, list[_Job]]] = {}
     for cell in cells:
         market = cell["market"]
         strike = cell.get("strike", config.strike)
@@ -434,12 +445,22 @@ def _run_cells(config: ScenarioConfig, cells) -> ResultTable:
             if benchmark_error is not None:
                 _fail(config, job, benchmark_error)
             else:
-                groups.setdefault((market, kind, n_basis, order), []).append(job)
+                groups = markets.setdefault(market, {})
+                groups.setdefault((kind, n_basis, order), []).append(job)
     knots = {}
-    for (market, kind, n_basis, order), members in groups.items():
-        spec = _solve_group(get_paths, config, market, kind, n_basis, order, members)
-        if spec is not None and (market, n_basis, order) == base:
-            knots[kind.value] = [float(k) for k in spec.knots]
+    for market, groups in markets.items():
+        try:
+            paths = simulate_gbm(market)
+        except Exception as err:  # record and continue with the sweep
+            for members in groups.values():
+                for job in members:
+                    _fail(config, job, err)
+            continue
+        for (kind, n_basis, order), members in groups.items():
+            spec = _solve_group(paths, config, kind, n_basis, order, members)
+            if spec is not None and (market, n_basis, order) == base:
+                knots[kind.value] = [float(k) for k in spec.knots]
+        del paths  # before the next market's paths are simulated
     meta = {"config": config.to_json_dict(), "knots": knots}
     return ResultTable(columns=list(_COLUMNS),
                        rows=[[r[c] for c in _COLUMNS]
@@ -455,15 +476,20 @@ def _seeded_markets(config: ScenarioConfig, **changes):
 def run_scenario(config: ScenarioConfig) -> ResultTable:
     """Dispatch one scenario sweep and return its result table.
 
-    A ``sweep`` key the scenario does not read raises ValueError naming
-    it and the keys the scenario reads, before any cell runs.
+    A ``sweep`` key the scenario does not read, or a sweep value that is
+    not of its default's type (a list of numbers, or a number), raises
+    ValueError naming the key, before any cell runs.
     """
     scenario = config.scenario
     read = []
 
     def sweep(key, default):
         read.append(key)
-        return config.sweep.get(key, default)
+        value = config.sweep.get(key, default)
+        description, holds = _NUMBER if _is_number(default) else _NUMBERS
+        if not holds(value):
+            raise ValueError(f"sweep key {key!r} must be {description}, got {value!r}")
+        return value
 
     if scenario is Scenario.VOL_SWEEP:
         cells = [{"market": m}

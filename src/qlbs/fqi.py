@@ -130,7 +130,9 @@ def perturb_actions(a_star: np.ndarray, eta: float, seed: int) -> np.ndarray:
     if eta == 0:
         return a_star.copy()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return a_star * rng.uniform(1.0 - eta, 1.0 + eta, size=a_star.shape)
+    noisy = rng.uniform(1.0 - eta, 1.0 + eta, size=a_star.shape)
+    noisy *= a_star  # the bits of a_star * draw: multiplication commutes
+    return noisy
 
 
 def build_offline_dataset(paths: PathSet, states: StateSeries,
@@ -185,15 +187,24 @@ def greedy_action(w_t: WMatrix, phi_x: np.ndarray, observed_action: float = 0.0)
 def _psi(step: FeatureMatrix | RowBand, actions_t: np.ndarray) -> FeatureMatrix | RowBand:
     """Action-state features in the step's form: column 3j + m is feature j
     times (1, a, a^2/2)[m], so a band of width w over N columns stays one
-    band, of width 3w over 3N columns, and a (K, N) slab becomes (K, 3N)."""
+    band, of width 3w over 3N columns, and a (K, N) slab becomes (K, 3N).
+    The three blocks are written into one buffer, with no temporaries of
+    the step's size."""
     if isinstance(step, RowBand):
         f, a = step.values, actions_t
-        psi = np.stack([f, a * f, 0.5 * a**2 * f], axis=1).reshape(-1, a.size)
+        psi = np.empty((len(f), 3, a.size))
+        psi[:, 0] = f
+        np.multiply(a, f, out=psi[:, 1])
+        np.multiply(0.5 * a**2, f, out=psi[:, 2])
+        psi = psi.reshape(-1, a.size)
         return RowBand(columns=3 * step.columns[0] + np.arange(len(psi))[:, np.newaxis],
                        values=psi, n_cols=3 * step.n_cols)
     f, a = step.values, actions_t[:, np.newaxis]
-    return FeatureMatrix._unchecked(
-        np.stack([f, a * f, 0.5 * a**2 * f], axis=2).reshape(a.size, -1))
+    psi = np.empty(f.shape + (3,))
+    psi[:, :, 0] = f
+    np.multiply(a, f, out=psi[:, :, 1])
+    np.multiply(0.5 * a**2, f, out=psi[:, :, 2])
+    return FeatureMatrix._unchecked(psi.reshape(a.size, -1))
 
 
 def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
@@ -271,8 +282,12 @@ def fqi_from_hedges(paths: PathSet, states: StateSeries, hedges: np.ndarray,
                     regularizer: float | None = None
                     ) -> tuple[OfflineDataset, FQISolution]:
     """Fitted Q on ``hedges`` perturbed by noise the path seed fixes and
-    closed at expiry; returns the recorded dataset and the solution."""
+    closed at expiry; returns the recorded dataset and the solution.
+
+    The hedges are not kept once perturbed: a caller that passes them
+    without holding them frees them before the fit."""
     noisy = perturb_actions(hedges, noise, seed=paths.params.seed + 104_729)
+    del hedges
     noisy[:, -1] = 0.0
     dataset = build_offline_dataset(paths, states, noisy, strike=strike, risk=risk)
     return dataset, run_fqi(dataset, basis_spec, regularizer=regularizer,
@@ -332,59 +347,65 @@ _META_KEYS = ("state_kind", "strike", "risk_aversion", "gamma", "pure_risk",
 def load_dataset(source) -> OfflineDataset:
     """Load a dataset written by :func:`save_dataset`.
 
-    Every (t, k) must appear exactly once; a missing or duplicate row, an
-    index outside the stated shape, a missing metadata key, a value that
-    does not parse or that RiskParams rejects, ``n_paths`` or ``n_steps``
-    below 1, a ``strike`` or ``dt`` that is not positive, or a
-    ``pure_risk`` other than ``True`` or ``False`` raises ValueError
-    naming the file and the row or key.
+    The metadata lines precede the header, and each key appears once.
+    The metadata is checked before any row is read; the rows are then
+    streamed from the file into one table, so the file is never held as
+    text. Every (t, k) must appear exactly once; a missing or duplicate
+    row, an index outside the stated shape, a row that does not parse (a
+    ``#`` line among the rows included), a missing or repeated metadata
+    key, a value that does not parse or that RiskParams rejects,
+    ``n_paths`` or ``n_steps`` below 1, a ``strike`` or ``dt`` that is not
+    positive, or a ``pure_risk`` other than ``True`` or ``False`` raises
+    ValueError naming the file and the row or key.
     """
     meta: dict[str, str] = {}
-    rows = []
+    header = None
     with open(source, newline="") as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                meta[key.strip()] = value.strip()
-            else:
-                rows.append(line)
-    header = next(csv.reader(rows[:1]), None)
-    if header is None or tuple(header) != _CSV_COLUMNS:
-        raise ValueError(f"{source}: unexpected columns {header}")
-    missing = [key for key in _META_KEYS if key not in meta]
-    if missing:
-        raise ValueError(f"{source}: missing metadata key {missing[0]!r}")
-    if meta["pure_risk"] not in ("True", "False"):
-        raise ValueError(f"{source}: metadata key 'pure_risk' must be True or "
-                         f"False, got {meta['pure_risk']!r}")
+            if not line.startswith("#"):
+                header = next(csv.reader([line]))
+                break
+            key, _, value = line.lstrip("# ").partition("=")
+            key = key.strip()
+            if key in meta:
+                raise ValueError(f"{source}: metadata key {key!r} appears twice")
+            meta[key] = value.strip()
+        if header is None or tuple(header) != _CSV_COLUMNS:
+            raise ValueError(f"{source}: unexpected columns {header}")
+        missing = [key for key in _META_KEYS if key not in meta]
+        if missing:
+            raise ValueError(f"{source}: missing metadata key {missing[0]!r}")
+        if meta["pure_risk"] not in ("True", "False"):
+            raise ValueError(f"{source}: metadata key 'pure_risk' must be True or "
+                             f"False, got {meta['pure_risk']!r}")
 
-    def parse(key, convert):
+        def parse(key, convert):
+            try:
+                return convert(meta[key])
+            except ValueError as err:
+                raise ValueError(f"{source}: metadata key {key!r}: {err}") from err
+
+        n_paths, n_steps = parse("n_paths", int), parse("n_steps", int)
+        strike, dt = parse("strike", float), parse("dt", float)
+        for key, value, rule, holds in [("n_paths", n_paths, "at least 1", n_paths >= 1),
+                                        ("n_steps", n_steps, "at least 1", n_steps >= 1),
+                                        ("strike", strike, "positive", strike > 0),
+                                        ("dt", dt, "positive", dt > 0)]:
+            if not holds:
+                raise ValueError(f"{source}: metadata key {key!r} must be {rule}, "
+                                 f"got {value!r}")
+        risk_aversion, gamma = parse("risk_aversion", float), parse("gamma", float)
         try:
-            return convert(meta[key])
+            risk = RiskParams(risk_aversion, gamma, pure_risk=meta["pure_risk"] == "True")
         except ValueError as err:
-            raise ValueError(f"{source}: metadata key {key!r}: {err}") from err
-
-    n_paths, n_steps = parse("n_paths", int), parse("n_steps", int)
-    strike, dt = parse("strike", float), parse("dt", float)
-    for key, value, rule, holds in [("n_paths", n_paths, "at least 1", n_paths >= 1),
-                                    ("n_steps", n_steps, "at least 1", n_steps >= 1),
-                                    ("strike", strike, "positive", strike > 0),
-                                    ("dt", dt, "positive", dt > 0)]:
-        if not holds:
-            raise ValueError(f"{source}: metadata key {key!r} must be {rule}, "
-                             f"got {value!r}")
-    risk_aversion, gamma = parse("risk_aversion", float), parse("gamma", float)
-    try:
-        risk = RiskParams(risk_aversion, gamma, pure_risk=meta["pure_risk"] == "True")
-    except ValueError as err:
-        raise ValueError(f"{source}: metadata: {err}") from err
-    try:
-        table = np.loadtxt(rows[1:], delimiter=",", ndmin=2)
-    except ValueError as err:
-        raise ValueError(f"{source}: {err}") from err
+            raise ValueError(f"{source}: metadata: {err}") from err
+        try:
+            table = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
+        except ValueError as err:
+            raise ValueError(f"{source}: {err}") from err
     table = table.reshape(-1, len(_CSV_COLUMNS))
     t, k = table[:, 0], table[:, 1]
     outside = ((t != np.floor(t)) | (t < 0) | (t > n_steps)

@@ -347,5 +347,17 @@ class TestExperiment:
         code = main(["experiment", name, "--config", str(config),
                      "--out", str(tmp_path / "report.csv")])
         assert code == 2
-        assert capsys.readouterr().err == f"qlbs: error: {message}\n"
+        assert capsys.readouterr().err == f"qlbs: error: {config}: {message}\n"
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_sweep_value_of_wrong_type_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "vol-sweep", "seeds": [0],
+                                      "sweep": {"sigmas": 0.2}}))
+        code = main(["experiment", "vol-sweep", "--config", str(config),
+                     "--out", str(tmp_path / "report.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"qlbs: error: {config}: sweep key 'sigmas' must be a list of "
+            "numbers, got 0.2\n")
         assert not (tmp_path / "report.csv").exists()

@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -232,6 +233,21 @@ class TestRunScenario:
             run_scenario(small_config(scenario=scenario, sweep=sweep))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("scenario, sweep, message", [
+        (Scenario.VOL_SWEEP, {"sigmas": 0.2},
+         "sweep key 'sigmas' must be a list of numbers, got 0.2"),
+        (Scenario.MONEYNESS, {"strikes": [90.0, "110"]},
+         "sweep key 'strikes' must be a list of numbers, got [90.0, '110']"),
+        (Scenario.TRANSACTION_COSTS, {"cost_rate": [0.01]},
+         "sweep key 'cost_rate' must be a number, got [0.01]"),
+    ], ids=["number-for-list", "string-in-list", "list-for-number"])
+    def test_sweep_value_of_wrong_type_rejected_before_any_cell(
+            self, monkeypatch, scenario, sweep, message):
+        monkeypatch.setattr(experiments, "simulate_gbm", None)  # no cell may run
+        with pytest.raises(ValueError) as info:
+            run_scenario(small_config(scenario=scenario, sweep=sweep))
+        assert str(info.value) == message
+
     def test_cell_failure_recorded_and_run_continues(self):
         config = small_config(scenario=Scenario.VOL_SWEEP,
                               strike=-5.0,
@@ -284,6 +300,26 @@ class TestRunScenario:
                  for value in values for seed in config.seeds}
         assert len(calls) == len(cells) and set(calls) == cells
         assert table.meta["knots"] == {}
+
+    @pytest.mark.parametrize("scenario, sweep", [
+        (Scenario.MONEYNESS, {"strikes": [90.0, 110.0]}),
+        (Scenario.BASIS_SENSITIVITY, {"basis_sizes": [6], "orders": [1, 3]}),
+    ], ids=["moneyness", "basis-sensitivity"])
+    def test_holds_one_markets_paths(self, monkeypatch, scenario, sweep):
+        # Both sweeps come back to a seed's market after the other seed's
+        # cells; a basis-sensitivity sweep lists its cells seed-innermost.
+        simulated, live = [], []
+
+        def tracked(market):
+            live.append(sum(ref() is not None for ref in simulated))
+            paths = simulate_gbm(market)
+            simulated.append(weakref.ref(paths))
+            return paths
+
+        monkeypatch.setattr(experiments, "simulate_gbm", tracked)
+        table = run_scenario(small_config(scenario=scenario, sweep=sweep, seeds=(0, 1)))
+        assert not table.errors
+        assert live == [0, 0]
 
     def test_moneyness_group_is_one_backward_pass(self, monkeypatch):
         # 17 strikes x 2 risk aversions: 34 contracts per (market, kind).

@@ -77,6 +77,16 @@ class TestPerturbActions:
         b = perturb_actions(actions, 0.5, seed=9)
         assert np.array_equal(a, b)
 
+    def test_equals_the_product_with_its_draw(self):
+        # Bit for bit, signed zeros, infinities and nan included.
+        actions = np.random.default_rng(5).normal(size=(300, 7))
+        actions[0, :4] = [-0.0, 0.0, -np.inf, np.nan]
+        eta, seed = 0.4, 11
+        draw = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).uniform(
+            1.0 - eta, 1.0 + eta, size=actions.shape)
+        noisy = perturb_actions(actions, eta, seed=seed)
+        assert np.array_equal(noisy.view(np.uint64), (actions * draw).view(np.uint64))
+
     def test_eta_validation(self):
         with pytest.raises(ValueError):
             perturb_actions(np.ones((2, 2)), 1.5, seed=0)
@@ -411,6 +421,20 @@ class TestLoadDatasetRejectsMalformedFiles:
         with pytest.raises(ValueError, match=r"bad\.csv: duplicate row for \(t=5, k=4\)"):
             load_dataset(dest)
 
+    def test_metadata_after_the_header(self, tmp_path, lines):
+        # 5 paths x 13 times: the appended line is data row 66.
+        lines.append("# strike=50.0\n")
+        dest = self.write(tmp_path, lines)
+        with pytest.raises(ValueError, match=r"bad\.csv: the number of columns "
+                                             r"changed from 6 to 1 at row 66"):
+            load_dataset(dest)
+
+    def test_repeated_metadata_key(self, tmp_path, lines):
+        lines.insert(0, "# strike=50.0\n")
+        dest = self.write(tmp_path, lines)
+        with pytest.raises(ValueError, match=r"bad\.csv: metadata key 'strike' appears twice"):
+            load_dataset(dest)
+
     @pytest.mark.parametrize("key", ["state_kind", "strike", "risk_aversion",
                                      "gamma", "pure_risk", "dt", "mu", "sigma",
                                      "n_paths", "n_steps"])
@@ -572,6 +596,28 @@ class TestSaveDatasetMatchesCsvWriter:
             b"2,1,-1e+300,0.0,4.0,-0.0\r\n"
         )
         assert_same_dataset(load_dataset(tmp_path / "fast.csv"), dataset)
+
+
+class TestLoadDatasetPeak:
+    def test_peak_is_its_output_plus_the_table_and_its_indices(self, tmp_path):
+        # 4000 paths x 25 times: 100k rows, a 4.8 MB parsed table and 2.4 MB
+        # of returned arrays. The streamed load peaks at 10.7 MB; the rest
+        # is the integer (t, k) and cell indices, about 35 bytes a row.
+        # Holding the file as a list of lines, as the loader once did,
+        # peaked at 24.5 MB.
+        dataset = noisy_dataset(4000, 24)
+        save_dataset(dataset, tmp_path / "dataset.csv")
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(tmp_path / "dataset.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = 6 * dataset.states.nbytes  # six float64 columns a row
+        output = sum(getattr(loaded, name).nbytes for name in
+                     ("states", "actions", "rewards", "terminal_portfolio"))
+        bound = output + 2 * table
+        assert peak <= bound, f"peak {peak / 1e6:.1f} MB above {bound / 1e6:.1f} MB"
 
 
 @st.composite
