@@ -21,7 +21,6 @@ from .dp import (
     compute_rewards,
     fit_hedge_coefficients,
     fit_q_coefficients,
-    optimal_hedge_values,
     rollback_portfolio,
     run_model_based,
     run_model_based_batch,
@@ -44,7 +43,6 @@ from .experiments import (
     ResultTable,
     Scenario,
     ScenarioConfig,
-    TwFormula,
     emit_report,
     load_report,
     run_scenario,
@@ -58,7 +56,6 @@ from .market import (
     StateKind,
     StateSeries,
     compute_states,
-    load_paths,
     price_increments,
     save_paths,
     simulate_gbm,

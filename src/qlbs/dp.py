@@ -194,12 +194,6 @@ def fit_hedge_coefficients(phi_t: FeatureMatrix | RowBand, delta_s: np.ndarray,
     return _solve_rows(phi_t.gram(delta_s_hat), phi_t.rhs(target), regularizer)
 
 
-def optimal_hedge_values(phi_t: FeatureMatrix | RowBand,
-                         coefficients: np.ndarray) -> np.ndarray:
-    """Per-path hedge: (N,) coefficients give (K,) hedges, (C, N) give (C, K)."""
-    return phi_t.fitted(coefficients)
-
-
 def rollback_portfolio(pi_next: np.ndarray, hedge: np.ndarray,
                        delta_s: np.ndarray, gamma: float) -> np.ndarray:
     """One self-financing step backward: gamma * (pi_next - hedge * delta_s)."""
@@ -319,7 +313,7 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
 
         phi[t] = fit_hedge_coefficients(phi_t, ds, ds_hat, pi_hat_next, risks,
                                         regularizer)
-        hedge = optimal_hedge_values(phi_t, phi[t])
+        hedge = phi_t.fitted(phi[t])
         pi_t = rollback_portfolio(pi_next, hedge, ds, gamma)
         rewards = compute_rewards(pi_next, pi_t, gamma, risk_aversion)
         omega[t] = fit_q_coefficients(phi_t, rewards, q_next, gamma, regularizer)

@@ -70,19 +70,6 @@ class Scenario(Enum):
         raise ValueError(f"unknown scenario {name!r}")
 
 
-class TwFormula(Enum):
-    """Cash-flow accounting for the writer's terminal wealth.
-
-    CORRECTED charges the proportional cost on the trade actually
-    executed at each step; LITERAL follows the source recurrence
-    verbatim, including its shifted cost index and its unscaled cost term
-    at time zero.
-    """
-
-    CORRECTED = "corrected"
-    LITERAL = "literal"
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a scenario run needs; JSON-serializable field for field."""
@@ -207,13 +194,12 @@ def _json_fields(data, cls, what: str) -> dict:
 
 
 def terminal_wealth(paths: PathSet, hedges: np.ndarray, strike: float,
-                    cost_rate: float, premium: float,
-                    formula: TwFormula = TwFormula.CORRECTED) -> np.ndarray:
+                    cost_rate: float, premium: float) -> np.ndarray:
     """Writer's cumulative cash flows per path, premium included.
 
-    Cash flows are summed without interest accrual. The corrected form
-    charges cost_rate on the value of each executed trade; at expiry the
-    stock leg is closed and the payoff paid, with no further cost.
+    Cash flows are summed without interest accrual. Each executed trade
+    is charged cost_rate on its value; at expiry the stock leg is closed
+    and the payoff paid, with no further cost.
     """
     if not 0 <= cost_rate < 1:
         raise ValueError("cost_rate must lie in [0, 1)")
@@ -224,17 +210,11 @@ def terminal_wealth(paths: PathSet, hedges: np.ndarray, strike: float,
     n_steps = paths.n_steps
     tw = np.full(paths.n_paths, float(premium))
     a0 = hedges[:, 0]
-    if formula is TwFormula.CORRECTED:
-        tw += -prices[:, 0] * a0 - cost_rate * np.abs(a0) * prices[:, 0]
-    else:
-        tw += -prices[:, 0] * a0 - cost_rate * np.abs(prices[:, 0] - a0)
+    tw += -prices[:, 0] * a0 - cost_rate * np.abs(a0) * prices[:, 0]
     for t in range(1, n_steps):
         executed = hedges[:, t] - hedges[:, t - 1]
         tw += -prices[:, t] * executed
-        if formula is TwFormula.CORRECTED:
-            tw -= cost_rate * np.abs(executed) * prices[:, t]
-        else:
-            tw -= cost_rate * np.abs(hedges[:, t + 1] - hedges[:, t]) * prices[:, t]
+        tw -= cost_rate * np.abs(executed) * prices[:, t]
     payoff = np.maximum(strike - prices[:, -1], 0.0)
     tw += prices[:, -1] * hedges[:, n_steps - 1] - payoff
     return tw

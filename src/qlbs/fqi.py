@@ -10,6 +10,7 @@ action and its maximizer has a closed form.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -344,6 +345,25 @@ _META_KEYS = ("state_kind", "strike", "risk_aversion", "gamma", "pure_risk",
               "dt", "mu", "sigma", "n_paths", "n_steps")
 
 
+def _row_error(source, n_head: int, err: ValueError) -> str:
+    """Name the first data row, after the ``n_head`` lines of metadata and
+    header, that np.loadtxt rejects, counting data rows from 1 as the
+    loader's other messages do. It reads the file again, so it runs only
+    after a failed load."""
+    width = len(_CSV_COLUMNS)
+    with open(source, newline="") as handle:
+        # np.loadtxt skips empty lines and does not count them as rows.
+        lines = (line.rstrip("\r\n") for line in itertools.islice(handle, n_head, None))
+        for number, row in enumerate(filter(None, lines), 1):
+            try:
+                values = np.loadtxt([row], delimiter=",", comments=None)
+            except ValueError:
+                values = None
+            if values is None or values.size != width:
+                return f"data row {number} is not {width} comma-separated numbers: {row!r}"
+    return str(err)
+
+
 def load_dataset(source) -> OfflineDataset:
     """Load a dataset written by :func:`save_dataset`.
 
@@ -361,7 +381,7 @@ def load_dataset(source) -> OfflineDataset:
     meta: dict[str, str] = {}
     header = None
     with open(source, newline="") as handle:
-        for line in handle:
+        for n_head, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
@@ -402,10 +422,12 @@ def load_dataset(source) -> OfflineDataset:
             risk = RiskParams(risk_aversion, gamma, pure_risk=meta["pure_risk"] == "True")
         except ValueError as err:
             raise ValueError(f"{source}: metadata: {err}") from err
+        state_kind = parse("state_kind", StateKind.parse)
+        mu, sigma = parse("mu", float), parse("sigma", float)
         try:
             table = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
         except ValueError as err:
-            raise ValueError(f"{source}: {err}") from err
+            raise ValueError(f"{source}: {_row_error(source, n_head, err)}") from None
     table = table.reshape(-1, len(_CSV_COLUMNS))
     t, k = table[:, 0], table[:, 1]
     outside = ((t != np.floor(t)) | (t < 0) | (t > n_steps)
@@ -443,10 +465,10 @@ def load_dataset(source) -> OfflineDataset:
         actions=actions,
         rewards=rewards,
         terminal_portfolio=terminal_portfolio,
-        state_kind=parse("state_kind", StateKind.parse),
+        state_kind=state_kind,
         strike=strike,
         risk=risk,
         dt=dt,
-        mu=parse("mu", float),
-        sigma=parse("sigma", float),
+        mu=mu,
+        sigma=sigma,
     )

@@ -426,54 +426,6 @@ def save_paths(paths: PathSet, dest) -> None:
         writer.writerows(map(repr, row) for row in paths.prices.tolist())
 
 
-def _csv_numbers(source, line: int, row: list[str]) -> list[float]:
-    """Parse one CSV row of finite numbers, naming the file and line of a bad cell."""
-    values = []
-    for cell in row:
-        try:
-            value = float(cell)
-        except ValueError:
-            raise ValueError(f"{source}: line {line}: {cell!r} is not a number") from None
-        if not math.isfinite(value):
-            raise ValueError(f"{source}: line {line}: {cell!r} is not finite")
-        values.append(value)
-    return values
-
-
-def load_paths(source, params: MarketParams | None = None) -> PathSet:
-    """Load a CSV path set written by :func:`save_paths`.
-
-    The header row carries the observation times, from which dt is
-    inferred (the grid must be uniform). When no MarketParams are given a
-    placeholder with zero drift/volatility/rate is attached; pass the true
-    parameters whenever drift-adjusted states will be needed.
-    """
-    with open(source, newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [(reader.line_num, row) for row in reader if row]
-    if len(rows) < 2:
-        raise ValueError(f"{source}: expected a header row and at least one path")
-    times = np.array(_csv_numbers(source, *rows[0]))
-    if times.size < 2:
-        raise ValueError(f"{source}: need at least two observation times (one step)")
-    steps = np.diff(times)
-    dt = float(steps[0])
-    if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
-        raise ValueError(f"{source}: observation times must be uniformly spaced")
-
-    width = len(rows[0][1])
-    data = []
-    for line, row in rows[1:]:
-        if len(row) != width:
-            raise ValueError(f"{source}: line {line} has {len(row)} values, expected {width}")
-        data.append(_csv_numbers(source, line, row))
-    prices = np.array(data)
-    if np.any(prices <= 0):
-        raise ValueError(f"{source}: prices must be strictly positive")
-    prices.setflags(write=False)
-    return table_to_pathset(prices, dt, params)
-
-
 def table_to_pathset(prices: Sequence[Sequence[float]], dt: float,
                      params: MarketParams | None = None) -> PathSet:
     """Wrap an in-memory table of prices as a PathSet (fixture helper)."""

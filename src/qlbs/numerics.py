@@ -93,13 +93,6 @@ def scaled_regularizer(gram: np.ndarray, relative: float = DEFAULT_RIDGE_REL) ->
     return relative * trace / gram.shape[0]
 
 
-def effective_ridge(gram: np.ndarray, regularizer: float | None) -> float:
-    """Absolute ridge weight: an explicit value wins, else the scaled default."""
-    if regularizer is not None:
-        return regularizer
-    return scaled_regularizer(gram)
-
-
 def _solve_rows(gram: np.ndarray, rhs: np.ndarray,
                 regularizer: float | None) -> np.ndarray:
     """Coefficients for each row of ``rhs`` from one factorization of ``gram``.
@@ -111,7 +104,8 @@ def _solve_rows(gram: np.ndarray, rhs: np.ndarray,
     """
     if not np.all(np.isfinite(np.diagonal(gram))):
         raise ValueError("feature matrix must be finite")
-    return solve_normal_equations(gram, rhs.T, effective_ridge(gram, regularizer)).T
+    ridge = scaled_regularizer(gram) if regularizer is None else regularizer
+    return solve_normal_equations(gram, rhs.T, ridge).T
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from qlbs.experiments import (
     run_scenario,
 )
 from qlbs.fqi import OfflineDataset, fqi_from_hedges, load_dataset, run_fqi
-from qlbs.market import StateKind, compute_states, load_paths, simulate_gbm
+from qlbs.market import StateKind, compute_states, simulate_gbm
 
 
 def run_cli(capsys, *argv):
@@ -47,14 +47,17 @@ class TestPriceBs:
 
 
 class TestSimulate:
-    def test_writes_loadable_csv(self, tmp_path, capsys):
+    def test_writes_the_simulated_paths(self, tmp_path, capsys):
         dest = tmp_path / "paths.csv"
         code, _ = run_cli(capsys, "simulate", "--paths", "8", "--steps", "5",
                           "--seed", "3", "--out", str(dest))
         assert code == 0
-        paths = load_paths(dest)
-        assert paths.n_paths == 8
-        assert paths.n_steps == 5
+        paths = simulate_gbm(replace(DEFAULT_MARKET, n_paths=8, n_steps=5, seed=3))
+        header, *rows = dest.read_text().splitlines()
+        assert header == ",".join(map(repr, paths.times.tolist()))
+        # repr round-trips a float, so the rows parse to the same bits.
+        assert np.array_equal([[float(v) for v in row.split(",")] for row in rows],
+                              paths.prices)
 
 
 class TestSolverCommands:

@@ -9,7 +9,6 @@ from qlbs.dp import (
     compute_rewards,
     fit_hedge_coefficients,
     fit_q_coefficients,
-    optimal_hedge_values,
     rollback_portfolio,
     run_model_based,
     terminal_conditions,
@@ -146,13 +145,8 @@ class TestHedgeFit:
 
 class TestHedgeValues:
     def test_golden_hedges(self):
-        values = optimal_hedge_values(FeatureMatrix(GOLDEN_PHI2),
-                                      GOLDEN_HEDGE_COEFFS_2)
+        values = FeatureMatrix(GOLDEN_PHI2).fitted(GOLDEN_HEDGE_COEFFS_2)
         assert np.allclose(values, GOLDEN_HEDGES_2, atol=STAGE_TOL)
-
-    def test_zero_coefficients(self):
-        values = optimal_hedge_values(FeatureMatrix(GOLDEN_PHI2), np.zeros(3))
-        assert np.all(values == 0.0)
 
     def test_benchmark_initial_hedge(self, bench):
         # Price-state hedge at time zero, averaged over the seed set.

@@ -17,7 +17,6 @@ from qlbs.dp import (
     compute_rewards,
     fit_hedge_coefficients,
     fit_q_coefficients,
-    optimal_hedge_values,
     portfolio_and_rewards,
     rollback_portfolio,
     run_model_based,
@@ -335,7 +334,7 @@ def eager_pass(paths, contracts, features):
         phi_t = step_features(features, t)
         ds, ds_hat = inc.delta_s[:, t], inc.delta_s_hat[:, t]
         phi[t] = fit_hedge_coefficients(phi_t, ds, ds_hat, pi_hat_next, risks)
-        hedges[t] = optimal_hedge_values(phi_t, phi[t])
+        hedges[t] = phi_t.fitted(phi[t])
         pi_t = rollback_portfolio(pi_next, hedges[t], ds, gamma)
         rewards = compute_rewards(pi_next, pi_t, gamma, aversions)
         omega[t] = fit_q_coefficients(phi_t, rewards, q_values[t + 1], gamma)

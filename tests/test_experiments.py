@@ -14,7 +14,6 @@ from qlbs.experiments import (
     ResultTable,
     Scenario,
     ScenarioConfig,
-    TwFormula,
     emit_report,
     load_report,
     run_scenario,
@@ -73,22 +72,6 @@ class TestTerminalWealth:
             for c in (0.0, 0.005, 0.01, 0.02)
         ]
         assert all(a > b for a, b in zip(means, means[1:]))
-
-    def test_literal_formula_differs_at_time_zero(self):
-        paths = flat_hedge_paths()
-        hedges = np.full_like(paths.prices, -0.4)
-        hedges[:, -1] = 0.0
-        corrected = terminal_wealth(paths, hedges, 100.0, 0.01, 5.0,
-                                    TwFormula.CORRECTED)
-        literal = terminal_wealth(paths, hedges, 100.0, 0.01, 5.0,
-                                  TwFormula.LITERAL)
-        # Flat hedge: no interior trades under the corrected form. The
-        # literal form differs twice: its time-0 charge is c*|S0 - a0|
-        # instead of c*|a0|*S0, and its shifted cost index charges the
-        # final unwind at the second-to-last step.
-        gap = (0.01 * abs(100.0 - (-0.4)) - 0.01 * 0.4 * 100.0
-               + 0.01 * 0.4 * paths.prices[:, 2])
-        assert np.allclose(corrected - literal, gap, atol=1e-12)
 
     def test_report_statistics_consistent(self):
         # A transaction-costs row reports the mean and median of the

@@ -425,8 +425,27 @@ class TestLoadDatasetRejectsMalformedFiles:
         # 5 paths x 13 times: the appended line is data row 66.
         lines.append("# strike=50.0\n")
         dest = self.write(tmp_path, lines)
-        with pytest.raises(ValueError, match=r"bad\.csv: the number of columns "
-                                             r"changed from 6 to 1 at row 66"):
+        with pytest.raises(ValueError, match=r"bad\.csv: data row 66 is not 6 "
+                                             r"comma-separated numbers: '# strike=50\.0'"):
+            load_dataset(dest)
+
+    # The third data row is (t=0, k=2).
+    @pytest.mark.parametrize("row", ["0,2,abc,0.5,0.0,1.0\r\n", "0,2,1.0,0.5,0.0\r\n"],
+                             ids=["bad-value", "five-columns"])
+    def test_unparsable_row_is_named_in_data_rows(self, tmp_path, lines, row):
+        lines[self.data_index(lines, 0, 2)] = row
+        dest = self.write(tmp_path, lines)
+        with pytest.raises(ValueError) as info:
+            load_dataset(dest)
+        assert str(info.value) == (f"{dest}: data row 3 is not 6 comma-separated "
+                                   f"numbers: {row.rstrip()!r}")
+
+    @pytest.mark.parametrize("key", ["state_kind", "mu", "sigma"])
+    def test_metadata_checked_before_the_rows(self, tmp_path, lines, key):
+        # A bad key is reported, not the malformed row after it.
+        lines[self.data_index(lines, 0, 2)] = "0,2,1.0\r\n"
+        dest = self.replace_value(tmp_path, lines, key, "bogus")
+        with pytest.raises(ValueError, match=rf"bad\.csv: metadata key '{key}': "):
             load_dataset(dest)
 
     def test_repeated_metadata_key(self, tmp_path, lines):

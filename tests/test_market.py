@@ -11,14 +11,13 @@ from qlbs.market import (
     MarketParams,
     StateKind,
     compute_states,
-    load_paths,
     price_increments,
     save_paths,
     simulate_gbm,
     table_to_pathset,
 )
 
-from conftest import GOLDEN_DELTA_S_2, GOLDEN_DELTA_S_HAT_2, GOLDEN_PRICES
+from conftest import GOLDEN_DELTA_S_2, GOLDEN_DELTA_S_HAT_2
 
 
 def table4_market(**overrides):
@@ -322,62 +321,8 @@ class TestPathIo:
     @given(paths=path_sets())
     @settings(max_examples=40, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_round_trip_property(self, tmp_path, paths):
+    def test_byte_identical_property(self, tmp_path, paths):
         save_paths(paths, tmp_path / "fast.csv")
         csv_writer_paths(paths, tmp_path / "reference.csv")
         assert ((tmp_path / "fast.csv").read_bytes()
                 == (tmp_path / "reference.csv").read_bytes())
-        loaded = load_paths(tmp_path / "fast.csv")
-        assert np.array_equal(loaded.prices, paths.prices)
-        assert loaded.dt == paths.dt
-
-    def test_round_trip(self, tmp_path):
-        paths = simulate_gbm(table4_market(n_paths=7, n_steps=9, seed=2))
-        dest = tmp_path / "paths.csv"
-        save_paths(paths, dest)
-        loaded = load_paths(dest)
-        assert np.array_equal(loaded.prices, paths.prices)
-        assert loaded.dt == pytest.approx(paths.dt)
-
-    def test_golden_fixture_load(self, tmp_path):
-        dest = tmp_path / "golden.csv"
-        save_paths(table_to_pathset(GOLDEN_PRICES, dt=1.0 / 3.0), dest)
-        loaded = load_paths(dest)
-        assert np.allclose(loaded.prices[0], [100.0, 118.27, 124.43, 127.10])
-        assert loaded.n_steps == 3
-
-    def test_single_column_rejected(self, tmp_path):
-        dest = tmp_path / "bad.csv"
-        dest.write_text("0.0\n100.0\n")
-        with pytest.raises(ValueError):
-            load_paths(dest)
-
-    def test_ragged_rows_rejected(self, tmp_path):
-        dest = tmp_path / "ragged.csv"
-        dest.write_text("0.0,0.5,1.0\n100,101,102\n100,101\n")
-        with pytest.raises(ValueError):
-            load_paths(dest)
-
-    def test_nonpositive_prices_rejected(self, tmp_path):
-        dest = tmp_path / "neg.csv"
-        dest.write_text("0.0,0.5,1.0\n100,-1,102\n")
-        with pytest.raises(ValueError):
-            load_paths(dest)
-
-    def test_non_numeric_cell_names_file_and_line(self, tmp_path):
-        dest = tmp_path / "text.csv"
-        dest.write_text("0.0,0.5,1.0\n100,101,102\n\n100,abc,102\n")
-        with pytest.raises(ValueError, match=r"text\.csv: line 4: 'abc' is not a number"):
-            load_paths(dest)
-
-    def test_non_finite_cell_names_file_and_line(self, tmp_path):
-        dest = tmp_path / "nan.csv"
-        dest.write_text("0.0,0.5,1.0\n100,nan,102\n")
-        with pytest.raises(ValueError, match=r"nan\.csv: line 2: 'nan' is not finite"):
-            load_paths(dest)
-
-    def test_nonuniform_times_rejected(self, tmp_path):
-        dest = tmp_path / "grid.csv"
-        dest.write_text("0.0,0.5,0.7\n100,101,102\n")
-        with pytest.raises(ValueError):
-            load_paths(dest)

@@ -3,10 +3,7 @@
 The fixture (``seeded_numbers.json``) holds the report rows of each
 scenario on shrunk sweeps, the golden five-path solution and the CLI's
 seed-0 quotes; ``seeded_numbers.py`` computes them all and regenerates
-the fixture. Numbers agree within 1e-10 absolute. Above 1e4 in size the
-check is 1e-12 relative instead: the full hedge prices reach 1e5 at a
-small risk aversion, where 1e-10 absolute is below one unit in the last
-place.
+the fixture. Numbers agree within 1e-10 absolute.
 """
 import json
 
@@ -16,8 +13,6 @@ import pytest
 import seeded_numbers
 
 ABS_TOL = 1e-10
-REL_TOL = 1e-12
-LARGE = 1e4
 
 FIXTURE = json.loads(seeded_numbers.FIXTURE.read_text())
 
@@ -25,8 +20,7 @@ FIXTURE = json.loads(seeded_numbers.FIXTURE.read_text())
 def assert_close(got, want, what):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     assert got.shape == want.shape, what
-    bound = np.where(np.abs(want) > LARGE, REL_TOL * np.abs(want), ABS_TOL)
-    assert np.all(np.abs(got - want) <= bound), (
+    assert np.all(np.abs(got - want) <= ABS_TOL), (
         f"{what}: largest move {np.max(np.abs(got - want)):.3g}")
 
 
