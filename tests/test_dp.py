@@ -148,6 +148,10 @@ class TestHedgeValues:
         values = FeatureMatrix(GOLDEN_PHI2).fitted(GOLDEN_HEDGE_COEFFS_2)
         assert np.allclose(values, GOLDEN_HEDGES_2, atol=STAGE_TOL)
 
+    def test_zero_coefficients(self):
+        values = FeatureMatrix(GOLDEN_PHI2).fitted(np.zeros(3))
+        assert np.all(values == 0.0)
+
     def test_benchmark_initial_hedge(self, bench):
         # Price-state hedge at time zero, averaged over the seed set.
         hedges = [bench.dp_summary(StateKind.PRICE, seed=s)[1]
