@@ -167,11 +167,43 @@ class SplineFeatures:
                        values=self.values[t], n_cols=self.n_basis)
 
 
+@dataclass(frozen=True)
+class SplineSteps:
+    """The spline features of a (K, T+1) state matrix, evaluated one time
+    step at a time as a pass reads it.
+
+    Holds the spec and the states, not the features: ``band(t)`` runs the
+    Cox-de Boor recursion on the states of step t each time it is called,
+    with the same call on the same column as :func:`spline_features`, so
+    every step equals that of the stored cube bit for bit. It suits a
+    pass that is the features' only reader; a caller whose features are
+    read more than once stores them with :func:`spline_features`.
+    """
+
+    spec: BasisSpec
+    states: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "states", np.asarray(self.states, dtype=float))
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """Shape of the dense cube, (T+1, K, n_basis)."""
+        n_paths, n_times = self.states.shape
+        return n_times, n_paths, self.spec.n_basis
+
+    def band(self, t: int) -> RowBand:
+        """Time step t as a row band of width ``order``, evaluated now."""
+        first, values = _cox_de_boor(self.spec, self.states[:, t])
+        return RowBand(columns=first + np.arange(self.spec.order)[:, np.newaxis],
+                       values=values, n_cols=self.spec.n_basis)
+
+
 def step_features(features, t: int) -> FeatureMatrix | RowBand:
-    """Time step t of a dense (T+1, K, N) cube or of SplineFeatures, in the
-    one form all its products take: its row band when banded assembly
-    pays, else its dense slab, read as float64, as an unchecked
-    FeatureMatrix.
+    """Time step t of a dense (T+1, K, N) cube, of SplineFeatures or of
+    SplineSteps, in the one form all its products take: its row band when
+    banded assembly pays, else its dense slab, read as float64, as an
+    unchecked FeatureMatrix.
 
     A dense slab is scanned for its band only from ``_BANDED_MIN_BASIS``
     columns on. Its band equals that of SplineFeatures of the same
@@ -179,7 +211,7 @@ def step_features(features, t: int) -> FeatureMatrix | RowBand:
     fewer than ``order`` nonzeros (every point exactly on a knot), which
     narrows the scanned band.
     """
-    if isinstance(features, SplineFeatures):
+    if isinstance(features, (SplineFeatures, SplineSteps)):
         band = features.band(t)
         if _band_pays(band.n_cols, band.width):
             return band
@@ -263,8 +295,9 @@ def feature_cube(spec: BasisSpec, state_values: np.ndarray) -> np.ndarray:
 
     ``state_values`` has shape (K, T+1); the result has shape
     (T+1, K, n_basis), evaluated one time step at a time. The solvers
-    build :func:`spline_features` instead, which holds the same numbers
-    in order / n_basis of the memory.
+    read :class:`SplineSteps` or :func:`spline_features` instead, which
+    hold the same numbers in the states' memory or in order / n_basis of
+    the cube's.
     """
     state_values = np.asarray(state_values, dtype=float)
     n_paths, n_times = state_values.shape
@@ -275,11 +308,14 @@ def feature_cube(spec: BasisSpec, state_values: np.ndarray) -> np.ndarray:
 
 
 def spline_features(spec: BasisSpec, state_values: np.ndarray) -> SplineFeatures:
-    """The feature cube of a (K, T+1) state matrix in compact form.
+    """The feature cube of a (K, T+1) state matrix in compact form, stored.
 
     Holds the same numbers as :func:`feature_cube` without the zeros.
     Each time step is evaluated on its own K states, so a build needs
-    scratch of about 5 * order * K doubles beside its output.
+    scratch of about 5 * order * K doubles beside its output. Callers
+    store it only when more than one pass reads the features (a fitted-Q
+    run or the DP's hedges after the DP itself); for a single pass,
+    :class:`SplineSteps` evaluates each step as the pass reaches it.
     """
     state_values = np.asarray(state_values, dtype=float)
     n_paths, n_times = state_values.shape

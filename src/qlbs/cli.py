@@ -6,7 +6,8 @@ import ctypes
 import json
 import sys
 
-from .basis import DEFAULT_N_BASIS, DEFAULT_ORDER, spec_for_states, spline_features
+from .basis import (DEFAULT_N_BASIS, DEFAULT_ORDER, SplineSteps, spec_for_states,
+                    spline_features)
 from .bsm import bsm_put_quote
 from .dp import RiskParams, run_model_based
 from .experiments import (
@@ -62,10 +63,9 @@ def _prepared_run(args):
     states = compute_states(paths, kind)
     spec = spec_for_states(states.values, n_basis=args.n_splines,
                            order=args.spline_order)
-    features = spline_features(spec, states.values)
     risk = RiskParams.from_rate(args.risk_aversion, market.r, market.dt,
                                 pure_risk=not args.full_hedge)
-    return market, paths, kind, states, spec, features, risk
+    return paths, kind, states, spec, risk
 
 
 def _cmd_simulate(args) -> int:
@@ -88,9 +88,12 @@ def _cmd_price_bs(args) -> int:
 
 
 def _cmd_price_dp(args) -> int:
-    _, paths, kind, _, spec, features, risk = _prepared_run(args)
+    paths, kind, states, spec, risk = _prepared_run(args)
+    # The pass is the features' one reader: each step's splines are
+    # evaluated as it reaches the step, and no cube is stored.
     solution = run_model_based(paths, kind, strike=args.strike, risk=risk,
-                               basis_spec=spec, features=features,
+                               basis_spec=spec,
+                               features=SplineSteps(spec, states.values),
                                regularizer=args.ridge)
     print(json.dumps({"price": solution.price_t0, "hedge": solution.hedge_t0},
                      indent=2))
@@ -112,10 +115,12 @@ def _cmd_price_fqi(args) -> int:
         solution = run_fqi(dataset, spec, regularizer=args.ridge)
     else:
         check_noise(args.noise)
-        _, paths, kind, states, spec, features, risk = _prepared_run(args)
-        # Only the hedges outlive the DP, and only until fitted Q has
-        # perturbed them. The pass keeps coefficients, so reading the
-        # hedges evaluates them and no action values.
+        paths, kind, states, spec, risk = _prepared_run(args)
+        # The DP, its hedges and fitted Q read the features: they are
+        # stored once. Only the hedges outlive the DP, and only until
+        # fitted Q has perturbed them. The pass keeps coefficients, so
+        # reading the hedges evaluates them and no action values.
+        features = spline_features(spec, states.values)
         dataset, solution = fqi_from_hedges(
             paths, states,
             run_model_based(paths, kind, strike=args.strike, risk=risk,

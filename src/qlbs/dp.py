@@ -19,8 +19,8 @@ from .basis import (
     BasisSpec,
     FeatureMatrix,
     SplineFeatures,
+    SplineSteps,
     spec_for_states,
-    spline_features,
     step_features,
 )
 from .market import PathSet, StateKind, compute_states, price_increments
@@ -61,10 +61,11 @@ class _PassOutput:
     solved on, its contracts and its (T, C, N) hedge and value
     coefficients. The (T+1, C, K) hedges and action values are evaluated
     from them for the whole batch on first read, each on its own, with the
-    products the pass formed, and are read-only."""
+    products the pass formed, and are read-only. SplineSteps features
+    evaluate their splines again for each such read."""
 
     paths: PathSet
-    features: np.ndarray | SplineFeatures
+    features: np.ndarray | SplineFeatures | SplineSteps
     strikes: np.ndarray
     risks: tuple[RiskParams, ...]
     phi: np.ndarray
@@ -94,7 +95,10 @@ class DPSolution:
 
     ``phi`` and ``omega`` hold the hedge and value coefficients for
     t = 0 .. T-1; the solution also holds the ``features`` it was solved
-    on, shared by every solution of its batch. The per-path matrices are
+    on, shared by every solution of its batch: a dense cube,
+    SplineFeatures, or, when the pass built its own, SplineSteps, which
+    evaluate each step's splines when ``hedges`` or ``q_values`` is first
+    read, bit for bit as the pass did. The per-path matrices are
     (n_paths, n_steps + 1), read-only, and evaluated from these on first
     read: ``hedges`` and ``q_values`` for the whole batch at once (the
     terminal hedge is 0), bit for bit as the pass formed them, and
@@ -248,7 +252,8 @@ def fit_q_coefficients(phi_t: FeatureMatrix | RowBand, rewards_t: np.ndarray,
 def run_model_based(paths: PathSet, state_kind: StateKind, strike: float,
                     risk: RiskParams, basis_spec: BasisSpec | None = None,
                     regularizer: float | None = None,
-                    features: np.ndarray | SplineFeatures | None = None) -> DPSolution:
+                    features: np.ndarray | SplineFeatures | SplineSteps | None = None
+                    ) -> DPSolution:
     """Backward pass from expiry to time 0 for one contract.
 
     The one-contract case of :func:`run_model_based_batch`.
@@ -260,7 +265,7 @@ def run_model_based(paths: PathSet, state_kind: StateKind, strike: float,
 def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
                           basis_spec: BasisSpec | None = None,
                           regularizer: float | None = None,
-                          features: np.ndarray | SplineFeatures | None = None
+                          features: np.ndarray | SplineFeatures | SplineSteps | None = None
                           ) -> list[DPSolution]:
     """Backward pass from expiry to time 0 for many contracts on shared paths.
 
@@ -281,13 +286,15 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
     (K, N) slab; every other step uses dense products. So a dense cube
     and SplineFeatures of the same numbers give the same solution.
 
-    Without ``features`` the pass builds SplineFeatures of the chosen
-    state on ``basis_spec``, or, when no basis spec is given either, on
-    the default clamped basis over the state's global range. Precomputed
-    features, a dense (T+1, K, N) cube or SplineFeatures, may be passed
-    to reuse work across runs that share paths and basis; a dense cube is
-    read as float64 one step at a time. Returns one solution per contract,
-    in order.
+    Without ``features`` the pass computes the chosen state and reads it
+    as SplineSteps on ``basis_spec``, or, when no basis spec is given
+    either, on the default clamped basis over the state's global range:
+    each step's splines are evaluated when the pass reaches it, and no
+    cube is stored. Features may be passed instead: SplineSteps, or,
+    to reuse work across runs that share paths and basis, a stored dense
+    (T+1, K, N) cube or SplineFeatures; a dense cube is read as float64
+    one step at a time. All three give the same numbers. Returns one
+    solution per contract, in order.
     """
     strikes = np.array([float(strike) for strike, _ in contracts])
     risks = tuple(risk for _, risk in contracts)
@@ -296,7 +303,7 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
         states = compute_states(paths, state_kind)
         if basis_spec is None:
             basis_spec = spec_for_states(states.values)
-        features = spline_features(basis_spec, states.values)
+        features = SplineSteps(basis_spec, states.values)
     increments = _increments(paths, gamma)
 
     n_steps = paths.n_steps

@@ -18,8 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import (DEFAULT_N_BASIS, DEFAULT_ORDER, BasisSpec, spec_for_states,
-                    spline_features)
+from .basis import (DEFAULT_N_BASIS, DEFAULT_ORDER, BasisSpec, SplineSteps,
+                    spec_for_states, spline_features)
 from .bsm import bsm_put_quote
 from .dp import DPSolution, RiskParams, run_model_based_batch
 from .fqi import fqi_from_hedges
@@ -333,20 +333,30 @@ def _solve_group(paths: PathSet, config: ScenarioConfig, kind: StateKind,
                  n_basis: int, order: int, jobs: list) -> BasisSpec | None:
     """Solve every job on one set of paths, state kind and basis.
 
-    The features are built once, in compact form (SplineFeatures), and
-    shared by the backward pass and every fitted-Q run. The state matrix
-    lives only until the spec and the features are built. Jobs with the same
-    (strike, risk) share one contract, and all contracts are solved in one
-    batched backward pass; each DP row's runtime is the pass's wall time
-    divided by its contracts. A failure inside the pass marks every job
-    of the group. Returns the group's BasisSpec, or None when the states
-    or basis could not be built.
+    A group with a fitted-Q or transaction-cost job stores its features
+    once, in compact form (SplineFeatures), shared by the backward pass,
+    the hedges it evaluates and every fitted-Q run; its state matrix
+    lives only until the spec and the features are built. Any other
+    group's features have one reader, the pass, which evaluates each
+    step's splines from the states (SplineSteps) as it reaches the step.
+    Jobs with the same (strike, risk) share one contract, and all
+    contracts are solved in one batched backward pass; each DP row's
+    runtime is the pass's wall time divided by its contracts, so in a
+    group that stores no features it includes the spline evaluation.
+    A failure inside the pass marks every job of the group. Returns the
+    group's BasisSpec, or None when the states or basis could not be
+    built.
     """
     market = paths.params
     try:
         states = compute_states(paths, kind).values
         spec = spec_for_states(states, n_basis=n_basis, order=order)
-        features = spline_features(spec, states)
+        # After the pass, a fitted-Q row fits on the features and a cost
+        # row evaluates the DP's hedges from them.
+        if any(job.cost_rate is not None or job.methods != ("dp",) for job in jobs):
+            features = spline_features(spec, states)
+        else:
+            features = SplineSteps(spec, states)
         del states
     except Exception as err:  # record and continue with the sweep
         for job in jobs:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FeatureMatrix, SplineFeatures, spline_features, step_features
+from .basis import BasisSpec, FeatureMatrix, SplineFeatures, SplineSteps, step_features
 from .dp import RiskParams, portfolio_and_rewards
 from .market import PathSet, StateKind, StateSeries
 from .numerics import RowBand, _solve_rows
@@ -241,7 +241,8 @@ def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
 
 def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
             regularizer: float | None = None,
-            features: np.ndarray | SplineFeatures | None = None) -> FQISolution:
+            features: np.ndarray | SplineFeatures | SplineSteps | None = None
+            ) -> FQISolution:
     """Backward fitted Q iteration over the whole dataset.
 
     The terminal value column comes from the known payoff; every earlier
@@ -249,14 +250,15 @@ def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
     dataset's ``risk.gamma``. The time-0 price is the negative average of
     the initial values. A nonfinite state, action, reward or terminal
     portfolio raises ValueError naming the field. ``features`` is a dense
-    (T+1, K, N) cube or SplineFeatures, read one step at a time as the DP
-    reads it: :func:`~qlbs.basis.step_features` gives each step as a
-    FeatureMatrix or a RowBand. Without it the pass builds SplineFeatures
-    of the recorded states on ``basis_spec``.
+    (T+1, K, N) cube, SplineFeatures or SplineSteps, read one step at a
+    time as the DP reads it: :func:`~qlbs.basis.step_features` gives each
+    step as a FeatureMatrix or a RowBand. Without it the pass reads the
+    recorded states as SplineSteps on ``basis_spec``, evaluating each
+    step's splines when it reaches the step, and stores no cube.
     """
     dataset.check_finite()
     if features is None:
-        features = spline_features(basis_spec, dataset.states)
+        features = SplineSteps(basis_spec, dataset.states)
 
     n_paths, n_steps = dataset.n_paths, dataset.n_steps
     q_values = np.zeros((n_paths, n_steps + 1))
@@ -279,7 +281,7 @@ def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
 def fqi_from_hedges(paths: PathSet, states: StateSeries, hedges: np.ndarray,
                     noise: float, strike: float, risk: RiskParams,
                     basis_spec: BasisSpec,
-                    features: np.ndarray | SplineFeatures | None = None,
+                    features: np.ndarray | SplineFeatures | SplineSteps | None = None,
                     regularizer: float | None = None
                     ) -> tuple[OfflineDataset, FQISolution]:
     """Fitted Q on ``hedges`` perturbed by noise the path seed fixes and
@@ -345,11 +347,11 @@ _META_KEYS = ("state_kind", "strike", "risk_aversion", "gamma", "pure_risk",
               "dt", "mu", "sigma", "n_paths", "n_steps")
 
 
-def _row_error(source, n_head: int, err: ValueError) -> str:
+def _row_error(source, n_head: int, fallback: str) -> str:
     """Name the first data row, after the ``n_head`` lines of metadata and
-    header, that np.loadtxt rejects, counting data rows from 1 as the
-    loader's other messages do. It reads the file again, so it runs only
-    after a failed load."""
+    header, that is not six numbers, counting data rows from 1 as the
+    loader's other messages do, or give ``fallback`` if every row is. It
+    reads the file again, so it runs only after a failed load."""
     width = len(_CSV_COLUMNS)
     with open(source, newline="") as handle:
         # np.loadtxt skips empty lines and does not count them as rows.
@@ -361,7 +363,7 @@ def _row_error(source, n_head: int, err: ValueError) -> str:
                 values = None
             if values is None or values.size != width:
                 return f"data row {number} is not {width} comma-separated numbers: {row!r}"
-    return str(err)
+    return fallback
 
 
 def load_dataset(source) -> OfflineDataset:
@@ -371,7 +373,7 @@ def load_dataset(source) -> OfflineDataset:
     The metadata is checked before any row is read; the rows are then
     streamed from the file into one table, so the file is never held as
     text. Every (t, k) must appear exactly once; a missing or duplicate
-    row, an index outside the stated shape, a row that does not parse (a
+    row, an index outside the stated shape, a row that is not six numbers (a
     ``#`` line among the rows included), a missing or repeated metadata
     key, a value that does not parse or that RiskParams rejects,
     ``n_paths`` or ``n_steps`` below 1, a ``strike`` or ``dt`` that is not
@@ -427,7 +429,12 @@ def load_dataset(source) -> OfflineDataset:
         try:
             table = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
         except ValueError as err:
-            raise ValueError(f"{source}: {_row_error(source, n_head, err)}") from None
+            raise ValueError(f"{source}: {_row_error(source, n_head, str(err))}") from None
+    if table.size and table.shape[1] != len(_CSV_COLUMNS):
+        # np.loadtxt raises only where the column count changes, so rows
+        # that all have the same wrong count load as a table of that width.
+        raise ValueError(f"{source}: " + _row_error(
+            source, n_head, f"data rows have {table.shape[1]} columns"))
     table = table.reshape(-1, len(_CSV_COLUMNS))
     t, k = table[:, 0], table[:, 1]
     outside = ((t != np.floor(t)) | (t < 0) | (t > n_steps)

@@ -1,6 +1,8 @@
 """tools/bench_record.py: summaries and flags from synthetic runs."""
+import contextlib
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,8 @@ _SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
 bench_record = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_record)
 
-BETTER = {"op_s": "lower", "peak_rss_mb": "lower"}
+END_TO_END = [{"name": "op_s", "better": "lower", "bound": 0.25},
+              {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
 
 
 def run(side, pair, op_s, rss, correct=True, failed=0, exit_code=0):
@@ -26,11 +29,12 @@ class TestSummarize:
         runs = [run("parent", 1, 1.0, 100.0), run("change", 1, 0.8, 90.0),
                 run("parent", 2, 1.2, 100.0), run("change", 2, 1.3, 91.0),
                 run("parent", 3, 1.1, 102.0), run("change", 3, 0.9, 89.0)]
-        summary = bench_record.summarize(runs, BETTER)
+        summary = bench_record.summarize(runs, END_TO_END)
         assert summary["op_s"] == {
             "parent_median": 1.1, "parent_min": 1.0, "parent_max": 1.2,
             "change_median": 0.9, "change_min": 0.8, "change_max": 1.3,
-            "parent_iqr": 0.1, "change_better_pairs": "2/3"}
+            "parent_iqr": 0.1, "change_better_pairs": "2/3",
+            "verdict": "within_bound"}
         assert summary["peak_rss_mb"]["change_better_pairs"] == "3/3"
         assert summary["runs"][1] == {"side": "change", "pair": 1, "correct": True,
                                       "attempted": 10, "failed": 0, "problem": None}
@@ -40,7 +44,7 @@ class TestSummarize:
                 run("parent", 2, 1.2, 100.0),
                 {"side": "change", "pair": 2, "exit_code": None, "timed_out": True,
                  "stderr_tail": "..."}]
-        summary = bench_record.summarize(runs, BETTER)
+        summary = bench_record.summarize(runs, END_TO_END)
         assert summary["op_s"]["change_better_pairs"] == "1/1"
         assert summary["op_s"]["change_median"] == 0.8
         assert summary["op_s"]["parent_median"] == 1.1
@@ -51,9 +55,75 @@ class TestSummarize:
     def test_failed_and_incorrect_runs_are_recorded(self):
         runs = [run("parent", 1, 1.0, 100.0, failed=2), run("change", 1, 0.8, 90.0,
                                                             correct=False)]
-        outcomes = bench_record.summarize(runs, BETTER)["runs"]
+        outcomes = bench_record.summarize(runs, END_TO_END)["runs"]
         assert [(r["correct"], r["failed"], r["problem"]) for r in outcomes] == [
             (True, 2, "2 of 10 operations failed"), (False, 0, "correct: false")]
+
+
+    def test_claim_met_only_on_the_claim_workload(self):
+        runs = [run(side, p, 1.0, 100.0 if side == "parent" else 80.0)
+                for p in range(1, 11) for side in ("parent", "change")]
+        assert "claim_met" not in bench_record.summarize(runs, END_TO_END)["op_s"]
+        summary = bench_record.summarize(runs, END_TO_END, claim=True)
+        assert summary["peak_rss_mb"]["claim_met"] is True
+        assert summary["op_s"]["claim_met"] is False  # every pair a tie
+
+
+def spread(median, half_width):
+    """Ten runs, evenly spaced, with that median and range."""
+    return [median - half_width + 2 * half_width * i / 9 for i in range(10)]
+
+
+class TestVerdict:
+    # Lower is better; the bound is 10% of the parent's median of 100.
+    @pytest.mark.parametrize("change_median, expected", [
+        (109.0, "within_bound"), (90.0, "within_bound"), (111.0, "beyond_bound")])
+    def test_median_against_the_bound(self, change_median, expected):
+        # The parent's IQR is 1.1, well inside the bound.
+        parent, change = spread(100.0, 1.0), spread(change_median, 1.0)
+        assert bench_record.verdict(parent, change, "lower", 0.1) == expected
+
+    def test_higher_is_better(self):
+        assert bench_record.verdict(spread(100.0, 1.0), spread(89.0, 1.0),
+                                    "higher", 0.1) == "beyond_bound"
+        assert bench_record.verdict(spread(100.0, 1.0), spread(111.0, 1.0),
+                                    "higher", 0.1) == "within_bound"
+
+    def test_parent_spread_wider_than_the_bound_is_unresolved(self):
+        # IQR 16.7 against a bound of 10: overlapping runs cannot tell,
+        # whichever side the change's median falls.
+        parent = spread(100.0, 30.0)
+        for change_median in (95.0, 100.0, 120.0):
+            assert bench_record.verdict(parent, spread(change_median, 30.0),
+                                        "lower", 0.1) == "unresolved"
+
+    def test_wide_parent_spread_resolved_when_every_change_run_wins(self):
+        parent = spread(100.0, 30.0)
+        assert bench_record.verdict(parent, spread(60.0, 5.0), "lower",
+                                    0.1) == "within_bound"
+        # One change run level with the parent's best leaves it unresolved.
+        assert bench_record.verdict(parent, spread(60.0, 5.0) + [70.0], "lower",
+                                    0.1) == "unresolved"
+
+    def test_a_side_without_runs_is_unresolved(self):
+        assert bench_record.verdict([100.0], [], "lower", 0.1) == "unresolved"
+
+
+class TestClaimMet:
+    def test_nine_wins_and_a_median_gap_wider_than_the_iqr(self):
+        parent = spread(100.0, 1.0)  # IQR 1.1
+        assert bench_record.claim_met(parent, spread(98.0, 1.0), "lower", 9)
+        assert not bench_record.claim_met(parent, spread(98.0, 1.0), "lower", 8)
+
+    def test_median_gap_within_the_iqr(self):
+        parent = spread(100.0, 1.0)
+        assert not bench_record.claim_met(parent, spread(99.0, 1.0), "lower", 10)
+        assert not bench_record.claim_met(parent, spread(102.0, 1.0), "lower", 10)
+
+    def test_higher_is_better(self):
+        parent = spread(100.0, 1.0)
+        assert bench_record.claim_met(parent, spread(102.0, 1.0), "higher", 9)
+        assert not bench_record.claim_met(parent, spread(98.0, 1.0), "higher", 10)
 
 
 class TestFlags:
@@ -123,30 +193,64 @@ class TestMain:
         ("b", {"a": bench_record.OTHER_PAIRS, "b": bench_record.CLAIM_PAIRS})])
     def test_pairs_per_workload_and_recorded_claim(self, tmp_path, monkeypatch,
                                                   claim, pairs):
-        change = tmp_path / "change"
+        change, clone = tmp_path / "change", tmp_path / "clone"
         change.mkdir()
         (change / "BENCHMARK.json").write_text(json.dumps({
             "run_seconds": 1, "workloads": [{"name": "a"}, {"name": "b"}],
-            "end_to_end": [{"name": "op_s", "better": "lower"},
-                           {"name": "peak_rss_mb", "better": "lower"}]}))
+            "end_to_end": END_TO_END}))
         calls = []
 
         def run_once(checkout, workload, seed, seconds):
-            calls.append(workload)
+            calls.append((checkout, workload))
             return {"exit_code": 0, "result": run("", 0, 1.0, 100.0)["result"]}
+
+        @contextlib.contextmanager
+        def clean_clone(checkout):
+            assert checkout == change
+            yield clone
 
         monkeypatch.setattr(bench_record, "ROOT", change)
         monkeypatch.setattr(bench_record, "run_once", run_once)
+        monkeypatch.setattr(bench_record, "clean_clone", clean_clone)
         monkeypatch.setattr(bench_record, "tier1", lambda checkout: {})
-        monkeypatch.setattr(bench_record, "revision", lambda checkout: "rev")
+        monkeypatch.setattr(bench_record, "revision", lambda checkout: checkout.name)
         argv = ["--number", "7", "--parent", str(tmp_path), "--seed", "3"]
         assert bench_record.main(argv + (["--claim", claim] if claim else [])) == 0
         record = json.loads((change / "BENCH_7.json").read_text())
         assert record["claim"] == claim
+        assert record["revisions"] == {"change": "clone", "parent": tmp_path.name}
         for workload, n in pairs.items():
             runs = record["end_to_end"][workload]
             assert [(r["pair"], r["side"]) for r in runs] == [
                 (p, side) for p in range(1, n + 1)
                 for side in (("change", "parent") if p % 2 else ("parent", "change"))]
-            assert record["summary"][workload]["op_s"]["change_better_pairs"] == f"0/{n}"
-        assert calls == [w for w, n in pairs.items() for _ in range(2 * n)]
+            op_s = record["summary"][workload]["op_s"]
+            assert op_s["change_better_pairs"] == f"0/{n}"
+            assert op_s["verdict"] == "within_bound"
+            assert ("claim_met" in op_s) == (workload == claim)
+        assert [w for _, w in calls] == [w for w, n in pairs.items() for _ in range(2 * n)]
+        assert [c for c, _ in calls[:2]] == [clone, tmp_path]
+
+
+class TestCleanClone:
+    def test_clones_head_without_the_working_tree_and_removes_it(self, tmp_path):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+
+        def git(*args):
+            return subprocess.run(["git", "-c", "user.name=bench", "-c",
+                                   "user.email=bench@example.com", *args], cwd=repo,
+                                  check=True, capture_output=True, text=True).stdout
+        git("init", "--quiet")
+        (repo / "file.txt").write_text("committed\n")
+        git("add", "file.txt")
+        git("commit", "--quiet", "-m", "one")
+        (repo / "file.txt").write_text("edited\n")
+        (repo / "untracked.txt").write_text("new\n")
+        with bench_record.clean_clone(repo) as clone:
+            assert (clone / "file.txt").read_text() == "committed\n"
+            assert not (clone / "untracked.txt").exists()
+            assert bench_record.revision(clone) == git("rev-parse", "--short",
+                                                       "HEAD").strip()
+            assert bench_record.revision(repo).endswith("-dirty")
+        assert not clone.exists()

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlbs.basis import feature_cube, spec_for_states, spline_features, step_features
+from qlbs import basis
+from qlbs.basis import (SplineSteps, feature_cube, spec_for_states, spline_features,
+                        step_features)
 from qlbs.dp import (
     RiskParams,
     compute_rewards,
@@ -39,6 +41,8 @@ MARKET = MarketParams(s0=100.0, mu=0.05, sigma=0.2, r=0.03, maturity=0.5,
                       n_steps=6, n_paths=400, seed=11)
 MATRICES = ("hedges", "portfolio", "rewards", "q_values", "cash")
 TOL = 1e-10
+# The three forms of one basis's features, each built from (spec, states).
+FORMS = {"dense": feature_cube, "compact": spline_features, "stepwise": SplineSteps}
 
 # Deep out of the money (no path ends below 40), at the money, in the money.
 strike_sets = st.lists(
@@ -272,45 +276,51 @@ class TestSplineFeatures:
 
 
 class TestDefaultFeatures:
-    """Without ``features`` the solvers build SplineFeatures; against runs on
-    an explicit dense cube of the same basis."""
+    """Without ``features`` the solvers evaluate the splines step by step
+    (SplineSteps); against runs on stored SplineFeatures and on a dense
+    cube of the same basis."""
 
     @staticmethod
     def solve(kind, n_basis, order):
-        """(DP, fitted Q) without features and on the dense cube, on 2000
-        paths; both fitted-Q runs read one dataset."""
+        """{form: (DP, fitted Q)} on 2000 paths, the stepwise runs given no
+        features; every fitted-Q run reads one dataset."""
         paths = simulate_gbm(replace(MARKET, n_paths=2000))
         states = compute_states(paths, kind)
         spec = spec_for_states(states.values, n_basis=n_basis, order=order)
-        cube = feature_cube(spec, states.values)
+        stored = {form: FORMS[form](spec, states.values) for form in ("dense", "compact")}
         risk = RiskParams.from_rate(1e-3, MARKET.r, MARKET.dt)
-        dp, dp_cube = (run_model_based(paths, kind, 100.0, risk, basis_spec=spec,
-                                       features=features) for features in (None, cube))
-        noisy = perturb_actions(dp_cube.hedges, 0.2, seed=5)
+        dp = {form: run_model_based(paths, kind, 100.0, risk, basis_spec=spec,
+                                    features=stored.get(form))
+              for form in ("stepwise", "compact", "dense")}
+        noisy = perturb_actions(dp["dense"].hedges, 0.2, seed=5)
         noisy[:, -1] = 0.0
         dataset = build_offline_dataset(paths, states, noisy, 100.0, risk)
-        fqi, fqi_cube = (run_fqi(dataset, spec, features=features)
-                         for features in (None, cube))
-        return (dp, fqi), (dp_cube, fqi_cube)
+        return {form: (dp[form], run_fqi(dataset, spec, features=stored.get(form)))
+                for form in dp}
 
     def assert_bit_identical(self, kind, n_basis, order):
-        (dp, fqi), (dp_cube, fqi_cube) = self.solve(kind, n_basis, order)
-        assert dp.price_t0 == dp_cube.price_t0
-        assert dp.hedge_t0 == dp_cube.hedge_t0
-        for name in MATRICES + ("phi", "omega"):
-            assert np.array_equal(getattr(dp, name), getattr(dp_cube, name)), name
-        assert fqi.price_t0 == fqi_cube.price_t0
-        assert np.array_equal(fqi.q_values, fqi_cube.q_values)
-        for w, w_cube in zip(fqi.w, fqi_cube.w):
-            assert np.array_equal(w.values, w_cube.values)
+        runs = self.solve(kind, n_basis, order)
+        dp_cube, fqi_cube = runs.pop("dense")
+        assert isinstance(runs["stepwise"][0].features, SplineSteps)
+        for form, (dp, fqi) in runs.items():
+            assert dp.price_t0 == dp_cube.price_t0, form
+            assert dp.hedge_t0 == dp_cube.hedge_t0, form
+            # The first reads of hedges and q_values are among these.
+            for name in MATRICES + ("phi", "omega"):
+                assert np.array_equal(getattr(dp, name), getattr(dp_cube, name)), \
+                    (form, name)
+            assert fqi.price_t0 == fqi_cube.price_t0, form
+            assert np.array_equal(fqi.q_values, fqi_cube.q_values), form
+            for w, w_cube in zip(fqi.w, fqi_cube.w):
+                assert np.array_equal(w.values, w_cube.values), form
 
     @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
     def test_small_basis_is_bit_identical(self, kind):
         self.assert_bit_identical(kind, 12, 4)
 
-    # At N = 100 the DP and fitted Q read each step of either form as the
+    # At N = 100 the DP and fitted Q read each step of every form as the
     # same row band.
-    @pytest.mark.parametrize("order", [1, 10])
+    @pytest.mark.parametrize("order", [1, 3, 10])
     @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
     def test_large_basis_matches_dense_cube(self, kind, order):
         self.assert_bit_identical(kind, 100, order)
@@ -350,12 +360,12 @@ class TestDerivedMatrices:
     are rolled back from the payoff under the hedges."""
 
     @staticmethod
-    def inputs(n_steps=6, n_paths=400, n_basis=12, order=4, compact=True):
+    def inputs(n_steps=6, n_paths=400, n_basis=12, order=4, form="compact"):
         """Paths, spec and features of drift-adjusted states."""
         paths = simulate_gbm(replace(MARKET, n_paths=n_paths, n_steps=n_steps))
         states = compute_states(paths, StateKind.DRIFT_ADJUSTED).values
         spec = spec_for_states(states, n_basis=n_basis, order=order)
-        return paths, spec, (spline_features if compact else feature_cube)(spec, states)
+        return paths, spec, FORMS[form](spec, states)
 
     @staticmethod
     def solve(paths, spec, features, n_contracts):
@@ -390,10 +400,10 @@ class TestDerivedMatrices:
         assert after_read - held >= (n_contracts + 2) * paths.prices.nbytes
 
     @pytest.mark.parametrize("n_basis, order", [(12, 4), (12, 10), (100, 10)])
-    @pytest.mark.parametrize("compact", [False, True], ids=["dense", "compact"])
+    @pytest.mark.parametrize("form", list(FORMS))
     @pytest.mark.parametrize("n_contracts", [1, 10])
-    def test_matrices_match_an_eager_pass(self, n_contracts, compact, n_basis, order):
-        paths, spec, features = self.inputs(n_basis=n_basis, order=order, compact=compact)
+    def test_matrices_match_an_eager_pass(self, n_contracts, form, n_basis, order):
+        paths, spec, features = self.inputs(n_basis=n_basis, order=order, form=form)
         contracts, solutions = self.solve(paths, spec, features, n_contracts)
         hedges, q_values, phi, omega = eager_pass(paths, contracts, features)
         for c, ((strike, risk), got) in enumerate(zip(contracts, solutions)):
@@ -425,6 +435,20 @@ class TestDerivedMatrices:
         for solution in solutions:
             solution.q_values
         assert len(steps) == 2 * paths.n_steps
+
+    def test_stepwise_features_evaluate_each_step_per_read(self, monkeypatch):
+        # The pass evaluates t = 0 .. T-1 once each, never t = T; the first
+        # read of the hedges and of the values evaluates them once more.
+        paths, spec, features = self.inputs(form="stepwise")
+        calls = []
+        cox_de_boor = basis._cox_de_boor
+        monkeypatch.setattr(basis, "_cox_de_boor",
+                            lambda spec, points: calls.append(1) or cox_de_boor(spec, points))
+        _, solutions = self.solve(paths, spec, features, 10)
+        assert len(calls) == paths.n_steps
+        for solution in solutions:
+            solution.hedges, solution.q_values
+        assert len(calls) == 3 * paths.n_steps
 
     def test_matrices_are_read_only(self):
         _, solutions = self.solve(*self.inputs(), 2)
@@ -458,6 +482,44 @@ class TestDerivedMatrices:
             assert np.array_equal(omega[0], solution.omega[t]), t
         assert np.array_equal(solution.cash,
                               solution.portfolio - solution.hedges * paths.prices)
+
+
+class TestStepwisePeak:
+    def test_a_pass_given_no_features_stores_no_cube(self):
+        # Ten contracts on 10k x 24 paths of one state kind, as one group of
+        # the strike sweep. Both runs compute the states and hold them
+        # through the pass; only the stored run holds the cube as well.
+        market = replace(MARKET, sigma=0.15, maturity=1.0, n_steps=24, n_paths=10_000)
+        paths = simulate_gbm(market)
+        kind = StateKind.DRIFT_ADJUSTED
+        spec = spec_for_states(compute_states(paths, kind).values)
+        contracts = [(z, RiskParams.from_rate(lam, market.r, market.dt))
+                     for z in (60.0, 80.0, 100.0, 120.0, 140.0) for lam in (1e-4, 1e-3)]
+
+        def stepwise(paths):
+            return run_model_based_batch(paths, kind, contracts, basis_spec=spec)
+
+        def stored(paths):
+            states = compute_states(paths, kind)
+            features = spline_features(spec, states.values)
+            return run_model_based_batch(paths, kind, contracts, basis_spec=spec,
+                                         features=features)
+
+        peaks = []
+        for run in (stepwise, stored):
+            tracemalloc.start()
+            try:
+                run(paths)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # order float64 values and one int64 first column per point. Python
+        # objects and numpy's caches move either peak by a few kB from run
+        # to run; one (K,) vector of slack covers them.
+        cube = (spec.order + 1) * 8 * paths.n_paths * (paths.n_steps + 1)
+        assert peaks[1] - peaks[0] >= cube - 8 * paths.n_paths, (
+            f"peaks {peaks[0] / 1e6:.3f} and {peaks[1] / 1e6:.3f} MB, "
+            f"cube {cube / 1e6:.3f} MB")
 
 
 class TestBatchValidation:

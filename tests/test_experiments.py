@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qlbs import experiments
-from qlbs.basis import spec_for_states
+from qlbs.basis import spec_for_states, spline_features
 from qlbs.dp import RiskParams, run_model_based, run_model_based_batch
 from qlbs.experiments import (
     FREQUENCY_STEPS,
@@ -321,6 +321,33 @@ class TestRunScenario:
         assert len(calls) == len(groups)
         assert {(market, kind) for market, kind, _ in calls} == groups
         assert {n for _, _, n in calls} == {34}
+
+    @pytest.mark.parametrize("scenario, sweep, builds", [
+        (Scenario.MONEYNESS, {"strikes": [90.0, 110.0]}, 0),
+        (Scenario.BASIS_SENSITIVITY, {"basis_sizes": [6], "orders": [3]}, 0),
+        (Scenario.NOISE_GRID, {"path_counts": [300], "noise_levels": [0.4, 0.8]}, 1),
+        (Scenario.TRANSACTION_COSTS, {}, 1),
+    ], ids=["moneyness", "basis-sensitivity", "noise-grid", "transaction-costs"])
+    def test_stores_features_only_for_a_second_reader(self, monkeypatch, scenario,
+                                                      sweep, builds):
+        # One group each: one market, state kind and basis. Fitted Q and the
+        # cost rows read the features after the pass; a DP-only group's
+        # pass is their one reader and evaluates them step by step.
+        built, groups = [], []
+        solve_group = experiments._solve_group
+
+        def counted(spec, states):
+            built.append(spec)
+            return spline_features(spec, states)
+
+        monkeypatch.setattr(experiments, "spline_features", counted)
+        monkeypatch.setattr(experiments, "_solve_group",
+                            lambda *args: groups.append(args) or solve_group(*args))
+        table = run_scenario(small_config(scenario=scenario, sweep=sweep,
+                                          state_kinds=(StateKind.DRIFT_ADJUSTED,)))
+        assert not table.errors
+        assert len(groups) == 1
+        assert len(built) == builds
 
     def test_fitted_q_failure_keeps_dp_row(self, monkeypatch):
         def failing(*args, **kwargs):

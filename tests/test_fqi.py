@@ -440,6 +440,23 @@ class TestLoadDatasetRejectsMalformedFiles:
         assert str(info.value) == (f"{dest}: data row 3 is not 6 comma-separated "
                                    f"numbers: {row.rstrip()!r}")
 
+    # np.loadtxt raises only where the column count changes, so a table
+    # whose every row has the same wrong count is caught by its width.
+    @pytest.mark.parametrize("width", [5, 3], ids=["five-columns", "three-columns"])
+    def test_every_row_of_the_wrong_width(self, tmp_path, lines, width):
+        # The metadata and header of a dataset of 2 paths x 1 step.
+        shape = {"n_paths": "2", "n_steps": "1"}
+        head = [next((f"# {key}={value}\n" for key, value in shape.items()
+                      if line.startswith(f"# {key}=")), line)
+                for line in lines[:self.data_index(lines, 0, 0)]]
+        rows = [",".join([str(t), str(k)] + ["1.0"] * (width - 2))
+                for t in range(2) for k in range(2)]
+        dest = self.write(tmp_path, head + [row + "\r\n" for row in rows])
+        with pytest.raises(ValueError) as info:
+            load_dataset(dest)
+        assert str(info.value) == (f"{dest}: data row 1 is not 6 comma-separated "
+                                   f"numbers: {rows[0]!r}")
+
     @pytest.mark.parametrize("key", ["state_kind", "mu", "sigma"])
     def test_metadata_checked_before_the_rows(self, tmp_path, lines, key):
         # A bad key is reported, not the malformed row after it.

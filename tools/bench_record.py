@@ -3,14 +3,19 @@
     python3 tools/bench_record.py --number 10 --parent ../parent-checkout \
         [--claim basis-stress] --seed 7301
 
-Run from the repository root. For every workload in ``BENCHMARK.json``
-the record keeps the last JSON line of ``perfbench/run.py`` (end-to-end,
-``--trace 0``, the file's ``run_seconds``), run from this checkout and
-from the parent's, in pairs that alternate which side runs first. The
-claim workload runs ten pairs and the others three; without ``--claim``
-every workload runs ten and the record's claim is null. Each workload gets,
-per metric, the medians, each side's minimum and maximum, the parent's
-interquartile range and the pairs the change won. The record also holds
+Run from the repository root. The change side is a fresh local clone
+of this checkout's HEAD, made in a temporary directory and removed
+afterwards, so uncommitted files and the working tree's state do not
+enter the comparison; the parent side runs in the checkout given. For
+every workload in ``BENCHMARK.json`` the record keeps the last JSON line
+of ``perfbench/run.py`` (end-to-end, ``--trace 0``, the file's
+``run_seconds``) from both sides, in pairs that alternate which side runs
+first. The claim workload runs ten pairs and the others three; without
+``--claim`` every workload runs ten and the record's claim is null. Each
+workload gets, per metric, the medians, each side's minimum and maximum,
+the parent's interquartile range, the pairs the change won and a verdict
+by the file's bound (see :func:`verdict`); the claim workload's metrics
+also get ``claim_met`` (see :func:`claim_met`). The record also holds
 each side's tier-1 wall time and every acceptance criterion's call time
 from ``pytest --durations``.
 
@@ -23,6 +28,7 @@ script names every such run (workload, side, pair) and exits 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -30,6 +36,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -38,6 +45,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 CLAIM_PAIRS = 10
 OTHER_PAIRS = 3
+# Pairs of the claim workload the change must win for a claimed gain.
+CLAIM_WINS = 9
 # A 14 s run with its set-up and last round ends within a minute; one
 # that is still going after ten has hung.
 RUN_TIMEOUT_S = 600
@@ -111,12 +120,62 @@ def tier1(checkout: Path) -> dict:
             "wall_s": round(wall_s, 1), "criterion_call_s": criteria}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Each run's outcome, then per metric: medians, each side's range, the
-    parent's quartile spread and the pairs the change won. The ranges show
-    a bimodal metric without reading every run. A run without metrics is
-    left out of them, and a pair missing a side is not counted as won or
-    lost, so ``change_better_pairs`` counts complete pairs only."""
+def _gain(direction: str, parent: float, change: float) -> float:
+    """How much better the change is than the parent, in the metric's unit."""
+    return parent - change if direction == "lower" else change - parent
+
+
+def _iqr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def verdict(parent: list[float], change: list[float], direction: str,
+            bound: float) -> str:
+    """One metric of one workload, judged by its relative ``bound``:
+
+    * ``unresolved``: the parent's runs spread wider than the bound (their
+      interquartile range above ``bound`` times their median) and not
+      every change run beats every parent run, so the runs cannot tell;
+      also when either side has no run;
+    * ``within_bound``: otherwise, the change's median is no worse than
+      the parent's by more than ``bound`` times the parent's median;
+    * ``beyond_bound``: otherwise.
+    """
+    if not parent or not change:
+        return "unresolved"
+    parent_median = statistics.median(parent)
+    allowed = bound * abs(parent_median)
+    every_run_better = all(_gain(direction, p, c) > 0 for p in parent for c in change)
+    if _iqr(parent) > allowed and not every_run_better:
+        return "unresolved"
+    if _gain(direction, parent_median, statistics.median(change)) >= -allowed:
+        return "within_bound"
+    return "beyond_bound"
+
+
+def claim_met(parent: list[float], change: list[float], direction: str,
+              won: int) -> bool:
+    """Whether a claimed gain shows: the change won at least ``CLAIM_WINS``
+    complete pairs, and its median beats the parent's by more than the
+    parent's interquartile range."""
+    if won < CLAIM_WINS or not parent or not change:
+        return False
+    gain = _gain(direction, statistics.median(parent), statistics.median(change))
+    return gain > _iqr(parent)
+
+
+def summarize(runs: list[dict], end_to_end: list[dict], claim: bool = False) -> dict:
+    """Each run's outcome, then per metric of ``end_to_end`` (the
+    ``BENCHMARK.json`` entries, with ``name``, ``better`` and ``bound``):
+    medians, each side's range, the parent's quartile spread, the pairs the
+    change won, the :func:`verdict` and, for the claim workload,
+    :func:`claim_met`. The ranges show a bimodal metric without reading
+    every run. A run without metrics is left out of them, and a pair
+    missing a side is not counted as won or lost, so
+    ``change_better_pairs`` counts complete pairs only."""
     out = {"runs": []}
     sides = {"parent": {}, "change": {}}
     for run in runs:
@@ -127,13 +186,13 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                             "problem": problem(run)})
         if "metrics" in result:
             sides[run["side"]][run["pair"]] = result["metrics"]
-    for name, direction in better.items():
+    for metric in end_to_end:
+        name, direction = metric["name"], metric["better"]
         values = {side: [m[name]["value"] for m in by_pair.values()]
                   for side, by_pair in sides.items()}
         pairs = sides["parent"].keys() & sides["change"].keys()
-        sign = 1 if direction == "lower" else -1
-        won = sum(sign * (sides["change"][p][name]["value"]
-                          - sides["parent"][p][name]["value"]) < 0 for p in pairs)
+        won = sum(_gain(direction, sides["parent"][p][name]["value"],
+                        sides["change"][p][name]["value"]) > 0 for p in pairs)
         summary = {}
         for side, side_values in values.items():
             if side_values:
@@ -141,9 +200,13 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 summary[f"{side}_min"] = round(min(side_values), 4)
                 summary[f"{side}_max"] = round(max(side_values), 4)
         if len(values["parent"]) > 1:
-            q1, _, q3 = statistics.quantiles(values["parent"], n=4, method="inclusive")
-            summary["parent_iqr"] = round(q3 - q1, 4)
+            summary["parent_iqr"] = round(_iqr(values["parent"]), 4)
         summary["change_better_pairs"] = f"{won}/{len(pairs)}"
+        summary["verdict"] = verdict(values["parent"], values["change"], direction,
+                                     metric["bound"])
+        if claim:
+            summary["claim_met"] = claim_met(values["parent"], values["change"],
+                                             direction, won)
         out[name] = summary
     return out
 
@@ -152,6 +215,57 @@ def revision(checkout: Path) -> str:
     run = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
                          capture_output=True, text=True)
     return run.stdout.strip() or "unknown"
+
+
+@contextlib.contextmanager
+def clean_clone(checkout: Path):
+    """Yield a fresh clone of ``checkout``'s HEAD commit, made from the
+    local repository alone in a temporary directory that is removed on
+    exit."""
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    with tempfile.TemporaryDirectory(prefix="bench-record-") as scratch:
+        clone = Path(scratch) / "change"
+        subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(checkout),
+                        str(clone)], check=True)
+        subprocess.run(["git", "checkout", "--quiet", "--detach", head], cwd=clone,
+                       check=True)
+        yield clone
+
+
+def measure(checkouts: dict[str, Path], spec: dict, claim: str | None,
+            seed: int) -> dict:
+    """The record of both sides' benchmark runs and tier-1 timings."""
+    record = {
+        "what": f"perfbench/run.py --seconds {spec['run_seconds']} --trace 0, last "
+                "JSON lines; pairs alternate which side runs first",
+        "revisions": {side: revision(path) for side, path in checkouts.items()},
+        "machine": {"cores": len(os.sched_getaffinity(0)),
+                    "python": platform.python_version(), "numpy": np.__version__},
+        "seed": seed,
+        "claim": claim,
+        "end_to_end": {},
+        "summary": {},
+    }
+    for workload in (w["name"] for w in spec["workloads"]):
+        pairs = CLAIM_PAIRS if claim in (None, workload) else OTHER_PAIRS
+        runs = []
+        for pair in range(1, pairs + 1):
+            order = list(checkouts) if pair % 2 else list(reversed(checkouts))
+            for side in order:
+                run = {"side": side, "pair": pair,
+                       **run_once(checkouts[side], workload, seed,
+                                  spec["run_seconds"])}
+                runs.append(run)
+                print(f"{workload} pair {pair} {side}: "
+                      f"{problem(run) or json.dumps(run['result']['metrics'])}",
+                      file=sys.stderr)
+        record["end_to_end"][workload] = runs
+        record["summary"][workload] = summarize(runs, spec["end_to_end"],
+                                                claim=claim == workload)
+    record["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
+                       **{side: tier1(path) for side, path in checkouts.items()}}
+    return record
 
 
 def main(argv=None) -> int:
@@ -167,39 +281,22 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
 
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    checkouts = {"change": ROOT, "parent": args.parent.resolve()}
-    record = {
-        "what": f"perfbench/run.py --seconds {spec['run_seconds']} --trace 0, last "
-                "JSON lines; pairs alternate which side runs first",
-        "revisions": {side: revision(path) for side, path in checkouts.items()},
-        "machine": {"cores": len(os.sched_getaffinity(0)),
-                    "python": platform.python_version(), "numpy": np.__version__},
-        "seed": args.seed,
-        "claim": args.claim,
-        "end_to_end": {},
-        "summary": {},
-    }
-    for workload in (w["name"] for w in spec["workloads"]):
-        pairs = CLAIM_PAIRS if args.claim in (None, workload) else OTHER_PAIRS
-        runs = []
-        for pair in range(1, pairs + 1):
-            order = list(checkouts) if pair % 2 else list(reversed(checkouts))
-            for side in order:
-                run = {"side": side, "pair": pair,
-                       **run_once(checkouts[side], workload, args.seed,
-                                  spec["run_seconds"])}
-                runs.append(run)
-                print(f"{workload} pair {pair} {side}: "
-                      f"{problem(run) or json.dumps(run['result']['metrics'])}",
-                      file=sys.stderr)
-        record["end_to_end"][workload] = runs
-        record["summary"][workload] = summarize(runs, better)
-    record["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
-                       **{side: tier1(path) for side, path in checkouts.items()}}
+    if revision(ROOT).endswith("-dirty"):
+        print("the working tree has uncommitted changes; the record measures HEAD",
+              file=sys.stderr)
+    with clean_clone(ROOT) as clone:
+        record = measure({"change": clone, "parent": args.parent.resolve()}, spec,
+                         args.claim, args.seed)
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out.name}")
+    for workload, summary in record["summary"].items():
+        for metric in spec["end_to_end"]:
+            result = summary[metric["name"]]
+            claimed = ("" if "claim_met" not in result else
+                       ", claim met" if result["claim_met"] else ", claim not met")
+            print(f"{workload} {metric['name']}: {result['verdict']}{claimed}",
+                  file=sys.stderr)
     bad = flagged(record["end_to_end"])
     for line in bad:
         print(f"bad run: {line}", file=sys.stderr)
