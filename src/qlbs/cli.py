@@ -47,9 +47,6 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--state", default="drift-adjusted",
                         help="price | log-price | log-return | drift-adjusted")
     parser.add_argument("--risk-aversion", type=float, default=DEFAULT_RISK_AVERSION)
-    parser.add_argument("--full-hedge", action="store_true",
-                        help="include the drift term in the hedge instead of "
-                             "the pure risk form")
     parser.add_argument("--n-splines", type=int, default=DEFAULT_N_BASIS)
     parser.add_argument("--spline-order", type=int, default=DEFAULT_ORDER)
     parser.add_argument("--ridge", type=float, default=None,
@@ -63,8 +60,7 @@ def _prepared_run(args):
     states = compute_states(paths, kind)
     spec = spec_for_states(states.values, n_basis=args.n_splines,
                            order=args.spline_order)
-    risk = RiskParams.from_rate(args.risk_aversion, market.r, market.dt,
-                                pure_risk=not args.full_hedge)
+    risk = RiskParams.from_rate(args.risk_aversion, market.r, market.dt)
     return paths, kind, states, spec, risk
 
 

@@ -31,28 +31,23 @@ from .numerics import RowBand, _solve_rows
 class RiskParams:
     """Risk aversion and discounting for the variance-penalized objective.
 
-    ``pure_risk`` drops the drift-seeking term from the hedge (the default
-    for benchmark reproduction); the full hedge needs a strictly positive
-    risk aversion because that term scales with 1/(2*lambda*gamma).
+    The hedge is Halperin's pure-risk form, which minimizes the variance
+    of the next portfolio alone, so the risk aversion enters only the
+    rewards and values and may be zero.
     """
 
     risk_aversion: float
     gamma: float
-    pure_risk: bool = True
 
     def __post_init__(self):
         if self.risk_aversion < 0:
             raise ValueError("risk_aversion must be nonnegative")
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must lie in (0, 1]")
-        if not self.pure_risk and self.risk_aversion == 0:
-            raise ValueError("the full hedge needs risk_aversion > 0")
 
     @classmethod
-    def from_rate(cls, risk_aversion: float, r: float, dt: float,
-                  pure_risk: bool = True) -> "RiskParams":
-        return cls(risk_aversion=risk_aversion, gamma=math.exp(-r * dt),
-                   pure_risk=pure_risk)
+    def from_rate(cls, risk_aversion: float, r: float, dt: float) -> "RiskParams":
+        return cls(risk_aversion=risk_aversion, gamma=math.exp(-r * dt))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,22 +132,22 @@ class DPSolution:
         return cash
 
 
-def _contract_risk(risk) -> tuple[float, bool, float | np.ndarray]:
-    """Discount factor, hedge form and risk aversion of one or many contracts.
+def _contract_risk(risk) -> tuple[float, float | np.ndarray]:
+    """Discount factor and risk aversion of one or many contracts.
 
     ``risk`` is one RiskParams, or a sequence with one per contract; a
-    sequence must share gamma and pure_risk, and its risk aversions come
-    back as a (C, 1) column that broadcasts against (C, K) arrays.
+    sequence must share gamma, and its risk aversions come back as a
+    (C, 1) column that broadcasts against (C, K) arrays.
     """
     if isinstance(risk, RiskParams):
-        return risk.gamma, risk.pure_risk, risk.risk_aversion
+        return risk.gamma, risk.risk_aversion
     risks = tuple(risk)
     if not risks:
         raise ValueError("need at least one contract")
-    if len({(r.gamma, r.pure_risk) for r in risks}) > 1:
-        raise ValueError("batched contracts must share gamma and pure_risk")
+    if len({r.gamma for r in risks}) > 1:
+        raise ValueError("batched contracts must share gamma")
     aversions = np.array([r.risk_aversion for r in risks])[:, np.newaxis]
-    return risks[0].gamma, risks[0].pure_risk, aversions
+    return risks[0].gamma, aversions
 
 
 def terminal_conditions(paths: PathSet, strike, risk):
@@ -166,7 +161,7 @@ def terminal_conditions(paths: PathSet, strike, risk):
     strike = np.asarray(strike, dtype=float)
     if np.any(strike <= 0):
         raise ValueError("strike must be positive")
-    _, _, risk_aversion = _contract_risk(risk)
+    _, risk_aversion = _contract_risk(risk)
     payoff = np.maximum(strike[..., np.newaxis] - paths.prices[:, -1], 0.0)
     mean = payoff.mean(axis=-1, keepdims=True)
     penalty = risk_aversion * payoff.var(axis=-1, keepdims=True)
@@ -180,21 +175,18 @@ def terminal_conditions(paths: PathSet, strike, risk):
 def fit_hedge_coefficients(phi_t: FeatureMatrix | RowBand, delta_s: np.ndarray,
                            delta_s_hat: np.ndarray, pi_hat_next: np.ndarray,
                            risk, regularizer: float | None = None) -> np.ndarray:
-    """Hedge coefficients from the increment-weighted normal equations.
+    """Pure-risk hedge coefficients from the increment-weighted normal equations.
 
-    Gram matrix: sum_k phi_k phi_k^T (dShat_k)^2. Right-hand side couples
-    the demeaned next portfolio with the increments; unless ``pure_risk``
-    is set it also carries the drift term delta_s / (2 lambda gamma).
-    ``pi_hat_next`` is (K,) for one contract (``risk`` one RiskParams) or
-    (C, K) for C contracts (``risk`` a sequence); the Gram matrix is
+    Gram matrix: sum_k phi_k phi_k^T (dShat_k)^2; right-hand side: sum_k
+    phi_k pi_hat_next_k dShat_k, the demeaned next portfolio coupled with
+    the demeaned increments. ``delta_s`` and ``risk`` do not enter the
+    fit; they stay in the signature for its callers. ``pi_hat_next`` is
+    (K,) for one contract or (C, K) for C contracts; the Gram matrix is
     shared, so the contracts cost one factorization.
     Like the other per-step functions, it uses the products of the step
     it is given: dense for a FeatureMatrix at any N, banded for a RowBand.
     """
-    gamma, pure_risk, risk_aversion = _contract_risk(risk)
     target = pi_hat_next * delta_s_hat
-    if not pure_risk:
-        target = target + delta_s / (2.0 * risk_aversion * gamma)
     return _solve_rows(phi_t.gram(delta_s_hat), phi_t.rhs(target), regularizer)
 
 
@@ -269,11 +261,11 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
                           ) -> list[DPSolution]:
     """Backward pass from expiry to time 0 for many contracts on shared paths.
 
-    ``contracts`` is a sequence of (strike, RiskParams) that share gamma
-    and pure_risk; mixed ones raise ValueError. Neither Gram matrix of a
-    step depends on the strike or the risk aversion, so each step builds
-    and factors them once and solves every contract as one more
-    right-hand side. A step's hedges, action values and portfolio are
+    ``contracts`` is a sequence of (strike, RiskParams) that share the
+    discount factor gamma; mixed ones raise ValueError. Neither Gram
+    matrix of a step depends on the strike or the risk aversion, so each
+    step builds and factors them once and solves every contract as one
+    more right-hand side. A step's hedges, action values and portfolio are
     (C, K) slabs that live one step; the pass stores only the (T, C, N)
     coefficients and takes the time-0 price and hedge from the last
     slabs. Solutions hold the features and evaluate every per-path
@@ -298,7 +290,7 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
     """
     strikes = np.array([float(strike) for strike, _ in contracts])
     risks = tuple(risk for _, risk in contracts)
-    gamma, _, risk_aversion = _contract_risk(risks)
+    gamma, risk_aversion = _contract_risk(risks)
     if features is None:
         states = compute_states(paths, state_kind)
         if basis_spec is None:

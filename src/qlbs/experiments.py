@@ -13,7 +13,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -78,7 +78,6 @@ class ScenarioConfig:
     market: MarketParams = DEFAULT_MARKET
     strike: float = DEFAULT_STRIKE
     risk_aversion: float = DEFAULT_RISK_AVERSION
-    pure_risk: bool = True
     n_basis: int = DEFAULT_N_BASIS
     order: int = DEFAULT_ORDER
     state_kinds: tuple[StateKind, ...] = BENCHMARK_STATE_KINDS
@@ -94,25 +93,11 @@ class ScenarioConfig:
             raise ValueError("need at least one state kind")
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.value,
-            "market": {
-                "s0": self.market.s0, "mu": self.market.mu,
-                "sigma": self.market.sigma, "r": self.market.r,
-                "maturity": self.market.maturity, "n_steps": self.market.n_steps,
-                "n_paths": self.market.n_paths, "seed": self.market.seed,
-            },
-            "strike": self.strike,
-            "risk_aversion": self.risk_aversion,
-            "pure_risk": self.pure_risk,
-            "n_basis": self.n_basis,
-            "order": self.order,
-            "state_kinds": [k.value for k in self.state_kinds],
-            "noise": self.noise,
-            "seeds": list(self.seeds),
-            "regularizer": self.regularizer,
-            "sweep": self.sweep,
-        }
+        data = asdict(self)
+        data["scenario"] = self.scenario.value
+        data["state_kinds"] = [k.value for k in self.state_kinds]
+        data["seeds"] = list(self.seeds)
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScenarioConfig":
@@ -157,7 +142,6 @@ _JSON_TYPES = {
     "market": _OBJECT,
     "strike": _NUMBER,
     "risk_aversion": _NUMBER,
-    "pure_risk": ("true or false", lambda value: isinstance(value, bool)),
     "n_basis": _INTEGER,
     "order": _INTEGER,
     "state_kinds": ("a list of strings", lambda value: isinstance(value, list)
@@ -365,8 +349,7 @@ def _solve_group(paths: PathSet, config: ScenarioConfig, kind: StateKind,
     contracts: dict[tuple[float, RiskParams], list[_Job]] = {}
     for job in jobs:
         try:
-            risk = RiskParams.from_rate(job.base["risk_aversion"], market.r,
-                                        market.dt, pure_risk=config.pure_risk)
+            risk = RiskParams.from_rate(job.base["risk_aversion"], market.r, market.dt)
         except Exception as err:  # record and continue with the sweep
             _fail(config, job, err)
             continue

@@ -319,7 +319,7 @@ def save_dataset(dataset: OfflineDataset, dest) -> None:
         "strike": repr(dataset.strike),
         "risk_aversion": repr(dataset.risk.risk_aversion),
         "gamma": repr(dataset.risk.gamma),
-        "pure_risk": str(dataset.risk.pure_risk),
+        "pure_risk": "True",  # the one hedge form, kept so files stay readable
         "dt": repr(dataset.dt),
         "mu": repr(dataset.mu),
         "sigma": repr(dataset.sigma),
@@ -372,13 +372,15 @@ def load_dataset(source) -> OfflineDataset:
     The metadata lines precede the header, and each key appears once.
     The metadata is checked before any row is read; the rows are then
     streamed from the file into one table, so the file is never held as
-    text. Every (t, k) must appear exactly once; a missing or duplicate
-    row, an index outside the stated shape, a row that is not six numbers (a
-    ``#`` line among the rows included), a missing or repeated metadata
-    key, a value that does not parse or that RiskParams rejects,
-    ``n_paths`` or ``n_steps`` below 1, a ``strike`` or ``dt`` that is not
-    positive, or a ``pure_risk`` other than ``True`` or ``False`` raises
-    ValueError naming the file and the row or key.
+    text. Every (t, k) must appear exactly once; a row count other than
+    the stated (n_steps + 1) * n_paths, which is checked before anything
+    of the stated size is allocated, a duplicate row, an index outside the
+    stated shape, a row that is not six numbers (a ``#`` line among the
+    rows included), a missing or repeated metadata key, a value that does
+    not parse or that RiskParams rejects, ``n_paths`` or ``n_steps`` below
+    1, a ``strike`` or ``dt`` that is not positive, or a ``pure_risk``
+    other than ``True``, the one hedge form, raises ValueError naming the
+    file and the count, row or key.
     """
     meta: dict[str, str] = {}
     header = None
@@ -400,9 +402,9 @@ def load_dataset(source) -> OfflineDataset:
         missing = [key for key in _META_KEYS if key not in meta]
         if missing:
             raise ValueError(f"{source}: missing metadata key {missing[0]!r}")
-        if meta["pure_risk"] not in ("True", "False"):
-            raise ValueError(f"{source}: metadata key 'pure_risk' must be True or "
-                             f"False, got {meta['pure_risk']!r}")
+        if meta["pure_risk"] != "True":
+            raise ValueError(f"{source}: metadata key 'pure_risk' must be True, "
+                             f"got {meta['pure_risk']!r}")
 
         def parse(key, convert):
             try:
@@ -421,7 +423,7 @@ def load_dataset(source) -> OfflineDataset:
                                  f"got {value!r}")
         risk_aversion, gamma = parse("risk_aversion", float), parse("gamma", float)
         try:
-            risk = RiskParams(risk_aversion, gamma, pure_risk=meta["pure_risk"] == "True")
+            risk = RiskParams(risk_aversion, gamma)
         except ValueError as err:
             raise ValueError(f"{source}: metadata: {err}") from err
         state_kind = parse("state_kind", StateKind.parse)
@@ -436,6 +438,12 @@ def load_dataset(source) -> OfflineDataset:
         raise ValueError(f"{source}: " + _row_error(
             source, n_head, f"data rows have {table.shape[1]} columns"))
     table = table.reshape(-1, len(_CSV_COLUMNS))
+    # Checked before any array of the declared size: with this count, no
+    # index outside the shape and no duplicate, every (t, k) appears once.
+    n_cells = (n_steps + 1) * n_paths
+    if len(table) != n_cells:
+        raise ValueError(f"{source}: {len(table)} data rows, but {n_steps + 1} times "
+                         f"x {n_paths} paths need {n_cells}")
     t, k = table[:, 0], table[:, 1]
     outside = ((t != np.floor(t)) | (t < 0) | (t > n_steps)
                | (k != np.floor(k)) | (k < 0) | (k >= n_paths))
@@ -446,16 +454,12 @@ def load_dataset(source) -> OfflineDataset:
                          f"{n_paths} paths")
     t, k = t.astype(np.intp), k.astype(np.intp)
     cell = t * n_paths + k
-    counts = np.bincount(cell, minlength=(n_steps + 1) * n_paths)
+    counts = np.bincount(cell, minlength=n_cells)
     if np.any(counts > 1):
         repeats = np.flatnonzero(cell == np.argmax(counts > 1))
         raise ValueError(f"{source}: duplicate row for (t={t[repeats[0]]}, "
                          f"k={k[repeats[0]]}) at data rows {repeats[0] + 1} "
                          f"and {repeats[1] + 1}")
-    if np.any(counts == 0):
-        gap = int(np.argmax(counts == 0))
-        raise ValueError(f"{source}: missing row for (t={gap // n_paths}, "
-                         f"k={gap % n_paths})")
 
     states = np.empty((n_paths, n_steps + 1))
     actions = np.empty_like(states)

@@ -70,8 +70,7 @@ def golden_paths():
 
 @pytest.fixture(scope="session")
 def golden_risk():
-    return RiskParams.from_rate(GOLDEN_RISK_AVERSION, GOLDEN_RATE, GOLDEN_DT,
-                                pure_risk=True)
+    return RiskParams.from_rate(GOLDEN_RISK_AVERSION, GOLDEN_RATE, GOLDEN_DT)
 
 
 @pytest.fixture(scope="session")

@@ -11,13 +11,15 @@ The numbers depend on the host's BLAS and its thread count: regenerated
 on another host or thread count, the N = 100 basis-sensitivity rows
 drift from the committed file by up to 1.6e-11, within the test's 1e-10
 tolerance. So regenerating does not show that no number moved. To claim
-that, run :func:`compute` at the parent commit and at the change on the
-same host with the same BLAS thread count, and compare the two outputs
-exactly, for instance as files written with ``json.dumps(compute(),
-indent=1)``.
+that, write :func:`compute` elsewhere with ``--out`` at the parent
+commit and at the change, on the same host with the same BLAS thread
+count, and compare the two files byte for byte:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/seeded_numbers.py --out OUT.json
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -109,6 +111,10 @@ def compute() -> dict:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Write the seeded numbers as JSON.")
+    parser.add_argument("--out", type=Path, default=FIXTURE,
+                        help="file to write (default: the committed fixture)")
+    out = parser.parse_args().out
     sys.path.insert(0, str(Path(__file__).parent))
-    FIXTURE.write_text(json.dumps(compute(), indent=1) + "\n")
-    print(f"wrote {FIXTURE}")
+    out.write_text(json.dumps(compute(), indent=1) + "\n")
+    print(f"wrote {out}")

@@ -56,13 +56,10 @@ class TestRiskParams:
             RiskParams(risk_aversion=1e-4, gamma=0.0)
         with pytest.raises(ValueError):
             RiskParams(risk_aversion=1e-4, gamma=1.5)
-        with pytest.raises(ValueError):
-            RiskParams(risk_aversion=0.0, gamma=0.99, pure_risk=False)
 
     def test_from_rate(self):
         risk = RiskParams.from_rate(1e-3, r=0.03, dt=1.0 / 3.0)
         assert risk.gamma == pytest.approx(math.exp(-0.01))
-        assert risk.pure_risk
 
 
 class TestTerminalConditions:
@@ -103,18 +100,6 @@ class TestHedgeFit:
             np.zeros(5), golden_risk, regularizer=GOLDEN_RIDGE)
         assert np.allclose(coeffs, 0.0, atol=1e-12)
 
-    def test_full_hedge_adds_drift_term(self, golden_risk):
-        delta_s, delta_s_hat = golden_increments()
-        payoff = np.maximum(GOLDEN_STRIKE - GOLDEN_PRICES[:, 3], 0.0)
-        pi_hat = payoff - payoff.mean()
-        full_risk = RiskParams(risk_aversion=golden_risk.risk_aversion,
-                               gamma=golden_risk.gamma, pure_risk=False)
-        pure = fit_hedge_coefficients(FeatureMatrix(GOLDEN_PHI2), delta_s,
-                                      delta_s_hat, pi_hat, golden_risk)
-        full = fit_hedge_coefficients(FeatureMatrix(GOLDEN_PHI2), delta_s,
-                                      delta_s_hat, pi_hat, full_risk)
-        assert not np.allclose(pure, full)
-
     def test_hedge_maximizes_step_objective(self):
         # Oracle: the per-step objective the hedge fit optimizes, compared
         # against 200 random coefficient perturbations.
@@ -126,7 +111,7 @@ class TestHedgeFit:
         delta_s = rng.normal(0.0, 1.0, n_paths)
         delta_s_hat = delta_s - delta_s.mean()
         pi_hat_next = rng.normal(0.0, 2.0, n_paths)
-        risk = RiskParams(risk_aversion=0.001, gamma=0.99, pure_risk=True)
+        risk = RiskParams(risk_aversion=0.001, gamma=0.99)
 
         coeffs = fit_hedge_coefficients(FeatureMatrix(features), delta_s,
                                         delta_s_hat, pi_hat_next, risk,
@@ -300,18 +285,6 @@ class TestRunModelBased:
                                           strike=100.0, risk=risk).price_t0)
         assert all(b >= a - 1e-12 for a, b in zip(prices, prices[1:]))
         assert prices[-1] > prices[0]
-
-    def test_full_hedge_requires_positive_risk_aversion(self, golden_paths):
-        with pytest.raises(ValueError):
-            RiskParams.from_rate(0.0, GOLDEN_RATE, GOLDEN_DT, pure_risk=False)
-
-    def test_full_hedge_run_completes(self, golden_paths, golden_spec, golden_risk):
-        risk = RiskParams(risk_aversion=golden_risk.risk_aversion,
-                          gamma=golden_risk.gamma, pure_risk=False)
-        solution = run_model_based(golden_paths, StateKind.PRICE,
-                                   strike=GOLDEN_STRIKE, risk=risk,
-                                   basis_spec=golden_spec)
-        assert np.all(np.isfinite(solution.q_values))
 
 
 def cube_run(n_basis):

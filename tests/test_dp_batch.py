@@ -89,18 +89,6 @@ class TestBatchEqualsSingles:
                      for i, z in enumerate(strikes)]
         assert_batch_matches_singles(kind_index, contracts)
 
-    # The full hedge's drift term scales like 1/lambda, and so do the
-    # values it produces; lambda >= 1e-2 keeps entries below about 1e5,
-    # where an absolute 1e-10 is still several units in the last place.
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(strikes=strike_sets, kind_index=st.integers(0, 2),
-           lambdas=st.lists(st.sampled_from([1e-2, 5e-2]), min_size=1))
-    def test_full_hedge(self, strikes, kind_index, lambdas):
-        contracts = [(z, RiskParams.from_rate(lambdas[i % len(lambdas)],
-                                              MARKET.r, MARKET.dt, pure_risk=False))
-                     for i, z in enumerate(strikes)]
-        assert_batch_matches_singles(kind_index, contracts)
-
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(strikes=strike_sets, kind_index=st.integers(0, 2),
            ridge=st.sampled_from([1e-6, 1e-3, 1.0]))
@@ -115,13 +103,12 @@ def order1_reference(paths, bins, n_bins, contracts, regularizer=None):
 
     Order-1 splines give each path the indicator of its bin, so both normal
     equations of a step are diagonal: the hedge is a per-bin ratio
-    sum(pi_hat * dShat [+ dS / (2 lambda gamma)]) / sum(dShat^2) and the
-    value a per-bin mean of reward + gamma * next value, each denominator
+    sum(pi_hat * dShat) / sum(dShat^2) and the value a per-bin mean of reward + gamma * next value, each denominator
     carrying the solver's ridge.
     """
     strikes = np.array([[strike] for strike, _ in contracts])
     lam = np.array([[risk.risk_aversion] for _, risk in contracts])
-    gamma, pure_risk = contracts[0][1].gamma, contracts[0][1].pure_risk
+    gamma = contracts[0][1].gamma
     inc = price_increments(paths, paths.params.r)
 
     def per_bin(b, rows, counts, default_ridge):
@@ -135,8 +122,6 @@ def order1_reference(paths, bins, n_bins, contracts, regularizer=None):
     for t in range(paths.n_steps - 1, -1, -1):
         b, ds, ds_hat = bins[t], inc.delta_s[:, t], inc.delta_s_hat[:, t]
         target = (pi - pi.mean(axis=1, keepdims=True)) * ds_hat
-        if not pure_risk:
-            target = target + ds / (2.0 * lam * gamma)
         hedge = per_bin(b, target, np.bincount(b, ds_hat**2, n_bins),
                         DEFAULT_RIDGE_REL * np.sum(ds_hat**2) / n_bins)
         pi_t = gamma * (pi - hedge * ds)
@@ -150,25 +135,20 @@ def order1_reference(paths, bins, n_bins, contracts, regularizer=None):
 
 
 class TestOrderOneReference:
-    # The full hedge's values scale like 1/lambda, so it is checked at
-    # lambda in {0.01, 0.05}, as in TestBatchEqualsSingles. 100 bins put
-    # the pass on banded Gram assembly and leave some bins empty.
+    # 100 bins put the pass on banded Gram assembly and leave some bins empty.
     @pytest.mark.parametrize("n_bins", [8, 100])
     @pytest.mark.parametrize("kind", list(StateKind))
-    @pytest.mark.parametrize("pure_risk,lambdas,regularizer", [
-        (True, (0.0, 1e-4, 1e-3), None),
-        (True, (1e-3,), 1e-2),
-        (False, (1e-2, 5e-2), None),
+    @pytest.mark.parametrize("lambdas,regularizer", [
+        ((0.0, 1e-4, 1e-3), None),
+        ((1e-3,), 1e-2),
     ])
-    def test_batch_matches_bincount_solution(self, kind, pure_risk, lambdas,
-                                             regularizer, n_bins):
+    def test_batch_matches_bincount_solution(self, kind, lambdas, regularizer, n_bins):
         paths = simulate_gbm(MARKET)
         states = compute_states(paths, kind).values
         spec = spec_for_states(states, n_basis=n_bins, order=1)
         cube = feature_cube(spec, states)
         assert np.all((cube == 0.0) | (cube == 1.0)) and np.all(cube.sum(axis=2) == 1.0)
-        contracts = [(strike, RiskParams.from_rate(lam, MARKET.r, MARKET.dt,
-                                                   pure_risk=pure_risk))
+        contracts = [(strike, RiskParams.from_rate(lam, MARKET.r, MARKET.dt))
                      for lam in lambdas for strike in (60.0, 90.0, 100.0, 125.0)]
         batch = run_model_based_batch(paths, kind, contracts, basis_spec=spec,
                                       regularizer=regularizer, features=cube)
@@ -528,14 +508,6 @@ class TestBatchValidation:
         contracts = [(100.0, RiskParams(1e-3, gamma=0.99)),
                      (100.0, RiskParams(1e-3, gamma=0.98))]
         with pytest.raises(ValueError, match="gamma"):
-            run_model_based_batch(paths, kind, contracts, basis_spec=spec,
-                                  features=cube)
-
-    def test_mixed_pure_risk_rejected(self):
-        kind, paths, spec, cube = shared_inputs(0)
-        contracts = [(100.0, RiskParams(1e-3, gamma=0.99, pure_risk=True)),
-                     (100.0, RiskParams(1e-3, gamma=0.99, pure_risk=False))]
-        with pytest.raises(ValueError, match="pure_risk"):
             run_model_based_batch(paths, kind, contracts, basis_spec=spec,
                                   features=cube)
 

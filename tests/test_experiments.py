@@ -132,7 +132,8 @@ class TestScenarioConfig:
         ("seeds", [0, 1.5], "config: key 'seeds' must be a list of integers, got [0, 1.5]"),
         ("strike", "abc", "config: key 'strike' must be a number, got 'abc'"),
         ("noise", True, "config: key 'noise' must be a number, got True"),
-        ("pure_risk", 1, "config: key 'pure_risk' must be true or false, got 1"),
+        # A config written while the full hedge existed.
+        ("pure_risk", True, "config: unknown key 'pure_risk'"),
         ("regularizer", "1e-9", "config: key 'regularizer' must be a number or null, "
                                 "got '1e-9'"),
         ("state_kinds", "price", "config: key 'state_kinds' must be a list of strings, "

@@ -412,11 +412,13 @@ class TestLoadDatasetRejectsMalformedFiles:
     def test_missing_row(self, tmp_path, lines):
         del lines[self.data_index(lines, 3, 2)]
         dest = self.write(tmp_path, lines)
-        with pytest.raises(ValueError, match=r"bad\.csv: missing row for \(t=3, k=2\)"):
+        with pytest.raises(ValueError, match=r"bad\.csv: 64 data rows, but 13 times "
+                                             r"x 5 paths need 65"):
             load_dataset(dest)
 
     def test_duplicate_row(self, tmp_path, lines):
-        lines.append(lines[self.data_index(lines, 5, 4)])
+        # In place of another row, so the row count is the stated one.
+        lines[self.data_index(lines, 5, 3)] = lines[self.data_index(lines, 5, 4)]
         dest = self.write(tmp_path, lines)
         with pytest.raises(ValueError, match=r"bad\.csv: duplicate row for \(t=5, k=4\)"):
             load_dataset(dest)
@@ -480,11 +482,13 @@ class TestLoadDatasetRejectsMalformedFiles:
         with pytest.raises(ValueError, match=rf"bad\.csv: missing metadata key '{key}'"):
             load_dataset(dest)
 
-    def test_pure_risk_must_be_true_or_false(self, tmp_path, lines):
-        lines = [line.replace("# pure_risk=True", "# pure_risk=yes") for line in lines]
+    # False marks a file of the removed full hedge: never repriced as pure risk.
+    @pytest.mark.parametrize("value", ["yes", "False"])
+    def test_pure_risk_must_be_true(self, tmp_path, lines, value):
+        lines = [line.replace("# pure_risk=True", f"# pure_risk={value}") for line in lines]
         dest = self.write(tmp_path, lines)
-        with pytest.raises(ValueError, match=r"bad\.csv: metadata key 'pure_risk' "
-                                             r"must be True or False, got 'yes'"):
+        with pytest.raises(ValueError, match=rf"bad\.csv: metadata key 'pure_risk' "
+                                             rf"must be True, got '{value}'"):
             load_dataset(dest)
 
     def replace_value(self, tmp_path, lines, key, value):
@@ -535,7 +539,7 @@ def csv_writer_dataset(dataset, dest):
         "strike": repr(dataset.strike),
         "risk_aversion": repr(dataset.risk.risk_aversion),
         "gamma": repr(dataset.risk.gamma),
-        "pure_risk": str(dataset.risk.pure_risk),
+        "pure_risk": "True",
         "dt": repr(dataset.dt),
         "mu": repr(dataset.mu),
         "sigma": repr(dataset.sigma),
@@ -655,6 +659,25 @@ class TestLoadDatasetPeak:
         bound = output + 2 * table
         assert peak <= bound, f"peak {peak / 1e6:.1f} MB above {bound / 1e6:.1f} MB"
 
+    def test_rows_counted_before_the_stated_shape_is_allocated(self, tmp_path):
+        # 2 rows of a file that states 1,000,000 paths x 1 step. Sizing
+        # the cell counts by the stated shape before counting the rows,
+        # as the loader once did, peaked at 18.0 MB.
+        save_dataset(noisy_dataset(1, 1), tmp_path / "dataset.csv")
+        text = (tmp_path / "dataset.csv").read_text()
+        dest = tmp_path / "over.csv"
+        dest.write_text(text.replace("# n_paths=1\n", "# n_paths=1000000\n"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                load_dataset(dest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (f"{dest}: 2 data rows, but 2 times x 1000000 "
+                                   f"paths need 2000000")
+        assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+
 
 @st.composite
 def offline_datasets(draw):
@@ -667,15 +690,13 @@ def offline_datasets(draw):
                                                max_size=n_steps + 1),
                                       min_size=n_paths, max_size=n_paths)))
 
-    risk_aversion = draw(st.floats(0.0, 1e3))
     return OfflineDataset(
         states=table(), actions=table(), rewards=table(),
         terminal_portfolio=draw(st.lists(cells, min_size=n_paths, max_size=n_paths)),
         state_kind=draw(st.sampled_from(StateKind)),
         # The loader rejects a strike or dt that is not positive.
         strike=draw(st.floats(0.0, exclude_min=True)),
-        risk=RiskParams(risk_aversion, draw(st.floats(1e-6, 1.0)),
-                        pure_risk=risk_aversion == 0 or draw(st.booleans())),
+        risk=RiskParams(draw(st.floats(0.0, 1e3)), draw(st.floats(1e-6, 1.0))),
         dt=draw(st.floats(0.0, exclude_min=True)),
         mu=draw(st.floats(allow_nan=False)),
         sigma=draw(st.floats(allow_nan=False)),
