@@ -661,8 +661,8 @@ class TestLoadDatasetPeak:
 
     def test_rows_counted_before_the_stated_shape_is_allocated(self, tmp_path):
         # 2 rows of a file that states 1,000,000 paths x 1 step. Sizing
-        # the cell counts by the stated shape before counting the rows,
-        # as the loader once did, peaked at 18.0 MB.
+        # the cell counts by the stated shape before counting the rows
+        # would peak at 18.0 MB.
         save_dataset(noisy_dataset(1, 1), tmp_path / "dataset.csv")
         text = (tmp_path / "dataset.csv").read_text()
         dest = tmp_path / "over.csv"
