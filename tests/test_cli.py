@@ -197,6 +197,14 @@ class TestBadSeed:
         assert "--seed: invalid int value" in capsys.readouterr().err
 
 
+class TestRemovedFlags:
+    def test_full_hedge_is_unrecognized(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["price-qlbs-dp", "--paths", "50", "--full-hedge"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --full-hedge" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     """Values the library rejects end in a usage message and status 2."""
 

@@ -61,6 +61,11 @@ class TestRiskParams:
         risk = RiskParams.from_rate(1e-3, r=0.03, dt=1.0 / 3.0)
         assert risk.gamma == pytest.approx(math.exp(-0.01))
 
+    def test_zero_risk_aversion_accepted(self):
+        # The pure-risk hedge never divides by the risk aversion.
+        assert RiskParams(risk_aversion=0.0, gamma=0.99).risk_aversion == 0.0
+        assert RiskParams.from_rate(0.0, r=0.03, dt=1.0 / 3.0).risk_aversion == 0.0
+
 
 class TestTerminalConditions:
     def test_golden_values(self, golden_paths, golden_risk):
@@ -99,6 +104,17 @@ class TestHedgeFit:
             FeatureMatrix(GOLDEN_PHI2), delta_s, delta_s_hat,
             np.zeros(5), golden_risk, regularizer=GOLDEN_RIDGE)
         assert np.allclose(coeffs, 0.0, atol=1e-12)
+
+    def test_delta_s_and_risk_do_not_enter_the_fit(self, golden_risk):
+        delta_s, delta_s_hat = golden_increments()
+        payoff = np.maximum(GOLDEN_STRIKE - GOLDEN_PRICES[:, 3], 0.0)
+        pi_hat = payoff - payoff.mean()
+        want = fit_hedge_coefficients(FeatureMatrix(GOLDEN_PHI2), delta_s,
+                                      delta_s_hat, pi_hat, golden_risk)
+        for risk in (RiskParams(0.0, golden_risk.gamma), RiskParams(1.0, 0.5)):
+            got = fit_hedge_coefficients(FeatureMatrix(GOLDEN_PHI2), 10.0 * delta_s,
+                                         delta_s_hat, pi_hat, risk)
+            assert np.array_equal(got, want)
 
     def test_hedge_maximizes_step_objective(self):
         # Oracle: the per-step objective the hedge fit optimizes, compared

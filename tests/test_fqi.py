@@ -483,7 +483,7 @@ class TestLoadDatasetRejectsMalformedFiles:
             load_dataset(dest)
 
     # False marks a file of the removed full hedge: never repriced as pure risk.
-    @pytest.mark.parametrize("value", ["yes", "False"])
+    @pytest.mark.parametrize("value", ["yes", "False", "true"])
     def test_pure_risk_must_be_true(self, tmp_path, lines, value):
         lines = [line.replace("# pure_risk=True", f"# pure_risk={value}") for line in lines]
         dest = self.write(tmp_path, lines)
