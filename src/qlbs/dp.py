@@ -23,7 +23,7 @@ from .basis import (
     spec_for_states,
     step_features,
 )
-from .market import PathSet, StateKind, compute_states, price_increments
+from .market import PathSet, StateKind, _delta_s, compute_states
 from .numerics import RowBand, _solve_rows
 
 
@@ -40,7 +40,7 @@ class RiskParams:
     gamma: float
 
     def __post_init__(self):
-        if self.risk_aversion < 0:
+        if not self.risk_aversion >= 0:  # nan too
             raise ValueError("risk_aversion must be nonnegative")
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must lie in (0, 1]")
@@ -174,7 +174,8 @@ def terminal_conditions(paths: PathSet, strike, risk):
 
 def fit_hedge_coefficients(phi_t: FeatureMatrix | RowBand, delta_s: np.ndarray,
                            delta_s_hat: np.ndarray, pi_hat_next: np.ndarray,
-                           risk, regularizer: float | None = None) -> np.ndarray:
+                           risk, regularizer: float | None = None,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Pure-risk hedge coefficients from the increment-weighted normal equations.
 
     Gram matrix: sum_k phi_k phi_k^T (dShat_k)^2; right-hand side: sum_k
@@ -182,35 +183,46 @@ def fit_hedge_coefficients(phi_t: FeatureMatrix | RowBand, delta_s: np.ndarray,
     the demeaned increments. ``delta_s`` and ``risk`` do not enter the
     fit; they stay in the signature for its callers. ``pi_hat_next`` is
     (K,) for one contract or (C, K) for C contracts; the Gram matrix is
-    shared, so the contracts cost one factorization.
+    shared, so the contracts cost one factorization. The regression
+    target pi_hat_next * dShat is written into ``out``, which may be
+    ``pi_hat_next`` itself, or, when it is None, into a new array.
     Like the other per-step functions, it uses the products of the step
     it is given: dense for a FeatureMatrix at any N, banded for a RowBand.
     """
-    target = pi_hat_next * delta_s_hat
+    target = np.multiply(pi_hat_next, delta_s_hat, out=out)
     return _solve_rows(phi_t.gram(delta_s_hat), phi_t.rhs(target), regularizer)
 
 
 def rollback_portfolio(pi_next: np.ndarray, hedge: np.ndarray,
-                       delta_s: np.ndarray, gamma: float) -> np.ndarray:
-    """One self-financing step backward: gamma * (pi_next - hedge * delta_s)."""
-    return gamma * (pi_next - hedge * delta_s)
+                       delta_s: np.ndarray, gamma: float,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """One self-financing step backward: gamma * (pi_next - hedge * delta_s).
+
+    The result is written into ``out`` and returned; ``out`` may be
+    ``hedge`` itself, not ``pi_next``. None returns a new array.
+    """
+    held = np.multiply(hedge, delta_s, out=out)
+    return np.multiply(gamma, np.subtract(pi_next, held, out=out), out=out)
 
 
 def compute_rewards(pi_next: np.ndarray, pi_t: np.ndarray, gamma: float,
-                    risk_aversion) -> np.ndarray:
+                    risk_aversion, out: np.ndarray | None = None) -> np.ndarray:
     """Per-path reward: discounted portfolio change minus the variance penalty.
 
     The penalty uses the cross-sectional (population) variance of the
     current portfolio, a single scalar shared by all paths. Portfolios of
     shape (C, K) take one variance per row and a (C, 1) risk aversion.
+    The rewards are written into ``out`` and returned; ``out`` may be
+    ``pi_next`` itself, not ``pi_t``. None returns a new array.
     """
     var = np.var(pi_t, axis=-1, keepdims=True)
-    return gamma * pi_next - pi_t - risk_aversion * var
+    change = np.subtract(np.multiply(gamma, pi_next, out=out), pi_t, out=out)
+    return np.subtract(change, risk_aversion * var, out=out)
 
 
-def _increments(paths: PathSet, gamma: float):
+def _delta_s_at(paths: PathSet, gamma: float) -> np.ndarray:
     # The rate implied by gamma, so increments and discounting always agree.
-    return price_increments(paths, -math.log(gamma) / paths.dt)
+    return _delta_s(paths, -math.log(gamma) / paths.dt)
 
 
 def portfolio_and_rewards(paths: PathSet, strike: float, actions: np.ndarray,
@@ -218,27 +230,31 @@ def portfolio_and_rewards(paths: PathSet, strike: float, actions: np.ndarray,
     """Portfolio and rewards, each (n_paths, n_steps + 1), of holding ``actions``:
     the payoff rolled back step by step with the backward pass's arithmetic."""
     payoff, _, _, terminal_reward, _ = terminal_conditions(paths, strike, risk)
-    delta_s = _increments(paths, risk.gamma).delta_s
+    delta_s = _delta_s_at(paths, risk.gamma)
     portfolio = np.empty((paths.n_steps + 1, paths.n_paths))
     rewards = np.empty_like(portfolio)
     portfolio[-1], rewards[-1] = payoff, terminal_reward
     for t in range(paths.n_steps - 1, -1, -1):
-        portfolio[t] = rollback_portfolio(portfolio[t + 1], actions[:, t],
-                                          delta_s[:, t], risk.gamma)
-        rewards[t] = compute_rewards(portfolio[t + 1], portfolio[t], risk.gamma,
-                                     risk.risk_aversion)
+        rollback_portfolio(portfolio[t + 1], actions[:, t], delta_s[:, t], risk.gamma,
+                           out=portfolio[t])
+        compute_rewards(portfolio[t + 1], portfolio[t], risk.gamma, risk.risk_aversion,
+                        out=rewards[t])
     return portfolio.T, rewards.T
 
 
 def fit_q_coefficients(phi_t: FeatureMatrix | RowBand, rewards_t: np.ndarray,
                        q_next: np.ndarray, gamma: float,
-                       regularizer: float | None = None) -> np.ndarray:
+                       regularizer: float | None = None,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Value coefficients: regress reward + gamma * next value on the features.
 
     (K,) inputs give (N,) coefficients; (C, K) inputs give (C, N) from one
-    factorization of the shared Gram matrix.
+    factorization of the shared Gram matrix. The regression target is
+    written into ``out``, which may be ``q_next`` itself, not
+    ``rewards_t``, or, when it is None, into a new array.
     """
-    return _solve_rows(phi_t.gram(), phi_t.rhs(rewards_t + gamma * q_next), regularizer)
+    target = np.add(rewards_t, np.multiply(gamma, q_next, out=out), out=out)
+    return _solve_rows(phi_t.gram(), phi_t.rhs(target), regularizer)
 
 
 def run_model_based(paths: PathSet, state_kind: StateKind, strike: float,
@@ -265,11 +281,17 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
     discount factor gamma; mixed ones raise ValueError. Neither Gram
     matrix of a step depends on the strike or the risk aversion, so each
     step builds and factors them once and solves every contract as one
-    more right-hand side. A step's hedges, action values and portfolio are
-    (C, K) slabs that live one step; the pass stores only the (T, C, N)
-    coefficients and takes the time-0 price and hedge from the last
-    slabs. Solutions hold the features and evaluate every per-path
-    matrix on first read (see DPSolution).
+    more right-hand side. Its per-path work is four (C, K) slabs,
+    allocated once and rewritten in place each step: the portfolio, its
+    demeaned copy, the action values, and a work slab that takes the
+    hedge, then the rolled-back portfolio; the rewards overwrite the
+    portfolio they are formed from, and the slabs swap at the end of the
+    step. Beside them it holds the (K, T) increments, demeaning one column
+    per step, and one step's features, released before the next step's
+    are read. It stores only the (T, C, N) coefficients and takes the
+    time-0 price and hedge from the last slabs. Solutions hold the
+    features and evaluate every per-path matrix on first read (see
+    DPSolution).
 
     Each step's features are read unchecked, in the one form
     :func:`~qlbs.basis.step_features` chooses: a large basis whose rows
@@ -296,29 +318,39 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
         if basis_spec is None:
             basis_spec = spec_for_states(states.values)
         features = SplineSteps(basis_spec, states.values)
-    increments = _increments(paths, gamma)
+    delta_s = _delta_s_at(paths, gamma)
+    delta_s_mean = delta_s.mean(axis=0)
 
     n_steps = paths.n_steps
     phi = np.zeros((n_steps, strikes.size, features.shape[2]))
     omega = np.zeros_like(phi)
 
     # Hedges, values and the portfolio are needed only one step back, so
-    # each rolls as a (C, K) slab.
-    pi_next, pi_hat_next, _, _, q_next = terminal_conditions(paths, strikes, risks)
+    # the pass holds four (C, K) slabs and rewrites them in place; the
+    # terminal hedge and reward are never read.
+    terminal = terminal_conditions(paths, strikes, risks)
+    pi_next, pi_hat_next, q_next = terminal[0], terminal[1], terminal[4]
+    del terminal
+    work = np.empty_like(pi_next)
     for t in range(n_steps - 1, -1, -1):
         phi_t = step_features(features, t)
-        ds = increments.delta_s[:, t]
-        ds_hat = increments.delta_s_hat[:, t]
+        ds = delta_s[:, t]
+        ds_hat = ds - delta_s_mean[t]
 
         phi[t] = fit_hedge_coefficients(phi_t, ds, ds_hat, pi_hat_next, risks,
-                                        regularizer)
-        hedge = phi_t.fitted(phi[t])
-        pi_t = rollback_portfolio(pi_next, hedge, ds, gamma)
-        rewards = compute_rewards(pi_next, pi_t, gamma, risk_aversion)
-        omega[t] = fit_q_coefficients(phi_t, rewards, q_next, gamma, regularizer)
-        q_next = phi_t.fitted(omega[t])
-        pi_hat_next = pi_t - pi_t.mean(axis=-1, keepdims=True)
-        pi_next = pi_t
+                                        regularizer, out=pi_hat_next)
+        work[...] = phi_t.fitted(phi[t])
+        if t == 0:
+            hedge_t0 = [float(row.mean()) for row in work]
+        pi_t = rollback_portfolio(pi_next, work, ds, gamma, out=work)
+        rewards = compute_rewards(pi_next, pi_t, gamma, risk_aversion, out=pi_next)
+        omega[t] = fit_q_coefficients(phi_t, rewards, q_next, gamma, regularizer,
+                                      out=q_next)
+        q_next[...] = phi_t.fitted(omega[t])
+        np.subtract(pi_t, pi_t.mean(axis=-1, keepdims=True), out=pi_hat_next)
+        pi_next, work = pi_t, rewards
+        # Freed before the next step's splines are evaluated.
+        del phi_t
 
     output = _PassOutput(paths, features, strikes, risks, phi, omega)
     return [
@@ -326,7 +358,7 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
             phi=phi[:, c],
             omega=omega[:, c],
             price_t0=float(-q_next[c].mean()),
-            hedge_t0=float(hedge[c].mean()),
+            hedge_t0=hedge_t0[c],
             paths=paths, strike=float(strikes[c]), risk=risks[c],
             _output=output, _contract=c,
         )

@@ -242,7 +242,7 @@ class _Job:
     """One (cell, state kind) of a sweep and the report rows it produced.
 
     ``base`` holds the row fields the cell sets (strike, risk aversion,
-    noise, basis, state, benchmark).
+    noise, basis, state, benchmark) and the sweep's config hash.
     """
 
     market: MarketParams
@@ -262,8 +262,7 @@ def _row_base(config: ScenarioConfig, market: MarketParams, **overrides) -> dict
         "risk_aversion": config.risk_aversion, "noise": config.noise,
         "n_basis": config.n_basis, "order": config.order, "cost_rate": 0.0,
         "price": None, "hedge": None, "bsm_price": None, "bsm_delta": None,
-        "tw_mean": None, "tw_median": None, "runtime_s": 0.0,
-        "config_hash": config.config_hash(), "error": "",
+        "tw_mean": None, "tw_median": None, "runtime_s": 0.0, "error": "",
     }
     row.update(overrides)
     return row
@@ -387,6 +386,7 @@ def _run_cells(config: ScenarioConfig, cells) -> ResultTable:
     there has no entry.
     """
     base = (config.market, config.n_basis, config.order)
+    config_hash = config.config_hash()
     jobs: list[_Job] = []
     markets: dict[MarketParams, dict[tuple, list[_Job]]] = {}
     for cell in cells:
@@ -412,7 +412,7 @@ def _run_cells(config: ScenarioConfig, cells) -> ResultTable:
                 base=dict(strike=strike, risk_aversion=risk_aversion,
                           noise=noise, n_basis=n_basis, order=order,
                           state=kind.value, bsm_price=bsm_price,
-                          bsm_delta=bsm_delta),
+                          bsm_delta=bsm_delta, config_hash=config_hash),
             )
             jobs.append(job)
             if benchmark_error is not None:

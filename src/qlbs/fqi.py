@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -376,11 +377,12 @@ def load_dataset(source) -> OfflineDataset:
     the stated (n_steps + 1) * n_paths, which is checked before anything
     of the stated size is allocated, a duplicate row, an index outside the
     stated shape, a row that is not six numbers (a ``#`` line among the
-    rows included), a missing or repeated metadata key, a value that does
-    not parse or that RiskParams rejects, ``n_paths`` or ``n_steps`` below
-    1, a ``strike`` or ``dt`` that is not positive, or a ``pure_risk``
-    other than ``True``, the one hedge form, raises ValueError naming the
-    file and the count, row or key.
+    rows included), a last line without a line end (a truncated file), a
+    missing or repeated metadata key, a value that does not parse or that
+    RiskParams rejects, ``n_paths`` or ``n_steps`` below 1, a ``strike``
+    or ``dt`` that is not positive, or a ``pure_risk`` other than
+    ``True``, the one hedge form, raises ValueError naming the file and
+    the count, row or key.
     """
     meta: dict[str, str] = {}
     header = None
@@ -438,6 +440,13 @@ def load_dataset(source) -> OfflineDataset:
         raise ValueError(f"{source}: " + _row_error(
             source, n_head, f"data rows have {table.shape[1]} columns"))
     table = table.reshape(-1, len(_CSV_COLUMNS))
+    # save_dataset ends every row with a line end. A file cut inside its
+    # last row may still parse, with that row's last number shortened.
+    with open(source, "rb") as raw:
+        raw.seek(-1, os.SEEK_END)
+        if raw.read(1) not in b"\r\n":
+            raise ValueError(f"{source}: the last line has no line end; the file "
+                             "is truncated")
     # Checked before any array of the declared size: with this count, no
     # index outside the shape and no duplicate, every (t, k) appears once.
     n_cells = (n_steps + 1) * n_paths

@@ -408,12 +408,18 @@ def compute_states(paths: PathSet, kind: StateKind) -> StateSeries:
     return StateSeries(values=values, kind=kind)
 
 
-def price_increments(paths: PathSet, r: float) -> Increments:
-    """Compute delta_s and its cross-sectionally demeaned counterpart."""
+def _delta_s(paths: PathSet, r: float) -> np.ndarray:
+    """The read-only (K, T) ``delta_s`` of :class:`Increments`."""
     growth = math.exp(r * paths.dt)
     delta_s = paths.prices[:, 1:] - growth * paths.prices[:, :-1]
-    delta_s_hat = delta_s - delta_s.mean(axis=0, keepdims=True)
     delta_s.setflags(write=False)
+    return delta_s
+
+
+def price_increments(paths: PathSet, r: float) -> Increments:
+    """Compute delta_s and its cross-sectionally demeaned counterpart."""
+    delta_s = _delta_s(paths, r)
+    delta_s_hat = delta_s - delta_s.mean(axis=0, keepdims=True)
     delta_s_hat.setflags(write=False)
     return Increments(delta_s=delta_s, delta_s_hat=delta_s_hat)
 

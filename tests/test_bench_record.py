@@ -254,3 +254,67 @@ class TestCleanClone:
                                                        "HEAD").strip()
             assert bench_record.revision(repo).endswith("-dirty")
         assert not clone.exists()
+
+
+class TestSeededNumbers:
+    PARENT = {"scenarios": {"single": [{"price": 4.49, "hedge": -0.41, "error": "",
+                                        "tw_mean": None}]},
+              "golden": {"price": 5.0, "phi": [[1.0, 2.0], [3.0, float("nan")]]}}
+
+    @staticmethod
+    def write(path, tree, indent=1):
+        path.write_text(json.dumps(tree, indent=indent) + "\n")
+        return path
+
+    def test_byte_identical_files(self, tmp_path):
+        parent = self.write(tmp_path / "parent.json", self.PARENT)
+        change = self.write(tmp_path / "change.json", self.PARENT)
+        assert bench_record.compare_numbers(parent, change) == {
+            "byte_identical": True, "numbers": 7, "numbers_differing": 0,
+            "largest_difference": None}
+
+    def test_moved_numbers_are_counted(self, tmp_path):
+        moved = json.loads(json.dumps(self.PARENT))
+        moved["scenarios"]["single"][0]["price"] = 4.49 + 1e-12
+        moved["golden"]["phi"][0][1] = 2.5
+        moved["golden"]["extra"] = 1.0  # on one side only
+        parent = self.write(tmp_path / "parent.json", self.PARENT)
+        change = self.write(tmp_path / "change.json", moved)
+        got = bench_record.compare_numbers(parent, change)
+        assert got == {"byte_identical": False, "numbers": 8, "numbers_differing": 3,
+                       "largest_difference": 0.5}
+
+    def test_same_numbers_in_other_bytes(self, tmp_path):
+        parent = self.write(tmp_path / "parent.json", self.PARENT)
+        change = self.write(tmp_path / "change.json", self.PARENT, indent=2)
+        got = bench_record.compare_numbers(parent, change)
+        assert not got["byte_identical"] and got["numbers_differing"] == 0
+
+    def test_both_sides_run_with_one_blas_thread(self, tmp_path):
+        # Each fake checkout writes its file only when run as the recipe says.
+        script = ("import json, os, sys\n"
+                  "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
+                  "assert sys.argv[1] == '--out'\n"
+                  "open(sys.argv[2], 'w').write(json.dumps({{'price': {}}}))\n")
+        checkouts = {}
+        for side, price in (("change", 4.5), ("parent", 4.25)):
+            (tmp_path / side / "tests").mkdir(parents=True)
+            (tmp_path / side / "tests" / "seeded_numbers.py").write_text(
+                script.format(price))
+            checkouts[side] = tmp_path / side
+        got = bench_record.seeded_record(checkouts)
+        assert got["change"] == got["parent"] == {"exit_code": 0}
+        assert (got["byte_identical"], got["numbers_differing"],
+                got["largest_difference"]) == (False, 1, 0.25)
+        assert got["command"] == ("OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python "
+                                  "tests/seeded_numbers.py --out FILE")
+
+    def test_a_failed_side_is_recorded_and_not_compared(self, tmp_path):
+        (tmp_path / "change" / "tests").mkdir(parents=True)
+        (tmp_path / "change" / "tests" / "seeded_numbers.py").write_text(
+            "import sys\nprint('no --out here', file=sys.stderr)\nsys.exit(2)\n")
+        got = bench_record.seeded_record({"change": tmp_path / "change",
+                                          "parent": tmp_path / "missing"})
+        assert got["change"] == {"exit_code": 2, "stderr_tail": "no --out here"}
+        assert got["parent"]["exit_code"] is None
+        assert "byte_identical" not in got

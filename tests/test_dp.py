@@ -61,6 +61,12 @@ class TestRiskParams:
         risk = RiskParams.from_rate(1e-3, r=0.03, dt=1.0 / 3.0)
         assert risk.gamma == pytest.approx(math.exp(-0.01))
 
+    def test_nan_risk_aversion_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            RiskParams(risk_aversion=math.nan, gamma=0.99)
+        with pytest.raises(ValueError, match="nonnegative"):
+            RiskParams.from_rate(math.nan, r=0.03, dt=1.0 / 3.0)
+
     def test_zero_risk_aversion_accepted(self):
         # The pure-risk hedge never divides by the risk aversion.
         assert RiskParams(risk_aversion=0.0, gamma=0.99).risk_aversion == 0.0

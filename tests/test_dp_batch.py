@@ -505,6 +505,97 @@ class TestStepwisePeak:
             f"cube {cube / 1e6:.3f} MB")
 
 
+class TestPassSlabs:
+    def test_a_pass_holds_four_contract_slabs(self):
+        # Ten contracts on 10k x 24 paths and stored SplineFeatures of 12
+        # cubic splines, as one group of a sweep that stores its features.
+        market = replace(MARKET, sigma=0.15, maturity=1.0, n_steps=24, n_paths=10_000)
+        paths = simulate_gbm(market)
+        kind = StateKind.DRIFT_ADJUSTED
+        spec = spec_for_states(compute_states(paths, kind).values)
+        features = spline_features(spec, compute_states(paths, kind).values)
+        contracts = [(z, RiskParams.from_rate(lam, market.r, market.dt))
+                     for z in (60.0, 80.0, 100.0, 120.0, 140.0) for lam in (1e-4, 1e-3)]
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            run_model_based_batch(paths, kind, contracts, features=features)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        n_contracts, n_paths, n_steps = len(contracts), paths.n_paths, paths.n_steps
+        slab = 8 * n_contracts * n_paths
+        # Four (C, K) slabs: the portfolio, its demeaned copy, the action
+        # values and the work slab. Beside them the (K, T) increments, the
+        # (T, C, N) coefficients and, at the hedge fit, one step's dense
+        # (K, N) features, the Gram's weighted copy of them, the step's
+        # demeaned increments and numpy's ufunc buffer. One (K,) vector of
+        # slack, as in TestStepwisePeak. A fifth slab would exceed the bound.
+        allowed = (4 * slab + 8 * n_paths * n_steps
+                   + 2 * 8 * n_steps * n_contracts * spec.n_basis
+                   + 2 * 8 * n_paths * spec.n_basis + 8 * n_paths
+                   + 8 * np.getbufsize() + 8 * n_paths)
+        assert peak <= allowed, (
+            f"peak {peak / slab:.2f} slabs above the live {live / 1e6:.3f} MB, "
+            f"allowed {allowed / slab:.2f} ({slab / 1e6:.3f} MB each)")
+
+
+def in_place_inputs(shape):
+    """Portfolios, hedge and a strided increments column of ``shape``, and
+    a risk aversion that broadcasts against it."""
+    rng = np.random.default_rng(len(shape))
+    n_paths = shape[-1]
+    delta_s = rng.normal(size=(n_paths, 4))[:, 2]
+    pi_next, hedge, pi_t = (rng.normal(scale=10.0, size=shape) for _ in range(3))
+    risk_aversion = 1e-3 if len(shape) == 1 else np.linspace(0, 1e-2, shape[0])[:, None]
+    return pi_next, hedge, pi_t, delta_s, risk_aversion
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(257,), (3, 257)])
+class TestInPlace:
+    """``out=`` gives the returning form's bits, also into an input."""
+
+    def test_rollback_portfolio(self, shape):
+        pi_next, hedge, _, delta_s, _ = in_place_inputs(shape)
+        want = rollback_portfolio(pi_next, hedge, delta_s, 0.99)
+        out = np.empty(shape)
+        assert rollback_portfolio(pi_next, hedge, delta_s, 0.99, out=out) is out
+        assert_same_bits(out, want)
+        aliased = hedge.copy()  # the pass rolls back over its hedge
+        rollback_portfolio(pi_next, aliased, delta_s, 0.99, out=aliased)
+        assert_same_bits(aliased, want)
+
+    def test_compute_rewards(self, shape):
+        pi_next, _, pi_t, _, risk_aversion = in_place_inputs(shape)
+        want = compute_rewards(pi_next, pi_t, 0.99, risk_aversion)
+        out = np.empty(shape)
+        assert compute_rewards(pi_next, pi_t, 0.99, risk_aversion, out=out) is out
+        assert_same_bits(out, want)
+        aliased = pi_next.copy()  # the pass writes rewards over the portfolio
+        compute_rewards(aliased, pi_t, 0.99, risk_aversion, out=aliased)
+        assert_same_bits(aliased, want)
+
+    def test_fits_write_their_targets(self, shape):
+        pi_next, hedge, pi_t, delta_s, _ = in_place_inputs(shape)
+        rng = np.random.default_rng(5)
+        step = basis.FeatureMatrix(rng.uniform(size=(shape[-1], 6)))
+        delta_s_hat = delta_s - delta_s.mean()
+        risk = RiskParams(1e-3, gamma=0.99)
+        want = fit_hedge_coefficients(step, delta_s, delta_s_hat, pi_next, risk)
+        aliased = pi_next.copy()
+        got = fit_hedge_coefficients(step, delta_s, delta_s_hat, aliased, risk, out=aliased)
+        assert_same_bits(got, want)
+        assert_same_bits(aliased, pi_next * delta_s_hat)
+        want = fit_q_coefficients(step, pi_t, hedge, 0.99)
+        aliased = hedge.copy()
+        assert_same_bits(fit_q_coefficients(step, pi_t, aliased, 0.99, out=aliased), want)
+        assert_same_bits(aliased, pi_t + 0.99 * hedge)
+
+
 class TestBatchValidation:
     def test_mixed_gamma_rejected(self):
         kind, paths, spec, cube = shared_inputs(0)

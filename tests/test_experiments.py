@@ -240,6 +240,25 @@ class TestRunScenario:
         assert table.errors
         assert len(table.rows) == 4  # error rows still emitted per method
 
+    @pytest.mark.parametrize("strikes", [[90.0, 110.0], [-5.0]])
+    def test_config_hash_computed_once_per_sweep(self, monkeypatch, strikes):
+        # Solved rows, and error rows of a strike the benchmark rejects.
+        config = small_config(scenario=Scenario.MONEYNESS,
+                              sweep={"strikes": strikes, "risk_aversions": [1e-4]})
+        expected = config.config_hash()
+        calls = []
+
+        def counted(self):
+            calls.append(self)
+            return expected
+
+        monkeypatch.setattr(ScenarioConfig, "config_hash", counted)
+        table = run_scenario(config)
+        assert calls == [config]
+        assert len(table.rows) == 2 * len(strikes)
+        assert bool(table.errors) == (strikes == [-5.0])
+        assert table.column("config_hash") == [expected] * len(table.rows)
+
     @pytest.mark.parametrize("n_basis", [12, 100])
     def test_nan_state_gives_error_rows(self, monkeypatch, n_basis):
         # One NaN state, with the basis spanning the finite ones: the

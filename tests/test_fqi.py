@@ -1,8 +1,11 @@
 import csv
+import functools
 import logging
 import math
+import tempfile
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -710,3 +713,145 @@ class TestDatasetRoundTripProperty:
     def test_load_returns_every_field(self, tmp_path, dataset):
         assert_matches_csv_writer(dataset, tmp_path)
         assert_same_dataset(load_dataset(tmp_path / "fast.csv"), dataset)
+
+
+# Values a mutation writes into a data cell (text, nan, inf, a float that
+# overflows) and into a metadata value, where well-formed numbers may
+# state another dataset.
+_CELL_VALUES = ("x", "nan", "inf", "1e400")
+_META_VALUES = ("", "x", "nan", "inf", "-inf", "1e400", "0", "-1", "2")
+_N_META = 10  # metadata lines before the header
+
+
+def _same_dataset(loaded, dataset) -> bool:
+    try:
+        assert_same_dataset(loaded, dataset)
+    except AssertionError:
+        return False
+    return True
+
+
+def _stated_dataset(dataset, key, value):
+    """The dataset a file states once metadata ``key`` reads ``value``, or
+    None where the loader must reject the value or keep the dataset."""
+    try:
+        number = float(value)
+        if key in ("strike", "dt", "mu", "sigma"):
+            return replace(dataset, **{key: number})
+        if key == "risk_aversion":
+            return replace(dataset, risk=RiskParams(number, dataset.risk.gamma))
+        if key == "gamma":
+            return replace(dataset, risk=RiskParams(dataset.risk.risk_aversion, number))
+    except ValueError:
+        pass
+    return None
+
+
+def _mutate(lines, data):
+    """One mutation of a saved file's lines: the new text, what was done
+    and the (key, value) a metadata mutation wrote."""
+    n_lines, first_row = len(lines), _N_META + 1
+    kind = data.draw(st.sampled_from([
+        "delete", "duplicate", "swap", "cell", "add column", "drop column",
+        "truncate", "metadata value", "line endings"]), label="mutation")
+    lines = list(lines)
+    meta = None
+    if kind == "delete":
+        del lines[data.draw(st.integers(0, n_lines - 1))]
+    elif kind == "duplicate":
+        line = lines[data.draw(st.integers(0, n_lines - 1))]
+        lines.insert(data.draw(st.integers(0, n_lines)), line)
+    elif kind == "swap":
+        i, j = data.draw(st.lists(st.integers(0, n_lines - 1), min_size=2, max_size=2,
+                                  unique=True))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "cell":
+        i = data.draw(st.integers(first_row, n_lines - 1))
+        cells = lines[i].rstrip("\r\n").split(",")
+        column = data.draw(st.integers(0, len(cells) - 1))
+        cells[column] = data.draw(st.sampled_from(_CELL_VALUES))
+        kind = "nonfinite cell" if cells[column] != "x" and column >= 2 else kind
+        lines[i] = ",".join(cells) + "\r\n"
+    elif kind in ("add column", "drop column"):
+        every_row = data.draw(st.booleans())
+        rows = (range(first_row, n_lines) if every_row
+                else [data.draw(st.integers(_N_META, n_lines - 1))])
+        for i in rows:
+            body = lines[i].rstrip("\r\n")
+            body = body + ",0.5" if kind == "add column" else body.rpartition(",")[0]
+            lines[i] = body + "\r\n"
+    elif kind == "truncate":
+        # The file loses part of its last row, or a tail up to all its rows.
+        rows = "".join(lines[first_row:])
+        lost = data.draw(st.one_of(st.integers(1, len(lines[-1])),
+                                   st.integers(1, len(rows))))
+        lines[first_row:] = [rows[:-lost]]
+    elif kind == "metadata value":
+        i = data.draw(st.integers(0, _N_META - 1))
+        key = lines[i][2:].partition("=")[0]
+        meta = key, data.draw(st.sampled_from(_META_VALUES))
+        lines[i] = f"# {key}={meta[1]}\n"
+    else:
+        endings = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                                     min_size=n_lines, max_size=n_lines))
+        lines = [line.rstrip("\r\n") + end for line, end in zip(lines, endings)]
+    return "".join(lines), kind, meta
+
+
+@functools.cache
+def _saved(n_paths):
+    """A 2-step dataset of ``n_paths`` paths and the lines save_dataset writes."""
+    dataset = noisy_dataset(n_paths, 2)
+    with tempfile.TemporaryDirectory() as scratch:
+        dest = Path(scratch) / "saved.csv"
+        save_dataset(dataset, dest)
+        return dataset, dest.read_bytes().decode().splitlines(keepends=True)
+
+
+class TestLoadDatasetMutations:
+    """A file save_dataset wrote, changed by one mutation, either loads as
+    the dataset it states or raises ValueError naming the file.
+
+    It loads as the original when only its line endings changed, and may
+    when the change leaves what it states alone (rows reordered, or a
+    non-terminal row's next state, which the loader does not read). A
+    nonfinite data cell may instead load and be rejected by run_fqi's
+    check. A metadata value the loader admits states the original with
+    that one value replaced. No other outcome and no other exception type
+    is allowed.
+    """
+
+    @given(n_paths=st.sampled_from([2, 3]), data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_file_loads_as_stated_or_is_rejected(self, tmp_path, n_paths, data):
+        dataset, lines = _saved(n_paths)
+        text, kind, meta = _mutate(lines, data)
+        dest = tmp_path / "mutated.csv"
+        dest.write_bytes(text.encode())
+        try:
+            loaded = load_dataset(dest)
+        except ValueError as err:
+            assert str(dest) in str(err)
+            assert kind != "line endings", err
+            return
+        if _same_dataset(loaded, dataset):
+            return
+        if kind == "nonfinite cell":
+            with pytest.raises(ValueError, match="must be finite"):
+                loaded.check_finite()
+            return
+        stated = meta and _stated_dataset(dataset, *meta)
+        assert stated is not None and _same_dataset(loaded, stated), (
+            f"{kind} {meta or ''} loaded a different dataset from {text!r}")
+
+    def test_nan_risk_aversion_rejected(self, tmp_path):
+        # Found by the mutation above at more examples: RiskParams once
+        # admitted a nan risk aversion, so the loader returned it.
+        _, lines = _saved(2)
+        dest = tmp_path / "nan.csv"
+        dest.write_bytes("".join(lines).replace("# risk_aversion=0.0001\n",
+                                                "# risk_aversion=nan\n").encode())
+        with pytest.raises(ValueError, match=f"{dest}: metadata: risk_aversion must "
+                                             "be nonnegative"):
+            load_dataset(dest)

@@ -17,7 +17,10 @@ the parent's interquartile range, the pairs the change won and a verdict
 by the file's bound (see :func:`verdict`); the claim workload's metrics
 also get ``claim_met`` (see :func:`claim_met`). The record also holds
 each side's tier-1 wall time and every acceptance criterion's call time
-from ``pytest --durations``.
+from ``pytest --durations``, and whether the seeded numbers moved: both
+sides write ``tests/seeded_numbers.py --out`` with one BLAS thread, and
+the record keeps whether the two files are byte-identical and how many
+of their numbers differ (see :func:`compare_numbers`).
 
 A run that exits non-zero, times out, prints no result line, reports
 ``correct: false`` or counts failed operations does not stop the record:
@@ -52,6 +55,7 @@ CLAIM_WINS = 9
 RUN_TIMEOUT_S = 600
 STDERR_TAIL_LINES = 40
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0"]
+SEEDED = ["tests/seeded_numbers.py", "--out"]
 CRITERION = re.compile(
     r"^([\d.]+)s call\s+tests/test_acceptance\.py::TestCriterion(\d+)\w*::", re.M)
 
@@ -118,6 +122,69 @@ def tier1(checkout: Path) -> dict:
                                            + float(seconds), 2)
     return {"summary": run.stdout.strip().splitlines()[-1].strip("= "),
             "wall_s": round(wall_s, 1), "criterion_call_s": criteria}
+
+
+def seeded_numbers(checkout: Path, dest: Path) -> dict:
+    """Write ``checkout``'s seeded numbers to ``dest`` with one BLAS thread:
+    the run's exit code, and the tail of its standard error if it failed."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
+    try:
+        run = subprocess.run([sys.executable, *SEEDED, str(dest)], cwd=checkout,
+                             env=env, capture_output=True, text=True,
+                             timeout=RUN_TIMEOUT_S)
+    except (OSError, subprocess.TimeoutExpired) as err:
+        return {"exit_code": None, "stderr_tail": _tail(str(err))}
+    if run.returncode != 0:
+        return {"exit_code": run.returncode, "stderr_tail": _tail(run.stderr)}
+    return {"exit_code": 0}
+
+
+def _numbers(tree, path=()):
+    """(path, value) of every number in a JSON tree; booleans and nulls
+    are not numbers."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _numbers(value, path + (key,))
+    elif isinstance(tree, list):
+        for index, value in enumerate(tree):
+            yield from _numbers(value, path + (index,))
+    elif isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        yield path, float(tree)
+
+
+def compare_numbers(parent: Path, change: Path) -> dict:
+    """Whether two seeded-number files are byte-identical, how many numbers
+    they hold, how many differ (a number on one side only counts, nan
+    equals nan) and the largest absolute difference among those on both
+    sides, or None when none differs there."""
+    parent_bytes, change_bytes = parent.read_bytes(), change.read_bytes()
+    sides = [dict(_numbers(json.loads(data))) for data in (parent_bytes, change_bytes)]
+    differing, largest = 0, None
+    for path in sides[0].keys() | sides[1].keys():
+        a, b = (side.get(path) for side in sides)
+        if a is None or b is None:
+            differing += 1
+        elif a != b and not (np.isnan(a) and np.isnan(b)):
+            differing += 1
+            if not np.isnan(a - b):
+                largest = max(largest or 0.0, abs(a - b))
+    return {"byte_identical": parent_bytes == change_bytes,
+            "numbers": len(sides[0].keys() | sides[1].keys()),
+            "numbers_differing": differing, "largest_difference": largest}
+
+
+def seeded_record(checkouts: dict[str, Path]) -> dict:
+    """Both sides' seeded-number runs and, when both wrote their file,
+    :func:`compare_numbers` of parent and change."""
+    record = {"command": "OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python "
+                         + " ".join(SEEDED) + " FILE"}
+    with tempfile.TemporaryDirectory(prefix="seeded-numbers-") as scratch:
+        files = {side: Path(scratch) / f"{side}.json" for side in checkouts}
+        for side, checkout in checkouts.items():
+            record[side] = seeded_numbers(checkout, files[side])
+        if all(record[side]["exit_code"] == 0 for side in checkouts):
+            record.update(compare_numbers(files["parent"], files["change"]))
+    return record
 
 
 def _gain(direction: str, parent: float, change: float) -> float:
@@ -265,6 +332,7 @@ def measure(checkouts: dict[str, Path], spec: dict, claim: str | None,
                                                 claim=claim == workload)
     record["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
                        **{side: tier1(path) for side, path in checkouts.items()}}
+    record["seeded_numbers"] = seeded_record(checkouts)
     return record
 
 
@@ -297,6 +365,17 @@ def main(argv=None) -> int:
                        ", claim met" if result["claim_met"] else ", claim not met")
             print(f"{workload} {metric['name']}: {result['verdict']}{claimed}",
                   file=sys.stderr)
+    seeded = record["seeded_numbers"]
+    if "byte_identical" not in seeded:
+        failed = [side for side in ("parent", "change") if seeded[side]["exit_code"] != 0]
+        print(f"seeded numbers: not compared, {' and '.join(failed)} run failed",
+              file=sys.stderr)
+    elif seeded["byte_identical"]:
+        print(f"seeded numbers: byte-identical ({seeded['numbers']} numbers)",
+              file=sys.stderr)
+    else:
+        print(f"seeded numbers: {seeded['numbers_differing']} of {seeded['numbers']} "
+              f"differ, largest by {seeded['largest_difference']}", file=sys.stderr)
     bad = flagged(record["end_to_end"])
     for line in bad:
         print(f"bad run: {line}", file=sys.stderr)
