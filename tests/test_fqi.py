@@ -846,8 +846,8 @@ class TestLoadDatasetMutations:
             f"{kind} {meta or ''} loaded a different dataset from {text!r}")
 
     def test_nan_risk_aversion_rejected(self, tmp_path):
-        # Found by the mutation above at more examples: RiskParams once
-        # admitted a nan risk aversion, so the loader returned it.
+        # The mutation test seldom draws this key and value together, and
+        # a "< 0" check in RiskParams would let the nan through.
         _, lines = _saved(2)
         dest = tmp_path / "nan.csv"
         dest.write_bytes("".join(lines).replace("# risk_aversion=0.0001\n",
