@@ -512,8 +512,10 @@ class TestPassSlabs:
         market = replace(MARKET, sigma=0.15, maturity=1.0, n_steps=24, n_paths=10_000)
         paths = simulate_gbm(market)
         kind = StateKind.DRIFT_ADJUSTED
-        spec = spec_for_states(compute_states(paths, kind).values)
-        features = spline_features(spec, compute_states(paths, kind).values)
+        states = compute_states(paths, kind).values
+        spec = spec_for_states(states)
+        features = spline_features(spec, states)
+        del states
         contracts = [(z, RiskParams.from_rate(lam, market.r, market.dt))
                      for z in (60.0, 80.0, 100.0, 120.0, 140.0) for lam in (1e-4, 1e-3)]
         tracemalloc.start()
