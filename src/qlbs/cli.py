@@ -3,8 +3,12 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from .basis import (DEFAULT_N_BASIS, DEFAULT_ORDER, SplineSteps, spec_for_states,
                     spline_features)
@@ -209,6 +213,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS bundled with
+    numpy's wheel, or None where that library or its functions are absent.
+    Looked up on first call, not at import."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                       .glob("libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit status.
 
@@ -219,14 +243,24 @@ def main(argv=None) -> int:
     Each command ends in glibc's ``malloc_trim``: glibc keeps freed heap
     resident up to twice the largest block freed so far, so an in-process
     caller would otherwise hold more or less of what a quote freed.
+    Each command runs with numpy's bundled OpenBLAS at one thread, and the
+    count found is restored on the way out: a second thread doubles the
+    CPU time of the solvers' small BLAS calls and does not shorten them.
     """
     args = build_parser().parse_args(argv)
+    blas = _openblas_threads()
+    if blas is not None:
+        get_threads, set_threads = blas
+        threads = get_threads()
+        set_threads(1)
     try:
         return args.func(args)
     except (ValueError, OSError) as err:
         print(f"qlbs: error: {err}", file=sys.stderr)
         return 2
     finally:
+        if blas is not None:
+            set_threads(threads)
         libc = ctypes.CDLL(None) if sys.platform == "linux" else None
         if hasattr(libc, "malloc_trim"):
             libc.malloc_trim(0)

@@ -42,6 +42,8 @@ class RiskParams:
     def __post_init__(self):
         if not self.risk_aversion >= 0:  # nan too
             raise ValueError("risk_aversion must be nonnegative")
+        if math.isinf(self.risk_aversion):
+            raise ValueError("risk_aversion must be finite")
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must lie in (0, 1]")
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
+import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,7 +315,8 @@ def save_dataset(dataset: OfflineDataset, dest) -> None:
     ``"\\r\\n"``, the terminator of :mod:`csv`'s default dialect, and floats
     are written with ``repr``. The bytes equal those of a ``csv.writer``
     loop over the cells, which ``tests/test_fqi.py`` keeps as a reference.
-    Rows are written one time step at a time.
+    Each time step's rows are joined into one string and written in one
+    call, so the text held at once is one step's.
     """
     meta = {
         "state_kind": dataset.state_kind.value,
@@ -331,16 +334,19 @@ def save_dataset(dataset: OfflineDataset, dest) -> None:
         for key, value in meta.items():
             handle.write(f"# {key}={value}\n")
         handle.write(",".join(_CSV_COLUMNS) + "\r\n")
-        paths = range(dataset.n_paths)
+        if not dataset.n_paths:
+            return  # no rows
+        k_text = list(map(str, range(dataset.n_paths)))
         state = list(map(repr, dataset.states[:, 0].tolist()))
         for t in range(dataset.n_steps + 1):
             following = (dataset.terminal_portfolio if t == dataset.n_steps
                          else dataset.states[:, t + 1])
             next_state = list(map(repr, following.tolist()))
-            handle.writelines(
-                f"{t},{k},{s},{a},{r},{n}\r\n" for k, s, a, r, n in zip(
-                    paths, state, map(repr, dataset.actions[:, t].tolist()),
-                    map(repr, dataset.rewards[:, t].tolist()), next_state))
+            # One expression: the rows and their iterators are freed once
+            # written, and do not hold the last step's lists into the next.
+            handle.write(f"{t}," + f"\r\n{t},".join(map(",".join, zip(
+                k_text, state, map(repr, dataset.actions[:, t].tolist()),
+                map(repr, dataset.rewards[:, t].tolist()), next_state))) + "\r\n")
             state = next_state
 
 
@@ -380,9 +386,10 @@ def load_dataset(source) -> OfflineDataset:
     rows included), a last line without a line end (a truncated file), a
     missing or repeated metadata key, a value that does not parse or that
     RiskParams rejects, ``n_paths`` or ``n_steps`` below 1, a ``strike``
-    or ``dt`` that is not positive, or a ``pure_risk`` other than
-    ``True``, the one hedge form, raises ValueError naming the file and
-    the count, row or key.
+    or ``dt`` that is not positive, a ``strike``, ``dt``, ``mu`` or
+    ``sigma`` that is not finite, or a ``pure_risk`` other than ``True``,
+    the one hedge form, raises ValueError naming the file and the count,
+    row or key.
     """
     meta: dict[str, str] = {}
     header = None
@@ -416,10 +423,15 @@ def load_dataset(source) -> OfflineDataset:
 
         n_paths, n_steps = parse("n_paths", int), parse("n_steps", int)
         strike, dt = parse("strike", float), parse("dt", float)
+        mu, sigma = parse("mu", float), parse("sigma", float)
         for key, value, rule, holds in [("n_paths", n_paths, "at least 1", n_paths >= 1),
                                         ("n_steps", n_steps, "at least 1", n_steps >= 1),
                                         ("strike", strike, "positive", strike > 0),
-                                        ("dt", dt, "positive", dt > 0)]:
+                                        ("dt", dt, "positive", dt > 0),
+                                        ("strike", strike, "finite", math.isfinite(strike)),
+                                        ("dt", dt, "finite", math.isfinite(dt)),
+                                        ("mu", mu, "finite", math.isfinite(mu)),
+                                        ("sigma", sigma, "finite", math.isfinite(sigma))]:
             if not holds:
                 raise ValueError(f"{source}: metadata key {key!r} must be {rule}, "
                                  f"got {value!r}")
@@ -429,9 +441,11 @@ def load_dataset(source) -> OfflineDataset:
         except ValueError as err:
             raise ValueError(f"{source}: metadata: {err}") from err
         state_kind = parse("state_kind", StateKind.parse)
-        mu, sigma = parse("mu", float), parse("sigma", float)
         try:
-            table = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
+            with warnings.catch_warnings():
+                # A file of no rows gets the row-count error below.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
         except ValueError as err:
             raise ValueError(f"{source}: {_row_error(source, n_head, str(err))}") from None
     if table.size and table.shape[1] != len(_CSV_COLUMNS):

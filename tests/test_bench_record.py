@@ -60,6 +60,15 @@ class TestSummarize:
             (True, 2, "2 of 10 operations failed"), (False, 0, "correct: false")]
 
 
+    def test_cpu_per_wall_second_medians(self):
+        runs = [{**run(side, pair, 1.0, 100.0), "cpu_s": cpu, "wall_s": 10.0}
+                for side, pair, cpu in [("parent", 1, 19.0), ("parent", 2, 20.0),
+                                        ("parent", 3, 16.0), ("change", 1, 10.0),
+                                        ("change", 2, 11.0), ("change", 3, 10.5)]]
+        runs.append(run("change", 4, 1.0, 100.0))  # recorded without seconds
+        summary = bench_record.summarize(runs, END_TO_END)
+        assert summary["cpu_per_wall"] == {"parent": 1.9, "change": 1.05}
+
     def test_claim_met_only_on_the_claim_workload(self):
         runs = [run(side, p, 1.0, 100.0 if side == "parent" else 80.0)
                 for p in range(1, 11) for side in ("parent", "change")]
@@ -174,8 +183,20 @@ class TestRunOnce:
             "print(json.dumps({'correct': True, 'attempted': 3, 'failed': 0, "
             "'metrics': {}}))\n"))
         got = bench_record.run_once(checkout, "desk-quote", 1, 1.0)
-        assert got == {"exit_code": 0, "result": {"correct": True, "attempted": 3,
-                                                  "failed": 0, "metrics": {}}}
+        assert got == {"exit_code": 0, "cpu_s": got["cpu_s"], "wall_s": got["wall_s"],
+                       "result": {"correct": True, "attempted": 3, "failed": 0,
+                                  "metrics": {}}}
+
+    def test_cpu_and_wall_seconds(self, tmp_path):
+        # 0.3 s of computing, then 0.4 s of sleep.
+        checkout = self.checkout(tmp_path, (
+            "import json, time\n"
+            "while time.process_time() < 0.3:\n    pass\n"
+            "time.sleep(0.4)\n"
+            "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, "
+            "'metrics': {}}))\n"))
+        got = bench_record.run_once(checkout, "desk-quote", 1, 1.0)
+        assert 0.3 <= got["cpu_s"] < got["wall_s"] - 0.3
 
     def test_timeout(self, tmp_path, monkeypatch):
         monkeypatch.setattr(bench_record, "RUN_TIMEOUT_S", 0.5)

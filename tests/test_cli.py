@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 import sys
@@ -268,6 +269,8 @@ class TestFreeHeapReleased:
     @staticmethod
     def use_libc(monkeypatch, libc):
         monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=lambda name: libc))
+        # The fake would also answer the OpenBLAS lookup, and its cache.
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="glibc only")
     def test_trimmed_after_success_usage_error_and_raise(self, monkeypatch, capsys):
@@ -288,6 +291,67 @@ class TestFreeHeapReleased:
         self.use_libc(monkeypatch, SimpleNamespace())
         assert main(["price-bs"]) == 0
         assert json.loads(capsys.readouterr().out)["price"] > 0
+
+
+def openblas_threads():
+    blas = cli._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS is absent: no thread count to read")
+    return blas
+
+
+class TestOneBlasThread:
+    """Each command runs at one OpenBLAS thread, and main restores the
+    count it found."""
+
+    # A RuntimeError is not a usage error: main lets it propagate.
+    @pytest.mark.parametrize("error, status", [
+        (None, 0), (ValueError, 2), (RuntimeError, None)],
+        ids=["status-0", "ValueError", "RuntimeError"])
+    def test_one_thread_inside_count_restored_after(self, monkeypatch, capsys,
+                                                    error, status):
+        get_threads, set_threads = openblas_threads()
+        inside = []
+
+        def command(args):
+            inside.append(get_threads())
+            if error is not None:
+                raise error("from the command")
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_price_bs", command)
+        original = get_threads()
+        set_threads(2)  # a count other than the command's, on any machine
+        try:
+            if status is None:
+                with pytest.raises(RuntimeError, match="from the command"):
+                    main(["price-bs"])
+            else:
+                assert main(["price-bs"]) == status
+            after = get_threads()
+        finally:
+            set_threads(original)
+        assert inside == [1]
+        assert after == 2
+
+    @pytest.mark.parametrize("absent", ["library", "loadable library", "functions"])
+    def test_commands_run_without_the_library(self, monkeypatch, capsys, tmp_path,
+                                              absent):
+        expected = run_cli(capsys, "price-bs")
+
+        def cdll(name):
+            if name is not None and absent == "loadable library":
+                raise OSError(f"{name}: cannot open shared object file")
+            return SimpleNamespace()  # no OpenBLAS functions, no malloc_trim
+
+        if absent == "library":
+            monkeypatch.setattr(cli, "np", SimpleNamespace(
+                __file__=str(tmp_path / "numpy" / "__init__.py")))
+        monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=cdll))
+        lookup = functools.cache(cli._openblas_threads.__wrapped__)
+        monkeypatch.setattr(cli, "_openblas_threads", lookup)
+        assert run_cli(capsys, "price-bs") == expected
+        assert lookup() is None
 
 
 class TestExperiment:

@@ -67,6 +67,10 @@ class TestRiskParams:
         with pytest.raises(ValueError, match="nonnegative"):
             RiskParams.from_rate(math.nan, r=0.03, dt=1.0 / 3.0)
 
+    def test_infinite_risk_aversion_rejected(self):
+        with pytest.raises(ValueError, match="risk_aversion must be finite"):
+            RiskParams(risk_aversion=math.inf, gamma=0.99)
+
     def test_zero_risk_aversion_accepted(self):
         # The pure-risk hedge never divides by the risk aversion.
         assert RiskParams(risk_aversion=0.0, gamma=0.99).risk_aversion == 0.0

@@ -4,6 +4,7 @@ import logging
 import math
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -517,6 +518,28 @@ class TestLoadDatasetRejectsMalformedFiles:
             load_dataset(dest)
 
     @pytest.mark.parametrize("key, value, message", [
+        ("strike", "inf", "metadata key 'strike' must be finite, got inf"),
+        ("dt", "inf", "metadata key 'dt' must be finite, got inf"),
+        ("mu", "nan", "metadata key 'mu' must be finite, got nan"),
+        ("sigma", "-inf", "metadata key 'sigma' must be finite, got -inf"),
+        ("risk_aversion", "inf", "metadata: risk_aversion must be finite")],
+        ids=["strike", "dt", "mu", "sigma", "risk_aversion"])
+    def test_nonfinite_metadata(self, tmp_path, lines, key, value, message):
+        dest = self.replace_value(tmp_path, lines, key, value)
+        with pytest.raises(ValueError) as info:
+            load_dataset(dest)
+        assert str(info.value) == f"{dest}: {message}"
+
+    def test_header_without_rows(self, tmp_path, lines):
+        # numpy warns of input with no data; the loader's error comes alone.
+        dest = self.write(tmp_path, lines[:self.data_index(lines, 0, 0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                load_dataset(dest)
+        assert str(info.value) == f"{dest}: 0 data rows, but 13 times x 5 paths need 65"
+
+    @pytest.mark.parametrize("key, value, message", [
         ("n_paths", "0", "must be at least 1, got 0"),
         ("n_steps", "0", "must be at least 1, got 0"),
         ("strike", "-5.0", "must be positive, got -5.0"),
@@ -617,6 +640,14 @@ class TestSaveDatasetMatchesCsvWriter:
         assert_matches_csv_writer(noisy_dataset(10_000, 24, StateKind.PRICE, seed=31),
                                   tmp_path)
 
+    def test_no_paths(self, tmp_path):
+        empty = np.empty((0, 3))
+        dataset = OfflineDataset(states=empty, actions=empty, rewards=empty,
+                                 terminal_portfolio=[], state_kind=StateKind.PRICE,
+                                 strike=100.0, risk=RiskParams(0.0, 1.0), dt=0.5)
+        assert assert_matches_csv_writer(dataset, tmp_path).endswith(
+            b"# n_steps=2\nt,k,state,action,reward,next_state\r\n")
+
     def test_special_values_and_terminators(self, tmp_path):
         nan = float("nan")
         dataset = OfflineDataset(
@@ -697,12 +728,13 @@ def offline_datasets(draw):
         states=table(), actions=table(), rewards=table(),
         terminal_portfolio=draw(st.lists(cells, min_size=n_paths, max_size=n_paths)),
         state_kind=draw(st.sampled_from(StateKind)),
-        # The loader rejects a strike or dt that is not positive.
-        strike=draw(st.floats(0.0, exclude_min=True)),
+        # The loader rejects a strike or dt that is not positive, and
+        # metadata that is not finite.
+        strike=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
         risk=RiskParams(draw(st.floats(0.0, 1e3)), draw(st.floats(1e-6, 1.0))),
-        dt=draw(st.floats(0.0, exclude_min=True)),
-        mu=draw(st.floats(allow_nan=False)),
-        sigma=draw(st.floats(allow_nan=False)),
+        dt=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        mu=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        sigma=draw(st.floats(allow_nan=False, allow_infinity=False)),
     )
 
 

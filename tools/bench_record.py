@@ -10,11 +10,14 @@ enter the comparison; the parent side runs in the checkout given. For
 every workload in ``BENCHMARK.json`` the record keeps the last JSON line
 of ``perfbench/run.py`` (end-to-end, ``--trace 0``, the file's
 ``run_seconds``) from both sides, in pairs that alternate which side runs
-first. The claim workload runs ten pairs and the others three; without
-``--claim`` every workload runs ten and the record's claim is null. Each
+first, with the run's wall seconds and the CPU seconds (user plus system)
+that it and the processes it waited for used. The claim workload runs
+ten pairs and the others three; without ``--claim`` every workload runs
+ten and the record's claim is null. Each
 workload gets, per metric, the medians, each side's minimum and maximum,
 the parent's interquartile range, the pairs the change won and a verdict
-by the file's bound (see :func:`verdict`); the claim workload's metrics
+by the file's bound (see :func:`verdict`), and each side's median CPU
+seconds per wall second over its runs; the claim workload's metrics
 also get ``claim_met`` (see :func:`claim_met`). The record also holds
 each side's tier-1 wall time and every acceptance criterion's call time
 from ``pytest --durations``, and whether the seeded numbers moved: both
@@ -36,6 +39,7 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -67,17 +71,31 @@ def _tail(text) -> str:
     return "\n".join((text or "").splitlines()[-STDERR_TAIL_LINES:])
 
 
+def _children_cpu_s() -> float:
+    """User plus system seconds of every child process waited for so far,
+    each with the descendants it waited for."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One end-to-end benchmark run in ``checkout``: its exit code and
-    result line, plus the tail of its standard error if it went wrong."""
+    """One end-to-end benchmark run in ``checkout``: its exit code, result
+    line, wall seconds and CPU seconds, plus the tail of its standard
+    error if it went wrong."""
+    cpu_s, started = _children_cpu_s(), time.perf_counter()
     try:
         run = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
              str(seed), "--seconds", str(seconds), "--trace", "0"],
             cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired as err:
-        return {"exit_code": None, "timed_out": True, "stderr_tail": _tail(err.stderr)}
-    record = {"exit_code": run.returncode}
+        run, stderr = None, err.stderr
+    times = {"cpu_s": round(_children_cpu_s() - cpu_s, 3),
+             "wall_s": round(time.perf_counter() - started, 3)}
+    if run is None:
+        return {"exit_code": None, "timed_out": True, **times,
+                "stderr_tail": _tail(stderr)}
+    record = {"exit_code": run.returncode, **times}
     try:
         record["result"] = json.loads(run.stdout.strip().splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
@@ -242,7 +260,9 @@ def summarize(runs: list[dict], end_to_end: list[dict], claim: bool = False) -> 
     :func:`claim_met`. The ranges show a bimodal metric without reading
     every run. A run without metrics is left out of them, and a pair
     missing a side is not counted as won or lost, so
-    ``change_better_pairs`` counts complete pairs only."""
+    ``change_better_pairs`` counts complete pairs only. ``cpu_per_wall``
+    holds each side's median of CPU over wall seconds, for runs that
+    recorded both."""
     out = {"runs": []}
     sides = {"parent": {}, "change": {}}
     for run in runs:
@@ -275,6 +295,11 @@ def summarize(runs: list[dict], end_to_end: list[dict], claim: bool = False) -> 
             summary["claim_met"] = claim_met(values["parent"], values["change"],
                                              direction, won)
         out[name] = summary
+    ratios = {side: [run["cpu_s"] / run["wall_s"] for run in runs
+                     if run["side"] == side and run.get("wall_s")]
+              for side in sides}
+    out["cpu_per_wall"] = {side: round(statistics.median(values), 3)
+                           for side, values in ratios.items() if values}
     return out
 
 
