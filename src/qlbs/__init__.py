@@ -8,11 +8,9 @@ are benchmarked against the closed-form Black-Scholes-Merton put.
 from .basis import (
     BasisSpec,
     FeatureMatrix,
-    SplineFeatures,
     feature_cube,
     make_spec,
     spec_for_states,
-    spline_features,
 )
 from .bsm import BsmQuote, bsm_put_delta, bsm_put_price, bsm_put_quote, norm_cdf
 from .dp import (
@@ -32,10 +30,10 @@ from .fqi import (
     WMatrix,
     build_offline_dataset,
     fqi_backward_step,
-    fqi_from_hedges,
     greedy_action,
     load_dataset,
     perturb_actions,
+    run_dp_and_fqi,
     run_fqi,
     save_dataset,
 )

@@ -140,44 +140,15 @@ def _band_pays(n_basis: int, width: int) -> bool:
 
 
 @dataclass(frozen=True)
-class SplineFeatures:
-    """A feature cube held by its nonzeros: ``order`` splines per point.
-
-    The point of path k at time t has its nonzero features in columns
-    ``first[t, k]`` .. ``first[t, k] + order - 1``, with entries
-    ``values[t, :, k]``; every other column is zero. ``first`` is
-    (T+1, K) and ``values`` (T+1, order, K), so the cube takes order / N
-    of the dense (T+1, K, N) cube's memory, plus ``first``.
-    """
-
-    first: np.ndarray
-    values: np.ndarray
-    n_basis: int
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """Shape of the dense cube, (T+1, K, n_basis)."""
-        n_times, _, n_paths = self.values.shape
-        return n_times, n_paths, self.n_basis
-
-    def band(self, t: int) -> RowBand:
-        """Time step t as a row band of width ``order``."""
-        order = self.values.shape[1]
-        return RowBand(columns=self.first[t] + np.arange(order)[:, np.newaxis],
-                       values=self.values[t], n_cols=self.n_basis)
-
-
-@dataclass(frozen=True)
 class SplineSteps:
     """The spline features of a (K, T+1) state matrix, evaluated one time
     step at a time as a pass reads it.
 
     Holds the spec and the states, not the features: ``band(t)`` runs the
     Cox-de Boor recursion on the states of step t each time it is called,
-    with the same call on the same column as :func:`spline_features`, so
-    every step equals that of the stored cube bit for bit. It suits a
-    pass that is the features' only reader; a caller whose features are
-    read more than once stores them with :func:`spline_features`.
+    with the same call on the same column as :func:`feature_cube`, so
+    every step equals that of the dense cube bit for bit. Each reader of
+    a step evaluates it again.
     """
 
     spec: BasisSpec
@@ -200,18 +171,18 @@ class SplineSteps:
 
 
 def step_features(features, t: int) -> FeatureMatrix | RowBand:
-    """Time step t of a dense (T+1, K, N) cube, of SplineFeatures or of
-    SplineSteps, in the one form all its products take: its row band when
-    banded assembly pays, else its dense slab, read as float64, as an
-    unchecked FeatureMatrix.
+    """Time step t of a dense (T+1, K, N) cube or of SplineSteps, in the
+    one form all its products take: its row band when banded assembly
+    pays, else its dense slab, read as float64, as an unchecked
+    FeatureMatrix.
 
     A dense slab is scanned for its band only from ``_BANDED_MIN_BASIS``
-    columns on. Its band equals that of SplineFeatures of the same
-    numbers, and so do all the sums, unless every row of the step has
-    fewer than ``order`` nonzeros (every point exactly on a knot), which
-    narrows the scanned band.
+    columns on. Its band equals that of SplineSteps of the same numbers,
+    and so do all the sums, unless every row of the step has fewer than
+    ``order`` nonzeros (every point exactly on a knot), which narrows the
+    scanned band.
     """
-    if isinstance(features, (SplineFeatures, SplineSteps)):
+    if isinstance(features, SplineSteps):
         band = features.band(t)
         if _band_pays(band.n_cols, band.width):
             return band
@@ -295,9 +266,8 @@ def feature_cube(spec: BasisSpec, state_values: np.ndarray) -> np.ndarray:
 
     ``state_values`` has shape (K, T+1); the result has shape
     (T+1, K, n_basis), evaluated one time step at a time. The solvers
-    read :class:`SplineSteps` or :func:`spline_features` instead, which
-    hold the same numbers in the states' memory or in order / n_basis of
-    the cube's.
+    read :class:`SplineSteps` instead, which give the same numbers one
+    step at a time from the states' memory.
     """
     state_values = np.asarray(state_values, dtype=float)
     n_paths, n_times = state_values.shape
@@ -305,25 +275,6 @@ def feature_cube(spec: BasisSpec, state_values: np.ndarray) -> np.ndarray:
     for t in range(n_times):
         scatter_band(out[t], *_cox_de_boor(spec, state_values[:, t]))
     return out
-
-
-def spline_features(spec: BasisSpec, state_values: np.ndarray) -> SplineFeatures:
-    """The feature cube of a (K, T+1) state matrix in compact form, stored.
-
-    Holds the same numbers as :func:`feature_cube` without the zeros.
-    Each time step is evaluated on its own K states, so a build needs
-    scratch of about 5 * order * K doubles beside its output. Callers
-    store it only when more than one pass reads the features (a fitted-Q
-    run or the DP's hedges after the DP itself); for a single pass,
-    :class:`SplineSteps` evaluates each step as the pass reaches it.
-    """
-    state_values = np.asarray(state_values, dtype=float)
-    n_paths, n_times = state_values.shape
-    first = np.empty((n_times, n_paths), dtype=np.int64)
-    values = np.empty((n_times, spec.order, n_paths))
-    for t in range(n_times):
-        first[t], values[t] = _cox_de_boor(spec, state_values[:, t])
-    return SplineFeatures(first=first, values=values, n_basis=spec.n_basis)
 
 
 def spec_for_states(state_values: np.ndarray, n_basis: int = DEFAULT_N_BASIS,

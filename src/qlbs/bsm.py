@@ -34,10 +34,11 @@ class BsmQuote:
 
 
 def _validate(s0, strike, sigma, maturity):
-    if s0 <= 0 or strike <= 0:
-        raise ValueError("spot and strike must be positive")
-    if sigma < 0 or maturity < 0:
-        raise ValueError("sigma and maturity must be nonnegative")
+    # Written so that nan fails each test.
+    if not (0 < s0 < math.inf and 0 < strike < math.inf):
+        raise ValueError("spot and strike must be positive and finite")
+    if not (0 <= sigma < math.inf and 0 <= maturity < math.inf):
+        raise ValueError("sigma and maturity must be nonnegative and finite")
 
 
 def _quote(s0: float, strike: float, r: float, sigma: float,

@@ -10,8 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import (DEFAULT_N_BASIS, DEFAULT_ORDER, SplineSteps, spec_for_states,
-                    spline_features)
+from .basis import DEFAULT_N_BASIS, DEFAULT_ORDER, SplineSteps, spec_for_states
 from .bsm import bsm_put_quote
 from .dp import RiskParams, run_model_based
 from .experiments import (
@@ -25,7 +24,7 @@ from .experiments import (
     emit_report,
     run_scenario,
 )
-from .fqi import check_noise, fqi_from_hedges, load_dataset, run_fqi, save_dataset
+from .fqi import check_noise, load_dataset, run_dp_and_fqi, run_fqi, save_dataset
 from .market import MarketParams, StateKind, compute_states, save_paths, simulate_gbm
 
 
@@ -115,30 +114,35 @@ def _cmd_price_fqi(args) -> int:
         solution = run_fqi(dataset, spec, regularizer=args.ridge)
     else:
         check_noise(args.noise)
-        paths, kind, states, spec, risk = _prepared_run(args)
-        # The DP, its hedges and fitted Q read the features: they are
-        # stored once. Only the hedges outlive the DP, and only until
-        # fitted Q has perturbed them. The pass keeps coefficients, so
-        # reading the hedges evaluates them and no action values.
-        features = spline_features(spec, states.values)
-        dataset, solution = fqi_from_hedges(
-            paths, states,
-            run_model_based(paths, kind, strike=args.strike, risk=risk,
-                            basis_spec=spec, features=features,
-                            regularizer=args.ridge).hedges,
-            args.noise, args.strike, risk, spec, features=features,
-            regularizer=args.ridge)
+        paths, _, states, spec, risk = _prepared_run(args)
+        _, [fitted] = run_dp_and_fqi(paths, states, [(args.strike, risk)],
+                                     [(0, args.noise)], SplineSteps(spec, states.values),
+                                     regularizer=args.ridge)
+        if isinstance(fitted, Exception):
+            raise fitted
+        dataset, solution = fitted
         if args.dataset_out:
             save_dataset(dataset, args.dataset_out)
     print(json.dumps({"price": solution.price_t0}, indent=2))
     return 0
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key that appears twice raises."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice")
+        obj[key] = value
+    return obj
+
+
 def _cmd_experiment(args) -> int:
     if args.config:
         with open(args.config) as handle:
             try:
-                config = ScenarioConfig.from_json_dict(json.load(handle))
+                config = ScenarioConfig.from_json_dict(
+                    json.load(handle, object_pairs_hook=_unique_keys))
             except ValueError as err:
                 raise ValueError(f"{args.config}: {err}") from err
         if config.scenario is not Scenario.parse(args.name):

@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (
-    BasisSpec,
-    FeatureMatrix,
-    SplineFeatures,
-    SplineSteps,
-    spec_for_states,
-    step_features,
-)
+from .basis import BasisSpec, FeatureMatrix, SplineSteps, spec_for_states, step_features
 from .market import PathSet, StateKind, _delta_s, compute_states
 from .numerics import RowBand, _solve_rows
 
@@ -62,7 +55,7 @@ class _PassOutput:
     evaluate their splines again for each such read."""
 
     paths: PathSet
-    features: np.ndarray | SplineFeatures | SplineSteps
+    features: np.ndarray | SplineSteps
     strikes: np.ndarray
     risks: tuple[RiskParams, ...]
     phi: np.ndarray
@@ -92,10 +85,10 @@ class DPSolution:
 
     ``phi`` and ``omega`` hold the hedge and value coefficients for
     t = 0 .. T-1; the solution also holds the ``features`` it was solved
-    on, shared by every solution of its batch: a dense cube,
-    SplineFeatures, or, when the pass built its own, SplineSteps, which
-    evaluate each step's splines when ``hedges`` or ``q_values`` is first
-    read, bit for bit as the pass did. The per-path matrices are
+    on, shared by every solution of its batch: a dense cube or
+    SplineSteps, which evaluate each step's splines again when ``hedges``
+    or ``q_values`` is first read, bit for bit as the pass did. The
+    per-path matrices are
     (n_paths, n_steps + 1), read-only, and evaluated from these on first
     read: ``hedges`` and ``q_values`` for the whole batch at once (the
     terminal hedge is 0), bit for bit as the pass formed them, and
@@ -161,8 +154,8 @@ def terminal_conditions(paths: PathSet, strike, risk):
     RiskParams give (C, K) arrays.
     """
     strike = np.asarray(strike, dtype=float)
-    if np.any(strike <= 0):
-        raise ValueError("strike must be positive")
+    if not np.all((strike > 0) & (strike < np.inf)):  # nan too
+        raise ValueError("strike must be positive and finite")
     _, risk_aversion = _contract_risk(risk)
     payoff = np.maximum(strike[..., np.newaxis] - paths.prices[:, -1], 0.0)
     mean = payoff.mean(axis=-1, keepdims=True)
@@ -262,7 +255,7 @@ def fit_q_coefficients(phi_t: FeatureMatrix | RowBand, rewards_t: np.ndarray,
 def run_model_based(paths: PathSet, state_kind: StateKind, strike: float,
                     risk: RiskParams, basis_spec: BasisSpec | None = None,
                     regularizer: float | None = None,
-                    features: np.ndarray | SplineFeatures | SplineSteps | None = None
+                    features: np.ndarray | SplineSteps | None = None
                     ) -> DPSolution:
     """Backward pass from expiry to time 0 for one contract.
 
@@ -275,7 +268,7 @@ def run_model_based(paths: PathSet, state_kind: StateKind, strike: float,
 def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
                           basis_spec: BasisSpec | None = None,
                           regularizer: float | None = None,
-                          features: np.ndarray | SplineFeatures | SplineSteps | None = None
+                          features: np.ndarray | SplineSteps | None = None
                           ) -> list[DPSolution]:
     """Backward pass from expiry to time 0 for many contracts on shared paths.
 
@@ -293,33 +286,42 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
     are read. It stores only the (T, C, N) coefficients and takes the
     time-0 price and hedge from the last slabs. Solutions hold the
     features and evaluate every per-path matrix on first read (see
-    DPSolution).
+    DPSolution). :func:`~qlbs.fqi.run_dp_and_fqi` runs this pass with
+    fitted Q in the same backward loop.
 
     Each step's features are read unchecked, in the one form
     :func:`~qlbs.basis.step_features` chooses: a large basis whose rows
     are narrow bands, such as N = 100 splines, forms its Grams,
     right-hand sides and fitted values from each row's band, without a
     (K, N) slab; every other step uses dense products. So a dense cube
-    and SplineFeatures of the same numbers give the same solution.
+    and SplineSteps of the same numbers give the same solution.
 
     Without ``features`` the pass computes the chosen state and reads it
     as SplineSteps on ``basis_spec``, or, when no basis spec is given
     either, on the default clamped basis over the state's global range:
     each step's splines are evaluated when the pass reaches it, and no
-    cube is stored. Features may be passed instead: SplineSteps, or,
-    to reuse work across runs that share paths and basis, a stored dense
-    (T+1, K, N) cube or SplineFeatures; a dense cube is read as float64
-    one step at a time. All three give the same numbers. Returns one
-    solution per contract, in order.
+    cube is stored. Features may be passed instead: SplineSteps, or a
+    stored dense (T+1, K, N) cube, read as float64 one step at a time.
+    Both give the same numbers. Returns one solution per contract, in
+    order.
     """
-    strikes = np.array([float(strike) for strike, _ in contracts])
-    risks = tuple(risk for _, risk in contracts)
-    gamma, risk_aversion = _contract_risk(risks)
     if features is None:
         states = compute_states(paths, state_kind)
         if basis_spec is None:
             basis_spec = spec_for_states(states.values)
         features = SplineSteps(basis_spec, states.values)
+    return _backward_pass(paths, contracts, features, regularizer)
+
+
+def _backward_pass(paths: PathSet, contracts, features: np.ndarray | SplineSteps,
+                   regularizer: float | None = None, on_step=None) -> list[DPSolution]:
+    """The pass of :func:`run_model_based_batch` on given features. Each
+    step calls ``on_step(t, phi_t, delta_s_t, hedges)``, if given, with
+    the step's features, (K,) increments and (C, K) hedge slab, which it
+    reads and does not write, before the slab is overwritten."""
+    strikes = np.array([float(strike) for strike, _ in contracts])
+    risks = tuple(risk for _, risk in contracts)
+    gamma, risk_aversion = _contract_risk(risks)
     delta_s = _delta_s_at(paths, gamma)
     delta_s_mean = delta_s.mean(axis=0)
 
@@ -342,6 +344,8 @@ def run_model_based_batch(paths: PathSet, state_kind: StateKind, contracts,
         phi[t] = fit_hedge_coefficients(phi_t, ds, ds_hat, pi_hat_next, risks,
                                         regularizer, out=pi_hat_next)
         work[...] = phi_t.fitted(phi[t])
+        if on_step is not None:
+            on_step(t, phi_t, ds, work)
         if t == 0:
             hedge_t0 = [float(row.mean()) for row in work]
         pi_t = rollback_portfolio(pi_next, work, ds, gamma, out=work)

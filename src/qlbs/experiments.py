@@ -12,17 +12,17 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
 
-from .basis import (DEFAULT_N_BASIS, DEFAULT_ORDER, BasisSpec, SplineSteps,
-                    spec_for_states, spline_features)
+from .basis import DEFAULT_N_BASIS, DEFAULT_ORDER, BasisSpec, SplineSteps, spec_for_states
 from .bsm import bsm_put_quote
-from .dp import DPSolution, RiskParams, run_model_based_batch
-from .fqi import fqi_from_hedges
+from .dp import DPSolution, RiskParams
+from .fqi import run_dp_and_fqi
 from .market import (
     BENCHMARK_STATE_KINDS,
     MarketParams,
@@ -91,6 +91,8 @@ class ScenarioConfig:
             raise ValueError("need at least one seed")
         if not self.state_kinds:
             raise ValueError("need at least one state kind")
+        if not 0 <= self.noise <= 1:  # nan too; every fitted-Q cell would fail
+            raise ValueError(f"noise must lie in [0, 1], got {self.noise!r}")
 
     def to_json_dict(self) -> dict:
         data = asdict(self)
@@ -102,8 +104,9 @@ class ScenarioConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScenarioConfig":
         """The config :meth:`to_json_dict` wrote. Input that is not a JSON
-        object, an unknown key, a missing market field or a value of the
-        wrong JSON type raises ValueError naming it."""
+        object, an unknown key, a missing market field, a value of the
+        wrong JSON type (a NaN or infinite number included) or a noise
+        outside [0, 1] raises ValueError naming it."""
         kwargs = _json_fields(data, cls, "config")
         if "scenario" in kwargs:
             kwargs["scenario"] = Scenario.parse(kwargs["scenario"])
@@ -122,7 +125,8 @@ class ScenarioConfig:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An integer or a finite float: Python's json reads NaN and Infinity."""
+    return _is_integer(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 def _is_integer(value) -> bool:
@@ -276,39 +280,27 @@ def _fail(config: ScenarioConfig, job: _Job, err: Exception) -> None:
                 for method in job.methods]
 
 
-def _finish_job(config: ScenarioConfig, job: _Job, dp: DPSolution,
-                dp_seconds: float, paths: PathSet, spec, features,
-                risk: RiskParams) -> None:
-    """Build the job's report rows; a fitted-Q failure marks only its own row.
-
-    A fitted-Q row computes its states again, since the group drops them
-    before its pass; DP and transaction-cost rows read only the paths and
-    the hedges.
-    """
+def _finish_job(config: ScenarioConfig, job: _Job, dp: DPSolution, seconds: float,
+                paths: PathSet, fitted) -> None:
+    """Build the job's report rows: a ``dp`` row from the DP solution and
+    a fitted-Q row from ``fitted``, the job's (dataset, solution) or the
+    exception that marks only its own row."""
     for method in job.methods:
-        row = _row_base(config, job.market, method=method, **job.base)
+        row = _row_base(config, job.market, method=method, runtime_s=round(seconds, 6),
+                        **job.base)
         if method == "dp":
-            row.update(price=dp.price_t0, hedge=dp.hedge_t0,
-                       runtime_s=round(dp_seconds, 6))
+            row.update(price=dp.price_t0, hedge=dp.hedge_t0)
             if job.cost_rate is not None:
                 tw = terminal_wealth(paths, dp.hedges, job.base["strike"],
                                      job.cost_rate, dp.price_t0)
                 row["cost_rate"] = job.cost_rate
                 row["tw_mean"] = float(tw.mean())
                 row["tw_median"] = float(np.median(tw))
+        elif isinstance(fitted, Exception):
+            log.warning("cell failed: %s", fitted)
+            row.update(error=str(fitted), runtime_s=0.0)
         else:
-            try:
-                started = time.perf_counter()
-                _, fqi = fqi_from_hedges(paths, compute_states(paths, job.kind),
-                                         dp.hedges, job.base["noise"],
-                                         job.base["strike"], risk, spec,
-                                         features=features,
-                                         regularizer=config.regularizer)
-                row["price"] = fqi.price_t0
-                row["runtime_s"] = round(time.perf_counter() - started, 6)
-            except Exception as err:  # record and continue with the sweep
-                log.warning("cell failed: %s", err)
-                row["error"] = str(err)
+            row["price"] = fitted[1].price_t0
         job.rows.append(row)
 
 
@@ -316,31 +308,20 @@ def _solve_group(paths: PathSet, config: ScenarioConfig, kind: StateKind,
                  n_basis: int, order: int, jobs: list) -> BasisSpec | None:
     """Solve every job on one set of paths, state kind and basis.
 
-    A group with a fitted-Q or transaction-cost job stores its features
-    once, in compact form (SplineFeatures), shared by the backward pass,
-    the hedges it evaluates and every fitted-Q run; its state matrix
-    lives only until the spec and the features are built. Any other
-    group's features have one reader, the pass, which evaluates each
-    step's splines from the states (SplineSteps) as it reaches the step.
-    Jobs with the same (strike, risk) share one contract, and all
-    contracts are solved in one batched backward pass; each DP row's
-    runtime is the pass's wall time divided by its contracts, so in a
-    group that stores no features it includes the spline evaluation.
-    A failure inside the pass marks every job of the group. Returns the
-    group's BasisSpec, or None when the states or basis could not be
-    built.
+    Jobs with the same (strike, risk) share one contract. The DP of every
+    contract and every fitted-Q job run in one backward sweep
+    (:func:`~qlbs.fqi.run_dp_and_fqi`) on SplineSteps, which evaluate each
+    step's splines as the sweep reaches it; a transaction-cost row
+    evaluates the DP's hedges again after it. Each row's ``runtime_s`` is
+    the sweep's wall time divided by the group's contracts, spline
+    evaluation, DP and fitted Q alike; a failed fitted-Q row reads 0. A
+    failure of the DP marks every job of the group. Returns the group's
+    BasisSpec, or None when the states or basis could not be built.
     """
     market = paths.params
     try:
-        states = compute_states(paths, kind).values
-        spec = spec_for_states(states, n_basis=n_basis, order=order)
-        # After the pass, a fitted-Q row fits on the features and a cost
-        # row evaluates the DP's hedges from them.
-        if any(job.cost_rate is not None or job.methods != ("dp",) for job in jobs):
-            features = spline_features(spec, states)
-        else:
-            features = SplineSteps(spec, states)
-        del states
+        states = compute_states(paths, kind)
+        spec = spec_for_states(states.values, n_basis=n_basis, order=order)
     except Exception as err:  # record and continue with the sweep
         for job in jobs:
             _fail(config, job, err)
@@ -353,21 +334,23 @@ def _solve_group(paths: PathSet, config: ScenarioConfig, kind: StateKind,
             _fail(config, job, err)
             continue
         contracts.setdefault((job.base["strike"], risk), []).append(job)
+    fitted_q = [(c, job) for c, members in enumerate(contracts.values())
+                for job in members if "fqi" in job.methods]
     try:
         started = time.perf_counter()
-        solutions = run_model_based_batch(paths, kind, list(contracts), basis_spec=spec,
-                                          regularizer=config.regularizer,
-                                          features=features)
+        solutions, results = run_dp_and_fqi(
+            paths, states, list(contracts), [(c, job.base["noise"]) for c, job in fitted_q],
+            SplineSteps(spec, states.values), regularizer=config.regularizer)
         per_contract = (time.perf_counter() - started) / len(contracts)
     except Exception as err:  # record and continue with the sweep
         for members in contracts.values():
             for job in members:
                 _fail(config, job, err)
         return spec
-    for (strike, risk), solution in zip(contracts, solutions):
-        for job in contracts[strike, risk]:
-            _finish_job(config, job, solution, per_contract, paths, spec,
-                        features, risk)
+    fitted = {id(job): result for (_, job), result in zip(fitted_q, results)}
+    for members, solution in zip(contracts.values(), solutions):
+        for job in members:
+            _finish_job(config, job, solution, per_contract, paths, fitted.get(id(job)))
     return spec
 
 

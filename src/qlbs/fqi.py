@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FeatureMatrix, SplineFeatures, SplineSteps, step_features
-from .dp import RiskParams, portfolio_and_rewards
+from .basis import BasisSpec, FeatureMatrix, SplineSteps, step_features
+from .dp import (DPSolution, RiskParams, _backward_pass, compute_rewards,
+                 portfolio_and_rewards, rollback_portfolio)
 from .market import PathSet, StateKind, StateSeries
 from .numerics import RowBand, _solve_rows
 
@@ -32,6 +33,9 @@ log = logging.getLogger(__name__)
 # otherwise sends the maximizer arbitrarily far from the data, where the
 # fit has no support.
 _ACTION_BRACKET_FACTOR = 5.0
+
+# Added to the path seed to seed the noise of a fitted-Q run's actions.
+_NOISE_SEED_OFFSET = 104_729
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,8 @@ def perturb_actions(a_star: np.ndarray, eta: float, seed: int) -> np.ndarray:
     """Scale each action by an independent Uniform(1-eta, 1+eta) draw.
 
     Multiplicative noise keeps the hedge sign; eta = 0 returns the input
-    unchanged and eta = 1 spans (0, 2) times the input.
+    unchanged and eta = 1 spans (0, 2) times the input. Actions of ones
+    give the draws themselves, exactly.
     """
     check_noise(eta)
     a_star = np.asarray(a_star, dtype=float)
@@ -148,8 +153,8 @@ def build_offline_dataset(paths: PathSet, states: StateSeries,
     actions, and rewards are recomputed from that portfolio, so the
     recorded rewards are consistent with the recorded actions.
     """
-    if strike <= 0:
-        raise ValueError("strike must be positive")
+    if not 0 < strike < math.inf:  # nan too
+        raise ValueError("strike must be positive and finite")
     actions = np.asarray(noisy_actions, dtype=float)
     n_paths, n_cols = paths.prices.shape
     if actions.shape != (n_paths, n_cols):
@@ -242,10 +247,31 @@ def fqi_backward_step(actions_t: np.ndarray, rewards_t: np.ndarray,
     return WMatrix(values=coef.reshape(-1, 3).T), psi.fitted(coef)
 
 
+class _FittedQ:
+    """Backward fitted Q on ``dataset``, one :meth:`fit` call per step from
+    t = T-1 down to 0: the loop of :func:`run_fqi` and of each job of
+    :func:`run_dp_and_fqi`."""
+
+    def __init__(self, dataset: OfflineDataset, regularizer: float | None):
+        self.dataset, self.regularizer = dataset, regularizer
+        self.q_values = np.zeros((dataset.n_paths, dataset.n_steps + 1))
+        self.q_values[:, -1] = dataset.terminal_q()
+        self.w: list[WMatrix] = [None] * dataset.n_steps
+
+    def fit(self, t: int, phi_t: FeatureMatrix | RowBand) -> None:
+        dataset = self.dataset
+        self.w[t], self.q_values[:, t] = fqi_backward_step(
+            dataset.actions[:, t], dataset.rewards[:, t], phi_t,
+            self.q_values[:, t + 1], dataset.risk.gamma, self.regularizer)
+
+    def solution(self) -> FQISolution:
+        return FQISolution(w=tuple(self.w), q_values=self.q_values,
+                           price_t0=float(-self.q_values[:, 0].mean()))
+
+
 def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
             regularizer: float | None = None,
-            features: np.ndarray | SplineFeatures | SplineSteps | None = None
-            ) -> FQISolution:
+            features: np.ndarray | SplineSteps | None = None) -> FQISolution:
     """Backward fitted Q iteration over the whole dataset.
 
     The terminal value column comes from the known payoff; every earlier
@@ -253,51 +279,84 @@ def run_fqi(dataset: OfflineDataset, basis_spec: BasisSpec,
     dataset's ``risk.gamma``. The time-0 price is the negative average of
     the initial values. A nonfinite state, action, reward or terminal
     portfolio raises ValueError naming the field. ``features`` is a dense
-    (T+1, K, N) cube, SplineFeatures or SplineSteps, read one step at a
-    time as the DP reads it: :func:`~qlbs.basis.step_features` gives each
-    step as a FeatureMatrix or a RowBand. Without it the pass reads the
-    recorded states as SplineSteps on ``basis_spec``, evaluating each
-    step's splines when it reaches the step, and stores no cube.
+    (T+1, K, N) cube or SplineSteps, read one step at a time as the DP
+    reads it: :func:`~qlbs.basis.step_features` gives each step as a
+    FeatureMatrix or a RowBand. Without it the pass reads the recorded
+    states as SplineSteps on ``basis_spec``, evaluating each step's
+    splines when it reaches the step, and stores no cube.
     """
     dataset.check_finite()
     if features is None:
         features = SplineSteps(basis_spec, dataset.states)
-
-    n_paths, n_steps = dataset.n_paths, dataset.n_steps
-    q_values = np.zeros((n_paths, n_steps + 1))
-    q_values[:, -1] = dataset.terminal_q()
-    w_list: list[WMatrix] = [None] * n_steps
-    for t in range(n_steps - 1, -1, -1):
-        w_list[t], q_values[:, t] = fqi_backward_step(
-            dataset.actions[:, t], dataset.rewards[:, t],
-            step_features(features, t), q_values[:, t + 1], dataset.risk.gamma,
-            regularizer,
-        )
-
-    return FQISolution(
-        w=tuple(w_list),
-        q_values=q_values,
-        price_t0=float(-q_values[:, 0].mean()),
-    )
+    fitted = _FittedQ(dataset, regularizer)
+    for t in range(dataset.n_steps - 1, -1, -1):
+        fitted.fit(t, step_features(features, t))
+    return fitted.solution()
 
 
-def fqi_from_hedges(paths: PathSet, states: StateSeries, hedges: np.ndarray,
-                    noise: float, strike: float, risk: RiskParams,
-                    basis_spec: BasisSpec,
-                    features: np.ndarray | SplineFeatures | SplineSteps | None = None,
-                    regularizer: float | None = None
-                    ) -> tuple[OfflineDataset, FQISolution]:
-    """Fitted Q on ``hedges`` perturbed by noise the path seed fixes and
-    closed at expiry; returns the recorded dataset and the solution.
+class _NoisyHedges(_FittedQ):
+    """Fitted Q on noisy DP hedges that it records one step at a time, with
+    its (K, T+1) noise draws and its (K,) portfolio under the noisy hedges.
+    Its dataset starts as that of zero actions, whose terminal column is
+    final, with time-major actions and rewards held transposed."""
 
-    The hedges are not kept once perturbed: a caller that passes them
-    without holding them frees them before the fit."""
-    noisy = perturb_actions(hedges, noise, seed=paths.params.seed + 104_729)
-    del hedges
-    noisy[:, -1] = 0.0
-    dataset = build_offline_dataset(paths, states, noisy, strike=strike, risk=risk)
-    return dataset, run_fqi(dataset, basis_spec, regularizer=regularizer,
-                            features=features)
+    def __init__(self, paths: PathSet, states: StateSeries, strike: float,
+                 risk: RiskParams, eta: float, regularizer: float | None):
+        self.draws = perturb_actions(np.ones(paths.prices.shape), eta,
+                                     seed=paths.params.seed + _NOISE_SEED_OFFSET)
+        actions = np.zeros((paths.n_steps + 1, paths.n_paths)).T
+        super().__init__(build_offline_dataset(paths, states, actions, strike, risk),
+                         regularizer)
+        self.pi_next = self.dataset.terminal_portfolio
+
+    def record(self, t: int, phi_t: FeatureMatrix | RowBand, delta_s_t: np.ndarray,
+               hedge: np.ndarray) -> None:
+        """Record step t under the DP's (K,) ``hedge``, then fit it."""
+        actions_t, risk = self.dataset.actions[:, t], self.dataset.risk
+        np.multiply(self.draws[:, t], hedge, out=actions_t)
+        pi_t = rollback_portfolio(self.pi_next, actions_t, delta_s_t, risk.gamma)
+        compute_rewards(self.pi_next, pi_t, risk.gamma, risk.risk_aversion,
+                        out=self.dataset.rewards[:, t])
+        self.pi_next = pi_t
+        self.fit(t, phi_t)
+
+
+def run_dp_and_fqi(paths: PathSet, states: StateSeries, contracts, jobs,
+                   features: np.ndarray | SplineSteps,
+                   regularizer: float | None = None) -> tuple[list[DPSolution], list]:
+    """The DP of ``contracts`` (as for :func:`~qlbs.dp.run_model_based_batch`)
+    and fitted Q on noisy DP hedges, in one backward sweep over
+    ``features``, a dense (T+1, K, N) cube or SplineSteps of ``states``.
+
+    Each job is a (contract index, noise eta). At each step of the DP
+    every job scales the step's hedges by its noise, rolls its portfolio
+    back, records its actions and rewards and fits the step on the
+    features the DP read, so no hedge matrix is stored. The numbers equal
+    those of run_model_based_batch, perturb_actions with seed
+    ``paths.params.seed + 104_729`` and the last column zeroed,
+    build_offline_dataset and run_fqi, bit for bit. Returns the DP
+    solutions and, per job, its (OfflineDataset, FQISolution) or the
+    exception it raised, which stops only that job; a DP failure raises.
+    """
+    contracts, jobs = list(contracts), list(jobs)
+    fitted = []
+    for c, eta in jobs:
+        try:
+            fitted.append(_NoisyHedges(paths, states, *contracts[c], eta, regularizer))
+        except Exception as err:  # recorded for this job alone
+            fitted.append(err)
+
+    def record(t, phi_t, delta_s_t, hedges):
+        for j, (c, _) in enumerate(jobs):
+            if isinstance(fitted[j], _NoisyHedges):
+                try:
+                    fitted[j].record(t, phi_t, delta_s_t, hedges[c])
+                except Exception as err:  # recorded for this job alone
+                    fitted[j] = err
+
+    solutions = _backward_pass(paths, contracts, features, regularizer, on_step=record)
+    return solutions, [job if isinstance(job, Exception) else (job.dataset, job.solution())
+                       for job in fitted]
 
 
 _CSV_COLUMNS = ("t", "k", "state", "action", "reward", "next_state")

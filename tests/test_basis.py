@@ -8,11 +8,10 @@ from qlbs import dp, fqi
 from qlbs.basis import (
     BasisSpec,
     FeatureMatrix,
-    SplineFeatures,
+    SplineSteps,
     basis_values,
     feature_cube,
     make_spec,
-    spline_features,
     step_features,
 )
 from qlbs.numerics import RowBand
@@ -48,8 +47,8 @@ def naive_basis_row(spec, x):
     ])
 
 
-def dense_cube(features: SplineFeatures) -> np.ndarray:
-    """The dense (T+1, K, n_basis) cube that compact features hold."""
+def dense_cube(features: SplineSteps) -> np.ndarray:
+    """The dense (T+1, K, n_basis) cube of the steps' bands."""
     return np.array([features.band(t).dense() for t in range(features.shape[0])])
 
 
@@ -76,21 +75,17 @@ class TestStepwiseEvaluation:
         states = rng.permutation(points).reshape(n_paths, n_times)
         cube = basis_values(spec, states.T.ravel()).reshape(n_times, n_paths, spec.n_basis)
         assert np.array_equal(feature_cube(spec, states), cube)
-        compact = spline_features(spec, states)
-        assert compact.first.shape == (n_times, n_paths)
-        assert compact.values.shape == (n_times, order, n_paths)
-        assert compact.shape == cube.shape
-        assert np.array_equal(dense_cube(compact), cube)
+        steps = SplineSteps(spec, states)
+        assert steps.band(0).values.shape == (order, n_paths)
+        assert steps.shape == cube.shape
+        assert np.array_equal(dense_cube(steps), cube)
 
     @pytest.mark.parametrize("n_basis, order", [(12, 4), (100, 1), (100, 10)])
-    def test_compact_densifies_to_the_feature_cube(self, n_basis, order):
+    def test_steps_densify_to_the_feature_cube(self, n_basis, order):
         states = np.random.default_rng(order).normal(size=(300, 7)).cumsum(axis=1)
         spec = make_spec(states.min(), states.max(), n_basis, order)
-        compact = spline_features(spec, states)
         cube = feature_cube(spec, states)
-        assert np.array_equal(dense_cube(compact), cube)
-        for t in range(7):
-            assert np.array_equal(compact.band(t).dense(), cube[t])
+        assert np.array_equal(dense_cube(SplineSteps(spec, states)), cube)
 
     # A build evaluates one time step at a time, so besides its output and
     # the states its scratch is about 5 * order * K doubles, one step's
@@ -109,22 +104,6 @@ class TestStepwiseEvaluation:
         finally:
             tracemalloc.stop()
         bound = cube.nbytes + states.nbytes + self.SCRATCH_BYTES
-        assert peak <= bound, f"peak {peak / 1e6:.1f} MB above {bound / 1e6:.1f} MB"
-
-    def test_spline_features_peak_is_its_output_plus_bounded_scratch(self):
-        # The desk shape: 10k paths x 25 times, 12 cubic splines, a 10 MB
-        # result from 2 MB of states; it peaks near 11.5 MB. One Cox-de
-        # Boor pass over all 250k points would peak near 48 MB.
-        states = np.random.default_rng(10).normal(size=(10_000, 25)).cumsum(axis=1)
-        spec = make_spec(states.min(), states.max(), n_basis=12, order=4)
-        tracemalloc.start()
-        try:
-            compact = spline_features(spec, states)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        output = compact.first.nbytes + compact.values.nbytes
-        bound = output + states.nbytes + self.SCRATCH_BYTES
         assert peak <= bound, f"peak {peak / 1e6:.1f} MB above {bound / 1e6:.1f} MB"
 
 
@@ -332,11 +311,11 @@ class TestStepFeatures:
         spec = make_spec(states.min(), states.max(), n_basis, order)
         cube = feature_cube(spec, states)
         dense = cube[1]
-        # Step 1 from a dense cube and from SplineFeatures, in the form
+        # Step 1 from a dense cube and from SplineSteps, in the form
         # step_features picks, and as a FeatureMatrix, which the per-step
         # solver functions read with the dense products at every N.
         steps = {"cube": step_features(cube, 1),
-                 "compact": step_features(spline_features(spec, states), 1),
+                 "stepwise": step_features(SplineSteps(spec, states), 1),
                  "matrix": FeatureMatrix(dense)}
         weights, targets = rng.normal(size=2000), rng.normal(size=(3, 2000))
         coefficients = rng.normal(size=(3, n_basis))
@@ -359,7 +338,7 @@ class TestStepFeatures:
             for got, ref in zip(products[name], want):
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref)), name
-        for got, ref in zip(products["compact"], products["cube"]):
+        for got, ref in zip(products["stepwise"], products["cube"]):
             assert np.array_equal(got, ref)
 
     def test_public_matrix_is_checked_and_a_pass_step_is_not(self):
@@ -380,8 +359,7 @@ class TestStepFeatures:
 
     # The solvers read features unchecked; the normal equations of the DP
     # and of fitted Q catch a nonfinite one on the Gram diagonal, from a
-    # dense slab at N = 12 and from a row band at N = 100, whichever form
-    # held it.
+    # dense slab at N = 12 and from a row band at N = 100.
     @pytest.mark.parametrize("n_basis", [12, 100])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
@@ -390,18 +368,14 @@ class TestStepFeatures:
         states = rng.normal(size=(1000, 3))
         spec = make_spec(states.min(), states.max(), n_basis, 3)
         cube = feature_cube(spec, states)
-        compact = spline_features(spec, states)
-        cube[2, 17, compact.first[2, 17]] = bad
-        compact.values[2, 0, 17] = bad
+        cube[2, 17, np.flatnonzero(cube[2, 17])[0]] = bad
         risk = dp.RiskParams(risk_aversion=1e-3, gamma=0.99)
         targets = rng.normal(size=(3, 1000))
-        for features in (cube, compact):
-            step = step_features(features, 2)
-            assert isinstance(step, FeatureMatrix if n_basis == 12 else RowBand)
-            with pytest.raises(ValueError, match="feature matrix must be finite"):
-                dp.fit_hedge_coefficients(step, targets[0], targets[1], targets[2], risk)
-            with pytest.raises(ValueError, match="feature matrix must be finite"):
-                dp.fit_q_coefficients(step, targets[0], targets[1], risk.gamma)
-            with pytest.raises(ValueError, match="feature matrix must be finite"):
-                fqi.fqi_backward_step(targets[0], targets[1], step, targets[2],
-                                      risk.gamma)
+        step = step_features(cube, 2)
+        assert isinstance(step, FeatureMatrix if n_basis == 12 else RowBand)
+        with pytest.raises(ValueError, match="feature matrix must be finite"):
+            dp.fit_hedge_coefficients(step, targets[0], targets[1], targets[2], risk)
+        with pytest.raises(ValueError, match="feature matrix must be finite"):
+            dp.fit_q_coefficients(step, targets[0], targets[1], risk.gamma)
+        with pytest.raises(ValueError, match="feature matrix must be finite"):
+            fqi.fqi_backward_step(targets[0], targets[1], step, targets[2], risk.gamma)

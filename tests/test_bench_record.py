@@ -253,6 +253,43 @@ class TestMain:
         assert [c for c, _ in calls[:2]] == [clone, tmp_path]
 
 
+class TestColdImports:
+    @staticmethod
+    def checkouts(tmp_path, delays):
+        """Fake checkouts whose ``import qlbs`` sleeps for the given seconds
+        and appends the side's name to one log."""
+        log = tmp_path / "order.log"
+        checkouts = {}
+        for side, delay in delays.items():
+            package = tmp_path / side / "src" / "qlbs"
+            package.mkdir(parents=True)
+            (package / "__init__.py").write_text(
+                f"import time\ntime.sleep({delay})\nopen({str(log)!r}, 'a').write('{side} ')\n")
+            checkouts[side] = tmp_path / side
+        return checkouts, log
+
+    def test_alternating_readings_with_median_and_spread(self, tmp_path):
+        checkouts, log = self.checkouts(tmp_path, {"change": 0.0, "parent": 0.05})
+        got = bench_record.cold_imports(checkouts, runs=3)
+        assert log.read_text().split() == ["change", "parent", "parent", "change",
+                                           "change", "parent"]
+        assert got["runs"] == 3
+        for side in ("change", "parent"):
+            readings = got[side]["readings_s"]
+            assert len(readings) == 3
+            assert got[side]["median_s"] == round(sorted(readings)[1], 4)
+            assert got[side]["iqr_s"] >= 0.0
+        assert got["change"]["median_s"] < 0.05 <= got["parent"]["median_s"]
+
+    def test_a_failing_side_keeps_its_error_and_stops(self, tmp_path):
+        checkouts, log = self.checkouts(tmp_path, {"change": 0.0})
+        checkouts["parent"] = tmp_path / "no-checkout"
+        got = bench_record.cold_imports(checkouts, runs=3)
+        assert len(got["change"]["readings_s"]) == 3
+        assert "No module named 'qlbs'" in got["parent"]["error"]
+        assert log.read_text().split() == ["change"] * 3
+
+
 class TestCleanClone:
     def test_clones_head_without_the_working_tree_and_removes_it(self, tmp_path):
         repo = tmp_path / "repo"

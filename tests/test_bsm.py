@@ -109,3 +109,10 @@ class TestQuote:
             bsm_put_price(100, 0, 0.03, 0.2, 1.0)
         with pytest.raises(ValueError):
             bsm_put_price(100, 100, 0.03, -0.2, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("argument", ["s0", "strike", "sigma", "maturity"])
+    def test_nonfinite_input_rejected(self, argument, bad):
+        inputs = {"s0": 100.0, "strike": 100.0, "r": 0.03, "sigma": 0.2, "maturity": 1.0}
+        with pytest.raises(ValueError, match="finite"):
+            bsm_put_quote(**{**inputs, argument: bad})

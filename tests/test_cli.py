@@ -22,13 +22,24 @@ from qlbs.experiments import (
     ScenarioConfig,
     run_scenario,
 )
-from qlbs.fqi import OfflineDataset, fqi_from_hedges, load_dataset, run_fqi
+from qlbs.fqi import (OfflineDataset, build_offline_dataset, load_dataset,
+                      perturb_actions, run_fqi)
 from qlbs.market import StateKind, compute_states, simulate_gbm
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def chained_fqi(paths, states, dp, spec, features=None, regularizer=None):
+    """The CLI's dataset and fitted-Q solution from separate passes: the
+    DP's hedges perturbed with the CLI's noise and seed, closed at expiry,
+    then build_offline_dataset and run_fqi."""
+    noisy = perturb_actions(dp.hedges, DEFAULT_NOISE, seed=paths.params.seed + 104_729)
+    noisy[:, -1] = 0.0
+    dataset = build_offline_dataset(paths, states, noisy, dp.strike, dp.risk)
+    return dataset, run_fqi(dataset, spec, regularizer=regularizer, features=features)
 
 
 class TestPriceBs:
@@ -123,8 +134,7 @@ class TestFqiPipelineAgreement:
         spec = spec_for_states(states.values)
         risk = RiskParams.from_rate(DEFAULT_RISK_AVERSION, market.r, market.dt)
         dp = run_model_based(paths, kind, DEFAULT_STRIKE, risk, basis_spec=spec)
-        dataset, solution = fqi_from_hedges(paths, states, dp.hedges, DEFAULT_NOISE,
-                                            DEFAULT_STRIKE, risk, spec)
+        dataset, solution = chained_fqi(paths, states, dp, spec)
         assert solution.price_t0 == cli_price
         loaded = load_dataset(dest)
         for field in fields(OfflineDataset):
@@ -151,9 +161,7 @@ class TestFqiPipelineAgreement:
         risk = RiskParams.from_rate(DEFAULT_RISK_AVERSION, market.r, market.dt)
         dp = run_model_based(paths, kind, DEFAULT_STRIKE, risk, basis_spec=spec,
                              regularizer=ridge)
-        dataset, solution = fqi_from_hedges(paths, states, dp.hedges, DEFAULT_NOISE,
-                                            DEFAULT_STRIKE, risk, spec,
-                                            regularizer=ridge)
+        dataset, solution = chained_fqi(paths, states, dp, spec, regularizer=ridge)
         assert solution.price_t0 == cli_price
         # The same dataset priced directly: the ridge must reach run_fqi.
         assert run_fqi(dataset, spec, regularizer=ridge).price_t0 == cli_price
@@ -163,7 +171,7 @@ class TestFqiPipelineAgreement:
 class TestLargeBasisQuote:
     @pytest.mark.parametrize("state", ["drift-adjusted", "log-return"])
     def test_matches_the_library_on_a_dense_cube(self, capsys, state):
-        # N = 100 takes the band path on the CLI's compact features.
+        # N = 100 takes the band path on the CLI's stepwise features.
         argv = ["--steps", "6", "--paths", "2000", "--seed", "3", "--state", state,
                 "--n-splines", "100", "--spline-order", "3"]
         dp_quote = json.loads(run_cli(capsys, "price-qlbs-dp", *argv)[1])
@@ -178,8 +186,7 @@ class TestLargeBasisQuote:
         risk = RiskParams.from_rate(DEFAULT_RISK_AVERSION, market.r, market.dt)
         dp = run_model_based(paths, kind, DEFAULT_STRIKE, risk, basis_spec=spec,
                              features=cube)
-        _, fqi = fqi_from_hedges(paths, states, dp.hedges, DEFAULT_NOISE,
-                                 DEFAULT_STRIKE, risk, spec, features=cube)
+        _, fqi = chained_fqi(paths, states, dp, spec, features=cube)
         assert abs(dp_quote["price"] - dp.price_t0) <= 1e-10
         assert abs(dp_quote["hedge"] - dp.hedge_t0) <= 1e-10
         assert abs(fqi_quote["price"] - fqi.price_t0) <= 1e-10
@@ -216,7 +223,14 @@ class TestUsageErrors:
          "need n_basis >= order >= 1"),
         (["price-qlbs-fqi", "--paths", "50", "--steps", "4", "--noise", "2"],
          r"eta must lie in \[0, 1\]"),
-    ], ids=["paths-0", "steps-0", "spline-order-0", "noise-2"])
+        (["price-qlbs-dp", "--strike", "nan", "--paths", "200", "--steps", "4"],
+         "strike must be positive and finite"),
+        (["price-qlbs-fqi", "--strike", "nan", "--paths", "200", "--steps", "4"],
+         "strike must be positive and finite"),
+        (["price-bs", "--strike", "nan"], "spot and strike must be positive and finite"),
+        (["price-bs", "--sigma", "inf"], "sigma and maturity must be nonnegative and finite"),
+    ], ids=["paths-0", "steps-0", "spline-order-0", "noise-2", "dp-strike-nan",
+            "fqi-strike-nan", "bs-strike-nan", "bs-sigma-inf"])
     def test_bad_value(self, capsys, argv, message):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -396,8 +410,13 @@ class TestExperiment:
         ([{"scenario": "single"}], "config must be a JSON object, got list"),
         ({"seeds": 5}, "config: key 'seeds' must be a list of integers, got 5"),
         ({"strike": "abc"}, "config: key 'strike' must be a number, got 'abc'"),
+        ({"strike": float("nan")}, "config: key 'strike' must be a number, got nan"),
+        ({"market": {**DEFAULT_MARKET.__dict__, "sigma": float("inf")}},
+         "market: key 'sigma' must be a number, got inf"),
+        ({"noise": -1.0}, "noise must lie in [0, 1], got -1.0"),
     ], ids=["misspelt-key", "market-missing-fields", "top-level-array",
-            "seeds-not-a-list", "strike-not-a-number"])
+            "seeds-not-a-list", "strike-not-a-number", "strike-nan", "sigma-infinity",
+            "noise-negative"])
     def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, payload,
                                                message):
         config = tmp_path / "config.json"
@@ -406,6 +425,16 @@ class TestExperiment:
                      "--out", str(tmp_path / "report.csv")])
         assert code == 2
         assert capsys.readouterr().err == f"qlbs: error: {config}: {message}\n"
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_duplicated_config_key_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"scenario": "single", "noise": 0.2, "noise": NaN}')
+        code = main(["experiment", "single", "--config", str(config),
+                     "--out", str(tmp_path / "report.csv")])
+        assert code == 2
+        assert (capsys.readouterr().err
+                == f"qlbs: error: {config}: key 'noise' appears twice\n")
         assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("name, sweep, message", [

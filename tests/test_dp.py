@@ -11,6 +11,7 @@ from qlbs.dp import (
     fit_q_coefficients,
     rollback_portfolio,
     run_model_based,
+    run_model_based_batch,
     terminal_conditions,
 )
 from qlbs.market import MarketParams, StateKind, compute_states, simulate_gbm
@@ -97,6 +98,15 @@ class TestTerminalConditions:
     def test_strike_validation(self, golden_paths, golden_risk):
         with pytest.raises(ValueError):
             terminal_conditions(golden_paths, 0.0, golden_risk)
+
+    @pytest.mark.parametrize("strike", [np.nan, np.inf, [100.0, np.nan]])
+    def test_nonfinite_strike_rejected(self, golden_paths, golden_risk, strike):
+        risk = golden_risk if np.ndim(strike) == 0 else [golden_risk] * 2
+        with pytest.raises(ValueError, match="strike must be positive and finite"):
+            terminal_conditions(golden_paths, strike, risk)
+        with pytest.raises(ValueError, match="strike must be positive and finite"):
+            run_model_based_batch(golden_paths, StateKind.PRICE,
+                                  list(zip(np.atleast_1d(strike), np.atleast_1d(risk))))
 
 
 class TestHedgeFit:

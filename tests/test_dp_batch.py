@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlbs import basis
-from qlbs.basis import (SplineSteps, feature_cube, spec_for_states, spline_features,
-                        step_features)
+from qlbs.basis import SplineSteps, feature_cube, spec_for_states, step_features
 from qlbs.dp import (
     RiskParams,
     compute_rewards,
@@ -41,8 +40,8 @@ MARKET = MarketParams(s0=100.0, mu=0.05, sigma=0.2, r=0.03, maturity=0.5,
                       n_steps=6, n_paths=400, seed=11)
 MATRICES = ("hedges", "portfolio", "rewards", "q_values", "cash")
 TOL = 1e-10
-# The three forms of one basis's features, each built from (spec, states).
-FORMS = {"dense": feature_cube, "compact": spline_features, "stepwise": SplineSteps}
+# The two forms of one basis's features, each built from (spec, states).
+FORMS = {"dense": feature_cube, "stepwise": SplineSteps}
 
 # Deep out of the money (no path ends below 40), at the money, in the money.
 strike_sets = st.lists(
@@ -191,10 +190,10 @@ def dense_gram_reference(paths, cube, strike, risk):
 class TestLargeBasisMatchesDenseGrams:
     # N = 100 reads every step of either form as its row band, at every
     # one of these orders: Grams, right-hand sides and fitted values.
-    @pytest.mark.parametrize("compact", [False, True], ids=["dense", "compact"])
+    @pytest.mark.parametrize("form", list(FORMS))
     @pytest.mark.parametrize("order", [1, 3, 10])
     @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
-    def test_price_and_hedge(self, kind, order, compact):
+    def test_price_and_hedge(self, kind, order, form):
         market = replace(MARKET, n_paths=3000, seed=7)
         paths = simulate_gbm(market)
         states = compute_states(paths, kind).values
@@ -202,66 +201,15 @@ class TestLargeBasisMatchesDenseGrams:
         cube = feature_cube(spec, states)
         risk = RiskParams.from_rate(1e-3, market.r, market.dt)
         got = run_model_based(paths, kind, 100.0, risk, basis_spec=spec,
-                              features=spline_features(spec, states) if compact else cube)
+                              features=FORMS[form](spec, states))
         price, hedge = dense_gram_reference(paths, cube, 100.0, risk)
         assert abs(got.price_t0 - price) <= TOL
         assert abs(got.hedge_t0 - hedge) <= TOL
 
 
-class TestSplineFeatures:
-    """The solvers on SplineFeatures against the same features as a dense cube."""
-
-    @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
-    def test_small_basis_is_bit_identical(self, kind):
-        paths = simulate_gbm(replace(MARKET, n_paths=2000))
-        states = compute_states(paths, kind)
-        spec = spec_for_states(states.values, n_basis=12, order=4)
-        cube = feature_cube(spec, states.values)
-        compact = spline_features(spec, states.values)
-        contracts = [(z, RiskParams.from_rate(lam, MARKET.r, MARKET.dt))
-                     for z in (60.0, 100.0) for lam in (1e-4, 1e-3)]
-        runs = [run_model_based_batch(paths, kind, contracts, basis_spec=spec,
-                                      features=features)
-                for features in (cube, compact)]
-        for want, got in zip(*runs):
-            assert got.price_t0 == want.price_t0
-            assert got.hedge_t0 == want.hedge_t0
-            for name in ("hedges", "q_values", "phi", "omega"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        noisy = perturb_actions(runs[0][0].hedges, 0.2, seed=5)
-        noisy[:, -1] = 0.0
-        dataset = build_offline_dataset(paths, states, noisy, 60.0, contracts[0][1])
-        want, got = (run_fqi(dataset, spec, features=f) for f in (cube, compact))
-        assert got.price_t0 == want.price_t0
-        assert np.array_equal(got.q_values, want.q_values)
-        for got_w, want_w in zip(got.w, want.w):
-            assert np.array_equal(got_w.values, want_w.values)
-
-    # From 50 functions on, where the band pays, both forms give each step
-    # the same row band, so a pass forms the same sums from either.
-    @pytest.mark.parametrize("n_basis, order", [(50, 5), (60, 4), (100, 1),
-                                                (100, 3), (100, 10)])
-    @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
-    def test_large_basis_is_bit_identical(self, kind, n_basis, order):
-        paths = simulate_gbm(replace(MARKET, n_paths=2000))
-        states = compute_states(paths, kind).values
-        spec = spec_for_states(states, n_basis=n_basis, order=order)
-        contracts = [(z, RiskParams.from_rate(1e-3, MARKET.r, MARKET.dt))
-                     for z in (60.0, 90.0, 100.0, 125.0)]
-        runs = [run_model_based_batch(paths, kind, contracts, basis_spec=spec,
-                                      features=features)
-                for features in (feature_cube(spec, states), spline_features(spec, states))]
-        for want, got in zip(*runs):
-            assert got.price_t0 == want.price_t0
-            assert got.hedge_t0 == want.hedge_t0
-            for name in MATRICES + ("phi", "omega"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
-
-
 class TestDefaultFeatures:
     """Without ``features`` the solvers evaluate the splines step by step
-    (SplineSteps); against runs on stored SplineFeatures and on a dense
-    cube of the same basis."""
+    (SplineSteps); against runs on a dense cube of the same basis."""
 
     @staticmethod
     def solve(kind, n_basis, order):
@@ -270,11 +218,11 @@ class TestDefaultFeatures:
         paths = simulate_gbm(replace(MARKET, n_paths=2000))
         states = compute_states(paths, kind)
         spec = spec_for_states(states.values, n_basis=n_basis, order=order)
-        stored = {form: FORMS[form](spec, states.values) for form in ("dense", "compact")}
+        stored = {"dense": feature_cube(spec, states.values)}
         risk = RiskParams.from_rate(1e-3, MARKET.r, MARKET.dt)
         dp = {form: run_model_based(paths, kind, 100.0, risk, basis_spec=spec,
                                     features=stored.get(form))
-              for form in ("stepwise", "compact", "dense")}
+              for form in ("stepwise", "dense")}
         noisy = perturb_actions(dp["dense"].hedges, 0.2, seed=5)
         noisy[:, -1] = 0.0
         dataset = build_offline_dataset(paths, states, noisy, 100.0, risk)
@@ -301,12 +249,13 @@ class TestDefaultFeatures:
     def test_small_basis_is_bit_identical(self, kind):
         self.assert_bit_identical(kind, 12, 4)
 
-    # At N = 100 the DP and fitted Q read each step of every form as the
-    # same row band.
-    @pytest.mark.parametrize("order", [1, 3, 10])
+    # From 50 functions on, where the band pays, the DP and fitted Q read
+    # each step of either form as the same row band.
+    @pytest.mark.parametrize("n_basis, order", [(50, 5), (60, 4), (100, 1),
+                                                (100, 3), (100, 10)])
     @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
-    def test_large_basis_matches_dense_cube(self, kind, order):
-        self.assert_bit_identical(kind, 100, order)
+    def test_large_basis_matches_dense_cube(self, kind, n_basis, order):
+        self.assert_bit_identical(kind, n_basis, order)
 
 
 def eager_pass(paths, contracts, features):
@@ -343,7 +292,7 @@ class TestDerivedMatrices:
     are rolled back from the payoff under the hedges."""
 
     @staticmethod
-    def inputs(n_steps=6, n_paths=400, n_basis=12, order=4, form="compact"):
+    def inputs(n_steps=6, n_paths=400, n_basis=12, order=4, form="stepwise"):
         """Paths, spec and features of drift-adjusted states."""
         paths = simulate_gbm(replace(MARKET, n_paths=n_paths, n_steps=n_steps))
         states = compute_states(paths, StateKind.DRIFT_ADJUSTED).values
@@ -446,7 +395,7 @@ class TestDerivedMatrices:
         paths = simulate_gbm(MARKET)
         states = compute_states(paths, kind).values
         spec = spec_for_states(states, n_basis=12, order=4)
-        features = spline_features(spec, states)
+        features = SplineSteps(spec, states)
         risk = RiskParams.from_rate(1e-3, MARKET.r, MARKET.dt)
         solution = run_model_based(paths, kind, 100.0, risk, basis_spec=spec,
                                    features=features)
@@ -484,7 +433,7 @@ class TestStepwisePeak:
 
         def stored(paths):
             states = compute_states(paths, kind)
-            features = spline_features(spec, states.values)
+            features = feature_cube(spec, states.values)
             return run_model_based_batch(paths, kind, contracts, basis_spec=spec,
                                          features=features)
 
@@ -496,25 +445,27 @@ class TestStepwisePeak:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # order float64 values and one int64 first column per point. Python
-        # objects and numpy's caches move either peak by a few kB from run
-        # to run; one (K,) vector of slack covers them.
-        cube = (spec.order + 1) * 8 * paths.n_paths * (paths.n_steps + 1)
-        assert peaks[1] - peaks[0] >= cube - 8 * paths.n_paths, (
+        # The stored run holds the (T+1, K, N) cube and reads each step as
+        # a view of it; the stepwise run forms one step's (K, N) slab at a
+        # time. Python objects and numpy's caches move either peak by a few
+        # kB from run to run; one (K,) vector of slack covers them.
+        cube = 8 * paths.n_paths * (paths.n_steps + 1) * spec.n_basis
+        step = 8 * paths.n_paths * spec.n_basis
+        assert peaks[1] - peaks[0] >= cube - step - 8 * paths.n_paths, (
             f"peaks {peaks[0] / 1e6:.3f} and {peaks[1] / 1e6:.3f} MB, "
             f"cube {cube / 1e6:.3f} MB")
 
 
 class TestPassSlabs:
     def test_a_pass_holds_four_contract_slabs(self):
-        # Ten contracts on 10k x 24 paths and stored SplineFeatures of 12
-        # cubic splines, as one group of a sweep that stores its features.
+        # Ten contracts on 10k x 24 paths and SplineSteps of 12 cubic
+        # splines, as one group of a sweep.
         market = replace(MARKET, sigma=0.15, maturity=1.0, n_steps=24, n_paths=10_000)
         paths = simulate_gbm(market)
         kind = StateKind.DRIFT_ADJUSTED
         states = compute_states(paths, kind).values
         spec = spec_for_states(states)
-        features = spline_features(spec, states)
+        features = SplineSteps(spec, states)
         del states
         contracts = [(z, RiskParams.from_rate(lam, market.r, market.dt))
                      for z in (60.0, 80.0, 100.0, 120.0, 140.0) for lam in (1e-4, 1e-3)]

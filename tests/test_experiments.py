@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qlbs import experiments
-from qlbs.basis import spec_for_states, spline_features
-from qlbs.dp import RiskParams, run_model_based, run_model_based_batch
+from qlbs.basis import spec_for_states
+from qlbs.dp import RiskParams, run_model_based
 from qlbs.experiments import (
     FREQUENCY_STEPS,
     ResultTable,
@@ -141,6 +141,11 @@ class TestScenarioConfig:
         ("sweep", [], "config: key 'sweep' must be a JSON object, got []"),
         ("market", {"n_steps": 4.0}, "market: key 'n_steps' must be an integer, got 4.0"),
         ("market", {"s0": "100"}, "market: key 's0' must be a number, got '100'"),
+        # Python's json reads NaN and Infinity.
+        ("strike", float("nan"), "config: key 'strike' must be a number, got nan"),
+        ("market", {"mu": float("-inf")}, "market: key 'mu' must be a number, got -inf"),
+        ("noise", -1.0, "noise must lie in [0, 1], got -1.0"),
+        ("noise", 1.5, "noise must lie in [0, 1], got 1.5"),
     ])
     def test_value_of_the_wrong_json_type_rejected(self, key, value, message):
         data = small_config().to_json_dict()
@@ -224,7 +229,9 @@ class TestRunScenario:
          "sweep key 'strikes' must be a list of numbers, got [90.0, '110']"),
         (Scenario.TRANSACTION_COSTS, {"cost_rate": [0.01]},
          "sweep key 'cost_rate' must be a number, got [0.01]"),
-    ], ids=["number-for-list", "string-in-list", "list-for-number"])
+        (Scenario.MONEYNESS, {"strikes": [90.0, float("inf")]},
+         "sweep key 'strikes' must be a list of numbers, got [90.0, inf]"),
+    ], ids=["number-for-list", "string-in-list", "list-for-number", "infinity-in-list"])
     def test_sweep_value_of_wrong_type_rejected_before_any_cell(
             self, monkeypatch, scenario, sweep, message):
         monkeypatch.setattr(experiments, "simulate_gbm", None)  # no cell may run
@@ -239,6 +246,12 @@ class TestRunScenario:
         table = run_scenario(config)
         assert table.errors
         assert len(table.rows) == 4  # error rows still emitted per method
+
+    def test_nonfinite_strike_marks_every_row(self):
+        # A config built in code; one read from JSON rejects it on load.
+        table = run_scenario(small_config(scenario=Scenario.SINGLE, strike=float("nan")))
+        assert table.errors == ["spot and strike must be positive and finite"] * 4
+        assert table.column("price") == [None] * 4
 
     @pytest.mark.parametrize("strikes", [[90.0, 110.0], [-5.0]])
     def test_config_hash_computed_once_per_sweep(self, monkeypatch, strikes):
@@ -327,12 +340,13 @@ class TestRunScenario:
     def test_moneyness_group_is_one_backward_pass(self, monkeypatch):
         # 17 strikes x 2 risk aversions: 34 contracts per (market, kind).
         calls = []
+        sweep = experiments.run_dp_and_fqi
 
-        def counted(paths, kind, contracts, **kwargs):
-            calls.append((paths.params, kind, len(contracts)))
-            return run_model_based_batch(paths, kind, contracts, **kwargs)
+        def counted(paths, states, contracts, *args, **kwargs):
+            calls.append((paths.params, states.kind, len(contracts)))
+            return sweep(paths, states, contracts, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "run_model_based_batch", counted)
+        monkeypatch.setattr(experiments, "run_dp_and_fqi", counted)
         config = small_config(scenario=Scenario.MONEYNESS, seeds=(0, 1))
         table = run_scenario(config)
         assert not table.errors
@@ -342,38 +356,11 @@ class TestRunScenario:
         assert {(market, kind) for market, kind, _ in calls} == groups
         assert {n for _, _, n in calls} == {34}
 
-    @pytest.mark.parametrize("scenario, sweep, builds", [
-        (Scenario.MONEYNESS, {"strikes": [90.0, 110.0]}, 0),
-        (Scenario.BASIS_SENSITIVITY, {"basis_sizes": [6], "orders": [3]}, 0),
-        (Scenario.NOISE_GRID, {"path_counts": [300], "noise_levels": [0.4, 0.8]}, 1),
-        (Scenario.TRANSACTION_COSTS, {}, 1),
-    ], ids=["moneyness", "basis-sensitivity", "noise-grid", "transaction-costs"])
-    def test_stores_features_only_for_a_second_reader(self, monkeypatch, scenario,
-                                                      sweep, builds):
-        # One group each: one market, state kind and basis. Fitted Q and the
-        # cost rows read the features after the pass; a DP-only group's
-        # pass is their one reader and evaluates them step by step.
-        built, groups = [], []
-        solve_group = experiments._solve_group
-
-        def counted(spec, states):
-            built.append(spec)
-            return spline_features(spec, states)
-
-        monkeypatch.setattr(experiments, "spline_features", counted)
-        monkeypatch.setattr(experiments, "_solve_group",
-                            lambda *args: groups.append(args) or solve_group(*args))
-        table = run_scenario(small_config(scenario=scenario, sweep=sweep,
-                                          state_kinds=(StateKind.DRIFT_ADJUSTED,)))
-        assert not table.errors
-        assert len(groups) == 1
-        assert len(built) == builds
-
     def test_fitted_q_failure_keeps_dp_row(self, monkeypatch):
         def failing(*args, **kwargs):
             raise RuntimeError("fitted Q diverged")
 
-        monkeypatch.setattr(experiments, "fqi_from_hedges", failing)
+        monkeypatch.setattr("qlbs.fqi.fqi_backward_step", failing)
         table = run_scenario(small_config(scenario=Scenario.SINGLE))
         dp, fqi = table.select(method="dp"), table.select(method="fqi")
         assert len(dp.rows) == len(fqi.rows) == 2
@@ -381,6 +368,22 @@ class TestRunScenario:
         assert all(price is not None and price > 0 for price in dp.column("price"))
         assert fqi.errors == ["fitted Q diverged"] * 2
         assert fqi.column("price") == [None, None]
+
+    def test_fitted_q_failure_at_one_noise_keeps_the_others(self):
+        # One contract of a noise grid whose cells also ask for the DP row:
+        # two fitted-Q jobs in one sweep, the one at eta = 1.5 rejected.
+        config = small_config(scenario=Scenario.NOISE_GRID,
+                              state_kinds=(StateKind.DRIFT_ADJUSTED,))
+        cells = [{"market": config.market, "noise": eta} for eta in (0.4, 1.5)]
+        table = experiments._run_cells(config, cells)
+        alone = experiments._run_cells(config, cells[:1])
+        dp, fitted = table.select(method="dp"), table.select(method="fqi")
+        assert dp.errors == [] and len(dp.rows) == 2
+        assert dp.column("price") == alone.select(method="dp").column("price") * 2
+        assert fitted.column("noise") == [0.4, 1.5]
+        assert fitted.column("error") == ["", "eta must lie in [0, 1]"]
+        assert fitted.column("price") == [alone.select(method="fqi").column("price")[0],
+                                          None]
 
     def test_basis_sensitivity_shape(self):
         config = small_config(scenario=Scenario.BASIS_SENSITIVITY,

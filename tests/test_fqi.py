@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qlbs.basis import (FeatureMatrix, basis_values, feature_cube, make_spec,
-                         spec_for_states, spline_features, step_features)
-from qlbs.dp import RiskParams, run_model_based
+from qlbs.basis import (FeatureMatrix, SplineSteps, basis_values, feature_cube,
+                         make_spec, spec_for_states, step_features)
+from qlbs import basis
+from qlbs.dp import RiskParams, run_model_based, run_model_based_batch
 from qlbs.fqi import (
     OfflineDataset,
     WMatrix,
@@ -24,10 +25,12 @@ from qlbs.fqi import (
     greedy_action,
     load_dataset,
     perturb_actions,
+    run_dp_and_fqi,
     run_fqi,
     save_dataset,
 )
-from qlbs.market import MarketParams, StateKind, compute_states, simulate_gbm
+from qlbs.market import (BENCHMARK_STATE_KINDS, MarketParams, StateKind, compute_states,
+                         simulate_gbm)
 from qlbs.numerics import RowBand, row_band, scaled_regularizer, solve_normal_equations
 
 from conftest import (
@@ -127,6 +130,12 @@ class TestBuildOfflineDataset:
         with pytest.raises(ValueError):
             build_offline_dataset(paths, states, bad, strike=100.0, risk=risk)
 
+    @pytest.mark.parametrize("strike", [math.nan, math.inf, 0.0])
+    def test_strike_must_be_positive_and_finite(self, strike):
+        paths, states, _, _, risk, dp = small_run(n_paths=50)
+        with pytest.raises(ValueError, match="^strike must be positive and finite$"):
+            build_offline_dataset(paths, states, dp.hedges, strike=strike, risk=risk)
+
     def test_terminal_q_uses_population_variance(self):
         # The published terminal values pin the variance convention:
         # population variance rounds to them, the sample variance does not.
@@ -205,7 +214,7 @@ class TestPsiMatrix:
         rng = np.random.default_rng(9)
         states = rng.normal(size=(500, 2))
         spec = make_spec(states.min(), states.max(), 100, order)
-        band = spline_features(spec, states).band(1)
+        band = SplineSteps(spec, states).band(1)
         a = rng.normal(size=500)
         psi = _psi(band, a)
         assert psi.width == 3 * order and psi.n_cols == 300
@@ -280,7 +289,7 @@ class TestBackwardStep:
         rng = np.random.default_rng(7)
         states = rng.normal(size=(2000, 2))
         spec = make_spec(states.min(), states.max(), 100, 3)
-        step = step_features(spline_features(spec, states), 1)
+        step = step_features(SplineSteps(spec, states), 1)
         assert isinstance(step, RowBand)
         actions, rewards, q_next = rng.normal(size=(3, 2000))
         tracemalloc.start()
@@ -392,6 +401,132 @@ class TestRunFqi:
                            terminal_portfolio=np.zeros(3),
                            state_kind=StateKind.PRICE, strike=100.0,
                            risk=RiskParams(1e-4, 0.99), dt=0.1)
+
+
+def chained(paths, states, contracts, jobs, spec, features, regularizer=None):
+    """run_dp_and_fqi's results from separate passes: the batched DP, then
+    per job perturb_actions on its contract's hedges, closed at expiry,
+    build_offline_dataset and run_fqi."""
+    solutions = run_model_based_batch(paths, states.kind, contracts, basis_spec=spec,
+                                      regularizer=regularizer, features=features)
+    results = []
+    for c, eta in jobs:
+        strike, risk = contracts[c]
+        noisy = perturb_actions(solutions[c].hedges, eta, seed=paths.params.seed + 104_729)
+        noisy[:, -1] = 0.0
+        dataset = build_offline_dataset(paths, states, noisy, strike, risk)
+        results.append((dataset, run_fqi(dataset, spec, regularizer=regularizer,
+                                         features=features)))
+    return solutions, results
+
+
+def assert_same_dataset(got, want):
+    for field in fields(OfflineDataset):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), \
+            field.name
+
+
+def assert_same_fit(got, want):
+    assert got.price_t0 == want.price_t0
+    assert np.array_equal(got.q_values, want.q_values)
+    for got_w, want_w in zip(got.w, want.w, strict=True):
+        assert np.array_equal(got_w.values, want_w.values)
+
+
+class TestOneSweep:
+    """run_dp_and_fqi against the chain of separate passes it replaces."""
+
+    CONTRACTS = [(100.0, 1e-3), (90.0, 1e-4)]
+    JOBS = [(0, 0.0), (0, 0.2), (1, 0.2)]
+
+    @staticmethod
+    def inputs(kind, n_basis, order, form):
+        market = MarketParams(s0=100, mu=0.05, sigma=0.15, r=0.03, maturity=1.0,
+                              n_steps=6, n_paths=1000, seed=5)
+        paths = simulate_gbm(market)
+        states = compute_states(paths, kind)
+        spec = spec_for_states(states.values, n_basis=n_basis, order=order)
+        features = (feature_cube(spec, states.values) if form == "dense"
+                    else SplineSteps(spec, states.values))
+        contracts = [(z, RiskParams.from_rate(lam, market.r, market.dt))
+                     for z, lam in TestOneSweep.CONTRACTS]
+        return paths, states, spec, features, contracts
+
+    # N = 100 at order 3 reads every step as its row band.
+    @pytest.mark.parametrize("n_basis, order", [(12, 4), (100, 3)])
+    @pytest.mark.parametrize("form", ["dense", "stepwise"])
+    @pytest.mark.parametrize("kind", BENCHMARK_STATE_KINDS)
+    def test_bit_identical_to_the_chain(self, kind, form, n_basis, order):
+        paths, states, spec, features, contracts = self.inputs(kind, n_basis, order, form)
+        got_dp, got = run_dp_and_fqi(paths, states, contracts, self.JOBS, features)
+        want_dp, want = chained(paths, states, contracts, self.JOBS, spec, features)
+        for got_c, want_c in zip(got_dp, want_dp, strict=True):
+            assert got_c.price_t0 == want_c.price_t0
+            assert got_c.hedge_t0 == want_c.hedge_t0
+            for name in ("phi", "omega", "hedges"):
+                assert np.array_equal(getattr(got_c, name), getattr(want_c, name)), name
+        for (got_data, got_fit), (want_data, want_fit) in zip(got, want, strict=True):
+            assert_same_dataset(got_data, want_data)
+            assert_same_fit(got_fit, want_fit)
+
+    def test_explicit_ridge_reaches_both_solvers(self):
+        paths, states, spec, features, contracts = self.inputs(
+            StateKind.DRIFT_ADJUSTED, 12, 4, "stepwise")
+        got_dp, got = run_dp_and_fqi(paths, states, contracts, self.JOBS, features,
+                                     regularizer=1e-3)
+        want_dp, want = chained(paths, states, contracts, self.JOBS, spec, features,
+                                regularizer=1e-3)
+        assert [s.price_t0 for s in got_dp] == [s.price_t0 for s in want_dp]
+        for (_, got_fit), (_, want_fit) in zip(got, want, strict=True):
+            assert_same_fit(got_fit, want_fit)
+
+    def test_actions_and_rewards_are_time_major(self):
+        paths, states, _, features, contracts = self.inputs(
+            StateKind.DRIFT_ADJUSTED, 12, 4, "stepwise")
+        _, [(dataset, _)] = run_dp_and_fqi(paths, states, contracts, [(0, 0.2)],
+                                           features)
+        for name in ("actions", "rewards"):
+            assert getattr(dataset, name).T.flags.c_contiguous, name
+
+    def test_each_step_is_evaluated_once(self, monkeypatch):
+        # The DP and every fitted-Q job read one evaluation of each step;
+        # the terminal step is never read.
+        paths, states, _, features, contracts = self.inputs(
+            StateKind.DRIFT_ADJUSTED, 12, 4, "stepwise")
+        calls = []
+        cox_de_boor = basis._cox_de_boor
+        monkeypatch.setattr(basis, "_cox_de_boor",
+                            lambda spec, points: calls.append(1) or cox_de_boor(spec, points))
+        run_dp_and_fqi(paths, states, contracts, self.JOBS, features)
+        assert len(calls) == paths.n_steps
+
+    def test_a_failing_job_stops_only_itself(self, monkeypatch):
+        paths, states, spec, features, contracts = self.inputs(
+            StateKind.PRICE, 12, 4, "stepwise")
+        jobs = [(0, 0.2), (0, 1.5), (1, 0.2), (1, 0.0)]
+        fit_step = fqi_backward_step
+
+        def failing_on_the_zero_noise_job(actions_t, *args, **kwargs):
+            if np.array_equal(actions_t, want_dp[1].hedges[:, 0]):
+                raise RuntimeError("fitted Q diverged")
+            return fit_step(actions_t, *args, **kwargs)
+
+        want_dp, want = chained(paths, states, contracts, [(0, 0.2), (1, 0.2)], spec,
+                                features)
+        monkeypatch.setattr("qlbs.fqi.fqi_backward_step", failing_on_the_zero_noise_job)
+        got_dp, got = run_dp_and_fqi(paths, states, contracts, jobs, features)
+        assert [s.price_t0 for s in got_dp] == [s.price_t0 for s in want_dp]
+        assert isinstance(got[1], ValueError) and str(got[1]) == "eta must lie in [0, 1]"
+        assert isinstance(got[3], RuntimeError)
+        for (got_data, got_fit), (want_data, want_fit) in zip(got[::2], want, strict=True):
+            assert_same_dataset(got_data, want_data)
+            assert_same_fit(got_fit, want_fit)
+
+    def test_a_failing_dp_raises(self):
+        paths, states, _, features, contracts = self.inputs(
+            StateKind.PRICE, 12, 4, "stepwise")
+        with pytest.raises(ValueError, match="need at least one contract"):
+            run_dp_and_fqi(paths, states, [], [], features)
 
 
 class TestLoadDatasetRejectsMalformedFiles:

@@ -23,7 +23,11 @@ each side's tier-1 wall time and every acceptance criterion's call time
 from ``pytest --durations``, and whether the seeded numbers moved: both
 sides write ``tests/seeded_numbers.py --out`` with one BLAS thread, and
 the record keeps whether the two files are byte-identical and how many
-of their numbers differ (see :func:`compare_numbers`).
+of their numbers differ (see :func:`compare_numbers`). Beside the
+benchmark's ``setup_s``, a median of three cold imports, the record
+times ``import qlbs`` in twenty fresh interpreters per side, the sides
+alternating, with each side's median and interquartile range (see
+:func:`cold_imports`), so that an import change can be told from noise.
 
 A run that exits non-zero, times out, prints no result line, reports
 ``correct: false`` or counts failed operations does not stop the record:
@@ -60,6 +64,9 @@ RUN_TIMEOUT_S = 600
 STDERR_TAIL_LINES = 40
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0"]
 SEEDED = ["tests/seeded_numbers.py", "--out"]
+IMPORT_RUNS = 20
+IMPORT_PROBE = ("import time; t = time.perf_counter(); import qlbs; "
+                "print(time.perf_counter() - t); print(qlbs.__file__)")
 CRITERION = re.compile(
     r"^([\d.]+)s call\s+tests/test_acceptance\.py::TestCriterion(\d+)\w*::", re.M)
 
@@ -202,6 +209,41 @@ def seeded_record(checkouts: dict[str, Path]) -> dict:
             record[side] = seeded_numbers(checkout, files[side])
         if all(record[side]["exit_code"] == 0 for side in checkouts):
             record.update(compare_numbers(files["parent"], files["change"]))
+    return record
+
+
+def cold_imports(checkouts: dict[str, Path], runs: int = IMPORT_RUNS) -> dict:
+    """Seconds of ``import qlbs`` from each checkout's ``src`` in ``runs``
+    fresh interpreters per side, the sides alternating: each side's
+    readings, median and interquartile range. A side whose probe fails,
+    or imports qlbs from elsewhere, keeps the error and takes no more
+    readings."""
+    readings = {side: [] for side in checkouts}
+    errors = {}
+    for n in range(runs):
+        for side in list(checkouts) if n % 2 == 0 else list(reversed(checkouts)):
+            if side in errors:
+                continue
+            src = (checkouts[side] / "src").resolve()
+            env = dict(os.environ, PYTHONPATH=str(src))
+            try:
+                run = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                                     capture_output=True, text=True, check=True,
+                                     timeout=RUN_TIMEOUT_S)
+                seconds, where = run.stdout.split()
+                if not Path(where).resolve().is_relative_to(src):
+                    raise ValueError(f"imported qlbs from {where}")
+                readings[side].append(float(seconds))
+            except subprocess.CalledProcessError as err:
+                errors[side] = _tail(err.stderr)
+            except (OSError, subprocess.TimeoutExpired, ValueError) as err:
+                errors[side] = str(err)
+    record = {"command": f"python -c {IMPORT_PROBE!r}", "runs": runs}
+    for side, values in readings.items():
+        record[side] = ({"error": errors[side]} if side in errors else
+                        {"median_s": round(statistics.median(values), 4),
+                         "iqr_s": round(_iqr(values), 4),
+                         "readings_s": [round(v, 4) for v in values]})
     return record
 
 
@@ -355,6 +397,7 @@ def measure(checkouts: dict[str, Path], spec: dict, claim: str | None,
         record["end_to_end"][workload] = runs
         record["summary"][workload] = summarize(runs, spec["end_to_end"],
                                                 claim=claim == workload)
+    record["cold_import"] = cold_imports(checkouts)
     record["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
                        **{side: tier1(path) for side, path in checkouts.items()}}
     record["seeded_numbers"] = seeded_record(checkouts)
@@ -401,6 +444,11 @@ def main(argv=None) -> int:
     else:
         print(f"seeded numbers: {seeded['numbers_differing']} of {seeded['numbers']} "
               f"differ, largest by {seeded['largest_difference']}", file=sys.stderr)
+    for side in ("parent", "change"):
+        reading = record["cold_import"][side]
+        print(f"cold import, {side}: " + (f"median {reading['median_s']} s, IQR "
+                                           f"{reading['iqr_s']} s" if "median_s" in reading
+                                           else reading["error"]), file=sys.stderr)
     bad = flagged(record["end_to_end"])
     for line in bad:
         print(f"bad run: {line}", file=sys.stderr)
