@@ -334,23 +334,23 @@ def _solve_group(paths: PathSet, config: ScenarioConfig, kind: StateKind,
             _fail(config, job, err)
             continue
         contracts.setdefault((job.base["strike"], risk), []).append(job)
-    fitted_q = [(c, job) for c, members in enumerate(contracts.values())
+    fitted_q = [(c, job.base["noise"]) for c, members in enumerate(contracts.values())
                 for job in members if "fqi" in job.methods]
     try:
         started = time.perf_counter()
-        solutions, results = run_dp_and_fqi(
-            paths, states, list(contracts), [(c, job.base["noise"]) for c, job in fitted_q],
-            SplineSteps(spec, states.values), regularizer=config.regularizer)
+        solutions, results = run_dp_and_fqi(paths, states, list(contracts), fitted_q,
+                                            SplineSteps(spec, states.values), config.regularizer)
         per_contract = (time.perf_counter() - started) / len(contracts)
     except Exception as err:  # record and continue with the sweep
         for members in contracts.values():
             for job in members:
                 _fail(config, job, err)
         return spec
-    fitted = {id(job): result for (_, job), result in zip(fitted_q, results)}
+    results = iter(results)  # in the order of fitted_q
     for members, solution in zip(contracts.values(), solutions):
         for job in members:
-            _finish_job(config, job, solution, per_contract, paths, fitted.get(id(job)))
+            fitted = next(results) if "fqi" in job.methods else None
+            _finish_job(config, job, solution, per_contract, paths, fitted)
     return spec
 
 

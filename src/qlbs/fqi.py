@@ -34,9 +34,6 @@ log = logging.getLogger(__name__)
 # fit has no support.
 _ACTION_BRACKET_FACTOR = 5.0
 
-# Added to the path seed to seed the noise of a fitted-Q run's actions.
-_NOISE_SEED_OFFSET = 104_729
-
 
 @dataclass(frozen=True)
 class OfflineDataset:
@@ -303,7 +300,7 @@ class _NoisyHedges(_FittedQ):
     def __init__(self, paths: PathSet, states: StateSeries, strike: float,
                  risk: RiskParams, eta: float, regularizer: float | None):
         self.draws = perturb_actions(np.ones(paths.prices.shape), eta,
-                                     seed=paths.params.seed + _NOISE_SEED_OFFSET)
+                                     seed=paths.params.seed + 104_729)
         actions = np.zeros((paths.n_steps + 1, paths.n_paths)).T
         super().__init__(build_offline_dataset(paths, states, actions, strike, risk),
                          regularizer)
@@ -346,7 +343,7 @@ def run_dp_and_fqi(paths: PathSet, states: StateSeries, contracts, jobs,
         except Exception as err:  # recorded for this job alone
             fitted.append(err)
 
-    def record(t, phi_t, delta_s_t, hedges):
+    def step(t, phi_t, delta_s_t, hedges):
         for j, (c, _) in enumerate(jobs):
             if isinstance(fitted[j], _NoisyHedges):
                 try:
@@ -354,7 +351,7 @@ def run_dp_and_fqi(paths: PathSet, states: StateSeries, contracts, jobs,
                 except Exception as err:  # recorded for this job alone
                     fitted[j] = err
 
-    solutions = _backward_pass(paths, contracts, features, regularizer, on_step=record)
+    solutions = _backward_pass(paths, contracts, features, regularizer, on_step=step)
     return solutions, [job if isinstance(job, Exception) else (job.dataset, job.solution())
                        for job in fitted]
 
